@@ -54,6 +54,7 @@ from .flexset import (
     Scenario,
     conservativeness_curve,
     envelope,
+    feasible_band,
     is_member,
     sample_interior_trajectories,
 )

@@ -10,13 +10,15 @@ summarize the analogy:
 * charge / discharge energy, kWh: the largest time-integrated deviation
   either way over the horizon.
 
-All four are computed as linear programs over (demand, temperature)
-trajectories with the exact one-step dynamics as equality rows, so the
-numbers inherit the model exactly rather than a quasi-steady shortcut.
-For constant weather and constant bounds the optimal charging strategy is
-bang-bang (slam to the deviation ceiling, then ride the temperature bound),
-which gives the closed-form oracle bangbang_energy_oracle used to
-cross-check the LP.
+All four are exact optima over trajectories of the one-step dynamics, read
+off flexset.feasible_band with no optimizer.  Since gain * p_k =
+a * theta_k + forcing_k - theta_{k+1}, the deviation energy telescopes to a
+constant minus a positively weighted sum of temperatures, so the charge
+optimum rides the band's lower edge and the discharge optimum its upper
+edge.  For constant weather and constant bounds the optimal charging
+strategy is bang-bang (slam to the deviation ceiling, then ride the
+temperature bound), which gives the closed-form oracle
+bangbang_energy_oracle used to cross-check the kernel.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ShapeError, SolverError
-from .flexset import Scenario
-from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, LinearProgram, solve_lp
-from .thermal import ThermalParams, Trajectory, decay_factor
+from .errors import InputError, ShapeError, SolverError
+from .flexset import Scenario, feasible_band, is_member
+from .thermal import ThermalParams, Trajectory
 
 
 def energy_state(p: Trajectory, baseline: Trajectory) -> Trajectory:
@@ -55,92 +56,42 @@ class VirtualBatteryCaps:
     discharge_energy_kwh: float
 
 
-def _dynamics_lp(scn: Scenario, c_p: np.ndarray) -> LinearProgram:
-    """LP over stacked (p, theta) with the exact recursion as equality rows.
-
-    theta_0 is not a variable (it is the scenario's initial condition);
-    theta_1..theta_N are box-bounded by the comfort limits.
-    """
-    n = scn.n_steps
-    par = scn.params
-    a = decay_factor(par, scn.dt)
-    gain = (1.0 - a) * par.r_thermal * par.eta_cop
-    forcing = (1.0 - a) * (scn.dist.theta_a + par.r_thermal * scn.dist.q_d)
-    lo_t, hi_t = scn.bounds.theta_limits(n + 1)
-
-    c = np.concatenate([c_p, np.zeros(n)])
-    lo = np.concatenate([np.zeros(n), lo_t[1:]])
-    hi = np.concatenate([np.full(n, par.p_rated), hi_t[1:]])
-    a_eq = np.zeros((n, 2 * n))
-    b_eq = forcing.copy()
-    for k in range(n):
-        a_eq[k, k] = gain
-        a_eq[k, n + k] = 1.0
-        if k == 0:
-            b_eq[0] += a * scn.theta0
-        else:
-            a_eq[k, n + k - 1] = -a
-    return LinearProgram(c=c, lo=lo, hi=hi, a_eq=a_eq, b_eq=b_eq)
-
-
-def _solve_demand(scn: Scenario, c_p: np.ndarray) -> np.ndarray:
-    report = solve_lp(_dynamics_lp(scn, c_p))
-    if report.status == STATUS_INFEASIBLE:
-        raise InfeasibleError(
-            "no demand trajectory keeps the comfort band at all; "
-            "the scenario has no baseline to deviate from"
-        )
-    if report.status != STATUS_OPTIMAL:
-        raise SolverError(f"capacity solve failed: status {report.status}")
-    return report.x[: scn.n_steps]
-
-
-def _is_time_invariant(scn: Scenario) -> bool:
-    return (
-        scn.dist.is_constant(tol=1e-12)
-        and scn.bounds.theta_min_t is None
-        and scn.bounds.theta_max_t is None
-    )
-
-
 def rate_capacities(scn: Scenario) -> tuple[float, float]:
     """(charge, discharge) rate caps, kW: peak attainable |deviation|.
 
-    The trajectory before the peak sample is part of the optimization, so
-    preconditioning is priced in.  For a time-invariant scenario a longer
-    run-up never hurts, hence the peak sits at the final sample and one LP
-    per direction suffices; otherwise every sample is swept, which costs N
-    solves per direction and is intended for short horizons.
+    Preconditioning is priced in: sample k scores the largest (smallest)
+    demand stepping from some theta_k to some theta_{k+1} of the feasible
+    band, and any such step extends to a whole feasible trajectory.
     """
+    lo, hi = feasible_band(scn)
+    a, gain, forcing = scn.dynamics()
     base = scn.baseline().power.values
-    n = scn.n_steps
-
-    def peak(sign: float, k: int) -> float:
-        c_p = np.zeros(n)
-        c_p[k] = -sign
-        p_opt = _solve_demand(scn, c_p)
-        return sign * (p_opt[k] - base[k])
-
-    if _is_time_invariant(scn):
-        return peak(+1.0, n - 1), peak(-1.0, n - 1)
-    up = max(peak(+1.0, k) for k in range(n))
-    dn = max(peak(-1.0, k) for k in range(n))
-    return up, dn
+    p_max = np.minimum(scn.params.p_rated, (a * hi[:-1] + forcing - lo[1:]) / gain)
+    p_min = np.maximum(0.0, (a * lo[:-1] + forcing - hi[1:]) / gain)
+    return float((p_max - base).max()), float((base - p_min).max())
 
 
 def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
-    """The LP-argmax demand trajectories for charging and discharging.
+    """The energy-optimal demand trajectories for charging and discharging.
 
-    Exposed so the optimizer's own output can be audited for membership in
-    the flexibility set; energy_capacities integrates these.
+    Charging rides the lower edge of the feasible band and discharging the
+    upper one; each is the unique argmax, as the energy is strictly
+    monotone in every theta_k.  Both are re-simulated and audited before
+    they are returned (SolverError on failure); energy_capacities
+    integrates them.
     """
-    n = scn.n_steps
-    p_ch = _solve_demand(scn, np.full(n, -scn.dt))
-    p_dis = _solve_demand(scn, np.full(n, scn.dt))
-    return (
-        Trajectory(scn.dt, p_ch, unit="kW"),
-        Trajectory(scn.dt, p_dis, unit="kW"),
-    )
+    lo, hi = feasible_band(scn)
+    a, gain, forcing = scn.dynamics()
+    out = []
+    for edge, name in ((lo, "charge"), (hi, "discharge")):
+        p = (a * edge[:-1] + forcing - edge[1:]) / gain
+        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
+        verdict = is_member(traj, scn)
+        if not verdict.ok:
+            at = verdict.first_violation_index
+            raise SolverError(f"{name} profile fails its audit at sample {at}")
+        out.append(traj)
+    return out[0], out[1]
 
 
 def energy_capacities(scn: Scenario) -> tuple[float, float]:

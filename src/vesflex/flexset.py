@@ -2,7 +2,10 @@
 
 The true flexibility set of a load is every demand trajectory that keeps
 QoS intact over the horizon; membership is decided by simulating the zone
-and checking bounds.  A simpler object is the quasi-steady power envelope
+and checking bounds.  feasible_band gives, in O(n), the per-sample band of
+temperatures some member passes through: a forward reachable-interval pass
+and a backward viable-interval pass, exact because the state is scalar and
+monotone.  A simpler object is the quasi-steady power envelope
 [p_lo(t), p_hi(t)]: p_hi holds the zone at the lower temperature bound in
 steady state, p_lo at the upper bound.  Any trajectory that stays inside
 the envelope (starting inside the comfort band) is feasible, because at a
@@ -22,13 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, PowerRangeError, ShapeError
+from .errors import InfeasibleError, InputError, PowerRangeError, ShapeError
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
     DisturbanceSeries,
     ThermalParams,
     Trajectory,
     baseline_trajectory,
+    decay_factor,
     equilibrium_power,
     max_sine_amplitude,
     simulate,
@@ -70,6 +74,93 @@ class Scenario:
 
     def with_state(self, theta0: float, dist: DisturbanceSeries) -> "Scenario":
         return replace(self, theta0=theta0, dist=dist)
+
+    def dynamics(self) -> tuple[float, float, np.ndarray]:
+        """(a, gain, forcing) of the exact one-step recursion.
+
+        theta_{k+1} = a*theta_k - gain*p_k + forcing[k]: zero-order-hold
+        decay a, gain = (1-a) R eta_cop, forcing = (1-a)(theta_a + R q_d).
+        """
+        par = self.params
+        a = decay_factor(par, self.dt)
+        gain = (1.0 - a) * par.r_thermal * par.eta_cop
+        forcing = (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d)
+        return a, gain, forcing
+
+
+def require_temperature_only(scn: Scenario) -> None:
+    """Refuse humidity and lockout bounds, which the analyses cannot enforce."""
+    if scn.bounds.constrains_humidity or scn.bounds.constrains_lockout:
+        raise InputError(
+            "this analysis enforces only the temperature band; drop the "
+            "humidity (w_min/w_max) and lockout (tau_lock) bounds"
+        )
+
+
+def _forward_reach(scn: Scenario) -> tuple[list[float], list[float], int]:
+    """Reachable temperature interval per sample, intersected with the band.
+
+    The next state is affine and increasing in the current one, so the
+    reachable set stays an interval.  Returns (lo, hi, bad) over samples
+    0..N, sample 0 being theta0; bad is -1, or the sample where the
+    interval empties, and the lists then stop before it.
+    """
+    a, gain, forcing = scn.dynamics()
+    lo_t, hi_t = (b.tolist() for b in scn.bounds.theta_limits(scn.n_steps + 1))
+    drop = gain * scn.params.p_rated
+    lo, hi = [scn.theta0], [scn.theta0]
+    if not lo_t[0] <= scn.theta0 <= hi_t[0]:
+        return [], [], 0
+    for k, f in enumerate(forcing.tolist()):
+        x_lo = max(a * lo[k] + f - drop, lo_t[k + 1])
+        x_hi = min(a * hi[k] + f, hi_t[k + 1])
+        if x_lo > x_hi:
+            return lo, hi, k + 1
+        lo.append(x_lo)
+        hi.append(x_hi)
+    return lo, hi, -1
+
+
+def feasible_window(scn: Scenario) -> tuple[bool, int]:
+    """Exact feasibility of the window: the forward pass of feasible_band.
+
+    Returns (feasible, first_bad_index); the index is the theta sample
+    where the reachable interval first empties (0 when theta0 itself is
+    outside that sample's band), or -1 when feasible.
+    """
+    bad = _forward_reach(scn)[2]
+    return bad < 0, bad
+
+
+def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample band [lo_k, hi_k] of temperatures on feasible trajectories.
+
+    theta_k is in the band when it is reachable from theta0 (forward pass)
+    and some demand in [0, p_rated] continues from it inside the comfort
+    band to the horizon (backward pass).  The edges are themselves the
+    pointwise-lowest and pointwise-highest feasible trajectories.  Returns
+    N+1 samples; raises InfeasibleError when no trajectory exists.
+    """
+    require_temperature_only(scn)
+    lo, hi, bad = _forward_reach(scn)
+    if bad >= 0:
+        raise InfeasibleError(
+            f"comfort band cannot be held at sample {bad} "
+            f"(t = {bad * scn.dt:.6g} h) under any demand in "
+            f"[0, {scn.params.p_rated}] kW"
+        )
+    a, gain, forcing = scn.dynamics()
+    drop = gain * scn.params.p_rated
+    f = forcing.tolist()
+    for k in range(scn.n_steps - 1, -1, -1):
+        # preimage of the viable interval at k+1 (everything when a == 0);
+        # it meets the reachable one in exact arithmetic, and the clamps
+        # keep rounding from crossing the edges
+        pre_lo = (lo[k + 1] - f[k]) / a if a > 0.0 else -math.inf
+        pre_hi = (hi[k + 1] - f[k] + drop) / a if a > 0.0 else math.inf
+        lo[k] = min(max(lo[k], pre_lo), hi[k])
+        hi[k] = max(min(hi[k], pre_hi), lo[k])
+    return np.array(lo), np.array(hi)
 
 
 @dataclass(frozen=True)
@@ -148,21 +239,23 @@ def envelope(scn: Scenario) -> FlexEnvelope:
     pushes the zone colder).  Both are clamped to [0, p_rated]; where the
     raw band lies entirely outside the rated range the offending side is
     left unclamped, so the stored band inverts and empty_mask flags it.
+    Humidity and lockout bounds are refused with InputError: holding the
+    temperature band says nothing about them.
     """
-    n = scn.n_steps
-    lo_t, hi_t = scn.bounds.theta_limits(n)
+    require_temperature_only(scn)
+    lo_t, hi_t = scn.bounds.theta_limits(scn.n_steps)
     par = scn.params
-    p_hi = (scn.dist.q_d + (scn.dist.theta_a - lo_t) / par.r_thermal) / par.eta_cop
-    p_lo = (scn.dist.q_d + (scn.dist.theta_a - hi_t) / par.r_thermal) / par.eta_cop
-    p_hi = np.minimum(np.maximum(p_hi, 0.0), par.p_rated)
-    p_lo = np.minimum(np.maximum(p_lo, 0.0), par.p_rated)
+    raw_hi = (scn.dist.q_d + (scn.dist.theta_a - lo_t) / par.r_thermal) / par.eta_cop
+    raw_lo = (scn.dist.q_d + (scn.dist.theta_a - hi_t) / par.r_thermal) / par.eta_cop
     # an inverted unclamped band is impossible (theta_min < theta_max), so
     # emptiness can only come from the rated-range clamp; keep the violating
     # side raw so the stored band inverts exactly there
-    raw_hi = (scn.dist.q_d + (scn.dist.theta_a - lo_t) / par.r_thermal) / par.eta_cop
-    raw_lo = (scn.dist.q_d + (scn.dist.theta_a - hi_t) / par.r_thermal) / par.eta_cop
-    p_lo = np.where(raw_lo > par.p_rated, raw_lo, p_lo)
-    p_hi = np.where(raw_hi < 0.0, raw_hi, p_hi)
+    p_hi = np.where(
+        raw_hi < 0.0, raw_hi, np.minimum(np.maximum(raw_hi, 0.0), par.p_rated)
+    )
+    p_lo = np.where(
+        raw_lo > par.p_rated, raw_lo, np.minimum(np.maximum(raw_lo, 0.0), par.p_rated)
+    )
     return FlexEnvelope(scn.dt, p_lo, p_hi)
 
 

@@ -12,8 +12,8 @@ closest to it.  "Closest" is one of three norms on the residual r - p:
 
 An infeasible planning window is a hard error, not a best-effort answer:
 the caller must know the comfort contract cannot be met.  Feasibility is
-decided exactly (and cheaply) beforehand by interval forward reachability,
-which a scalar monotone system admits.
+decided exactly (and cheaply) beforehand by interval forward reachability
+(flexset.feasible_window), which a scalar monotone system admits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ShapeError, SolverError
-from .flexset import Scenario
+from .flexset import Scenario, feasible_window, require_temperature_only
 from .solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -34,7 +34,7 @@ from .solver import (
     solve_box_qp,
     solve_lp,
 )
-from .thermal import Trajectory, decay_factor, simulate
+from .thermal import Trajectory, simulate
 
 NORMS = ("two", "one", "inf")
 
@@ -60,45 +60,14 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     k = 0..N-1.  L[i, j] = (1-a) R eta_cop a^(i-j) for j <= i, else 0.
     """
     n = scn.n_steps
-    par = scn.params
-    a = decay_factor(par, scn.dt)
-    gain = (1.0 - a) * par.r_thermal * par.eta_cop
+    a, gain, forcing = scn.dynamics()
     idx = np.arange(n)
     expo = idx[:, None] - idx[None, :]
     mask = expo >= 0
     lmat = np.where(mask, gain * a ** np.where(mask, expo, 0), 0.0)
-    forcing = (1.0 - a) * (scn.dist.theta_a + par.r_thermal * scn.dist.q_d)
     apow = np.where(mask, a ** np.where(mask, expo, 0), 0.0)
     free = (a ** (idx + 1)) * scn.theta0 + apow @ forcing
     return lmat, free
-
-
-def feasible_window(scn: Scenario) -> tuple[bool, int]:
-    """Exact feasibility of the planning window by interval reachability.
-
-    Propagates the interval of reachable temperatures one step at a time,
-    intersecting with the comfort band.  For a scalar system whose next
-    state is affine and increasing in the current state, the reachable set
-    stays an interval, so emptiness is decided without any optimization.
-
-    Returns (feasible, first_bad_index); the index is the 1-based theta
-    sample where the interval first empties, or -1 when feasible.
-    """
-    par = scn.params
-    a = decay_factor(par, scn.dt)
-    lo_t, hi_t = scn.bounds.theta_limits(scn.n_steps + 1)
-    x_lo = x_hi = scn.theta0
-    swing = par.r_thermal * par.eta_cop * par.p_rated
-    for k in range(scn.n_steps):
-        qs_hi = scn.dist.theta_a[k] + par.r_thermal * scn.dist.q_d[k]
-        qs_lo = qs_hi - swing
-        x_lo = a * x_lo + (1.0 - a) * qs_lo
-        x_hi = a * x_hi + (1.0 - a) * qs_hi
-        x_lo = max(x_lo, lo_t[k + 1])
-        x_hi = min(x_hi, hi_t[k + 1])
-        if x_lo > x_hi:
-            return False, k + 1
-    return True, -1
 
 
 @dataclass(frozen=True)
@@ -158,9 +127,7 @@ def _plan_lp(scn: Scenario, ref: Trajectory, norm: str) -> SolveReport:
     """
     n = scn.n_steps
     par = scn.params
-    a = decay_factor(par, scn.dt)
-    gain = (1.0 - a) * par.r_thermal * par.eta_cop
-    forcing = (1.0 - a) * (scn.dist.theta_a + par.r_thermal * scn.dist.q_d)
+    a, gain, forcing = scn.dynamics()
     lo_t, hi_t = scn.bounds.theta_limits(n + 1)
     n_e = n if norm == "one" else 1
     n_var = 2 * n + n_e
@@ -201,11 +168,13 @@ def plan(
     """Feasible demand closest to the reference in the chosen norm.
 
     Raises InfeasibleError when no demand trajectory can keep the comfort
-    contract over the window, and SolverError if the optimizer gives up on
-    a window that reachability analysis proved feasible.
+    contract over the window, SolverError if the optimizer gives up on a
+    window that reachability analysis proved feasible, and InputError when
+    the contract bounds humidity or lockout, which the plan cannot enforce.
     """
     _check_norm(norm)
     _check_ref(scn, ref)
+    require_temperature_only(scn)
     ok, bad = feasible_window(scn)
     if not ok:
         raise InfeasibleError(

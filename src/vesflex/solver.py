@@ -110,23 +110,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return int(self.c.size)
 
-    def dump(self) -> str:
-        """Plain-text tabular dump for debugging small instances."""
-        lines = ["var      c            lo           hi"]
-        for j in range(self.n_vars):
-            lines.append(
-                f"x{j:<6d} {self.c[j]:<12.6g} {self.lo[j]:<12.6g} {self.hi[j]:<12.6g}"
-            )
-        for label, a, b in (("<=", self.a_ub, self.b_ub), ("==", self.a_eq, self.b_eq)):
-            if a is None:
-                continue
-            for i in range(a.shape[0]):
-                terms = " + ".join(
-                    f"{a[i, j]:.6g}*x{j}" for j in range(a.shape[1]) if a[i, j] != 0.0
-                )
-                lines.append(f"{terms or '0'} {label} {b[i]:.6g}")
-        return "\n".join(lines)
-
 
 def _refactorize(A, b, basis, x):
     """Fresh basis inverse and basic values; controls drift from eta updates."""

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, subcommands, exit codes, CSV output."""
 
+import os
 import subprocess
 import sys
 
@@ -262,6 +263,26 @@ def test_capacity_reruns_byte_identical(tmp_path, short_config):
     assert (out_a / "capacity.csv").read_bytes() == (out_b / "capacity.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "capacity", "plan", "envelope"])
+@pytest.mark.parametrize(
+    "extra",
+    ["w_min = 0.008\nw_max = 0.012\n", "tau_lock_h = 0.25\n"],
+    ids=["humidity", "lockout"],
+)
+def test_unenforceable_comfort_channels_are_usage_errors(tmp_path, command, extra, capsys):
+    # simulate cannot audit channels it has no signal for; the optimizers
+    # cannot enforce them; both refuse rather than ignore them
+    text = SHORT_CONFIG.format(horizon="0.5").replace(
+        "theta_max_C = 25.0\n", "theta_max_C = 25.0\n" + extra
+    )
+    path = tmp_path / "channels.toml"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert _run(command, "--config", str(path), "--out-dir", str(out)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_config_is_usage_error(tmp_path):
     rc = _run("simulate", "--config", str(tmp_path / "nope.toml"),
               "--out-dir", str(tmp_path / "o"))
@@ -269,9 +290,12 @@ def test_missing_config_is_usage_error(tmp_path):
 
 
 def test_console_script_help():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(vf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "vesflex.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

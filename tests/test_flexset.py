@@ -130,3 +130,27 @@ def test_interior_samples_are_members(hot_day_2h):
     rng2 = np.random.default_rng(42)
     again = vf.sample_interior_trajectories(hot_day_2h, 20, rng2)
     assert np.array_equal(draws[0].values, again[0].values)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [{"w_min": 0.008, "w_max": 0.012}, {"tau_lock": 0.25}],
+    ids=["humidity", "lockout"],
+)
+def test_analyses_refuse_channels_they_cannot_enforce(hot_day_2h, channels):
+    scn = vf.Scenario(
+        params=hot_day_2h.params,
+        bounds=vf.QoSBounds(theta_min=23.0, theta_max=25.0, **channels),
+        dist=hot_day_2h.dist,
+        theta_sp=24.0,
+        theta0=24.0,
+    )
+    ref = scn.baseline().power
+    calls = [
+        vf.characterize, vf.rate_capacities, vf.energy_capacities,
+        vf.extremal_profiles, vf.envelope, vf.feasible_band,
+        lambda s: vf.plan(s, ref), lambda s: vf.receding_horizon(s, ref, 10),
+    ]
+    for call in calls:
+        with pytest.raises(vf.InputError, match="temperature band"):
+            call(scn)

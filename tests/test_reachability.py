@@ -1,0 +1,245 @@
+"""The O(n) feasible-band kernel against the dense simplex on the (p, theta) LP.
+
+The oracle is the exact dynamics written as equality rows over stacked
+(p, theta_1..theta_N) and solved by solve_lp; it shares no code with the
+kernel beyond the thermal constants.  Scenarios are time-varying: a
+sinusoidal ambient, varying gains and per-sample comfort bounds.
+"""
+
+import numpy as np
+import pytest
+
+import vesflex as vf
+from conftest import DT, hot_day_scenario, make_params
+
+TOL = 1e-9
+
+
+def dynamics_lp(scn: vf.Scenario, c_p: np.ndarray) -> vf.LinearProgram:
+    """min c_p . p over (p, theta_1..theta_N) with one equality row per step."""
+    n = scn.n_steps
+    par = scn.params
+    a = vf.decay_factor(par, scn.dt)
+    gain = (1.0 - a) * par.r_thermal * par.eta_cop
+    forcing = (1.0 - a) * (scn.dist.theta_a + par.r_thermal * scn.dist.q_d)
+    lo_t, hi_t = scn.bounds.theta_limits(n + 1)
+    a_eq = np.zeros((n, 2 * n))
+    b_eq = forcing.copy()
+    b_eq[0] += a * scn.theta0
+    for k in range(n):
+        a_eq[k, k] = gain
+        a_eq[k, n + k] = 1.0
+        if k > 0:
+            a_eq[k, n + k - 1] = -a
+    return vf.LinearProgram(
+        c=np.concatenate([c_p, np.zeros(n)]),
+        lo=np.concatenate([np.zeros(n), lo_t[1:]]),
+        hi=np.concatenate([np.full(n, par.p_rated), hi_t[1:]]),
+        a_eq=a_eq,
+        b_eq=b_eq,
+    )
+
+
+def lp_demand(scn: vf.Scenario, c_p: np.ndarray) -> np.ndarray:
+    report = vf.solve_lp(dynamics_lp(scn, c_p))
+    if report.status == "infeasible":
+        raise vf.InfeasibleError("LP oracle: no feasible demand")
+    assert report.status == "optimal", report
+    return np.asarray(report.x[: scn.n_steps])
+
+
+def lp_profiles(scn: vf.Scenario) -> tuple[np.ndarray, np.ndarray]:
+    n = scn.n_steps
+    return lp_demand(scn, np.full(n, -scn.dt)), lp_demand(scn, np.full(n, scn.dt))
+
+
+def lp_rate_sweep(scn: vf.Scenario) -> tuple[float, float]:
+    """Peak deviation either way, one LP per sample and direction."""
+    n = scn.n_steps
+    base = scn.baseline().power.values
+    up = dn = -np.inf
+    for k in range(n):
+        c_p = np.zeros(n)
+        c_p[k] = -1.0
+        up = max(up, lp_demand(scn, c_p)[k] - base[k])
+        c_p[k] = 1.0
+        dn = max(dn, base[k] - lp_demand(scn, c_p)[k])
+    return up, dn
+
+
+def random_scenario(seed: int, n: int) -> vf.Scenario:
+    """A day-scale building with a tightening and a raised comfort window.
+
+    The bound steps land late in the horizon, so the edges of the feasible
+    band must pre-cool or pre-warm ahead of them: the backward pass moves
+    the band on most minute- and 3-minute-step draws.
+    """
+    rng = np.random.default_rng(seed)
+    r, c, eta = rng.uniform(1.8, 3.5), rng.uniform(0.9, 2.0), rng.uniform(2.8, 4.2)
+    dt = float(rng.choice([DT, 0.05, 0.25]))
+    t = np.arange(n) * dt
+    phase = rng.uniform(0.0, 2 * np.pi)
+    theta_a = 31.0 + rng.uniform(1.0, 4.0) * np.sin(2 * np.pi * t / 24.0 + phase)
+    q_d = rng.uniform(0.3, 1.5) + 0.2 * np.sin(2 * np.pi * t / rng.uniform(2.0, 8.0))
+    p_eq = (q_d.mean() + (theta_a.mean() - 24.0) / r) / eta
+    par = vf.ThermalParams(
+        r_thermal=r, c_thermal=c, eta_cop=eta, p_rated=p_eq + rng.uniform(0.3, 1.5)
+    )
+    ts = np.arange(n + 1) * dt
+    lo_t = 23.0 + rng.uniform(0.0, 0.5) * (1 + np.sin(2 * np.pi * ts / 3.0)) / 2
+    hi_t = 25.0 - rng.uniform(0.0, 0.5) * (1 + np.cos(2 * np.pi * ts / 5.0)) / 2
+    for edge, sign in ((hi_t, -1.0), (lo_t, 1.0)):
+        k1 = rng.integers(n // 3, n + 1)
+        edge[k1 : k1 + rng.integers(1, n // 2 + 2)] += sign * rng.uniform(0.2, 0.45)
+    return vf.Scenario(
+        params=par,
+        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        dist=vf.DisturbanceSeries(dt, theta_a, q_d),
+        theta_sp=24.0,
+        theta0=24.0,
+    )
+
+
+def assert_profiles_match(scn: vf.Scenario) -> None:
+    p_ch, p_dis = vf.extremal_profiles(scn)
+    lp_ch, lp_dis = lp_profiles(scn)
+    assert np.max(np.abs(p_ch.values - lp_ch)) <= TOL
+    assert np.max(np.abs(p_dis.values - lp_dis)) <= TOL
+    base = scn.baseline().power.values
+    e_ch, e_dis = vf.energy_capacities(scn)
+    assert e_ch == pytest.approx(float((lp_ch - base).sum()) * scn.dt, abs=TOL)
+    assert e_dis == pytest.approx(float((base - lp_dis).sum()) * scn.dt, abs=TOL)
+
+
+def assert_rates_match(scn: vf.Scenario) -> None:
+    up, dn = vf.rate_capacities(scn)
+    lp_up, lp_dn = lp_rate_sweep(scn)
+    assert up == pytest.approx(lp_up, abs=TOL)
+    assert dn == pytest.approx(lp_dn, abs=TOL)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_energy_caps_and_profiles_match_dense_lp(seed):
+    n = int(np.random.default_rng(1000 + seed).integers(40, 121))
+    assert_profiles_match(random_scenario(seed, n))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rate_caps_match_per_sample_lp_sweep(seed):
+    n = int(np.random.default_rng(2000 + seed).integers(2, 31))
+    scn = random_scenario(100 + seed, n)
+    assert_rates_match(scn)
+    assert_profiles_match(scn)
+
+
+def _edge_scenarios():
+    par = make_params()
+    one = vf.Scenario(
+        params=par, bounds=vf.QoSBounds(23.0, 25.0),
+        dist=vf.DisturbanceSeries.constant(DT, 1, 32.0, 1.5), theta_sp=24.0, theta0=24.0,
+    )
+    on_bound = vf.Scenario(
+        params=par, bounds=vf.QoSBounds(23.0, 25.0),
+        dist=vf.DisturbanceSeries.constant(DT, 30, 32.0, 1.5), theta_sp=24.0, theta0=23.0,
+    )
+    n = 30
+    lo_t, hi_t = np.full(n + 1, 23.0), np.full(n + 1, 25.0)
+    lo_t[12], hi_t[12] = 23.8, 23.8 + 1e-6
+    pinched = vf.Scenario(
+        params=par,
+        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5), theta_sp=24.0, theta0=24.0,
+    )
+    # dt / RC = 1000: the decay underflows to exactly zero
+    memoryless = vf.Scenario(
+        params=vf.ThermalParams(r_thermal=0.01, c_thermal=0.1, eta_cop=3.5, p_rated=300.0),
+        bounds=vf.QoSBounds(23.0, 25.0),
+        dist=vf.DisturbanceSeries(1.0, 32.0 + np.arange(6.0) / 10, np.full(6, 1.5)),
+        theta_sp=24.0, theta0=24.0,
+    )
+    assert vf.decay_factor(memoryless.params, memoryless.dt) == 0.0
+    return {"n=1": one, "theta0 on bound": on_bound, "1e-6 gap": pinched, "a=0": memoryless}
+
+
+@pytest.mark.parametrize("name", ["n=1", "theta0 on bound", "1e-6 gap", "a=0"])
+def test_edge_cases_match_dense_lp(name):
+    scn = _edge_scenarios()[name]
+    assert_rates_match(scn)
+    assert_profiles_match(scn)
+
+
+def test_saturated_baseline_rides_rated_power():
+    scn = hot_day_scenario(horizon_h=0.5, theta_a=36.0, p_rated=1.6)
+    assert scn.baseline().clamped_high.all()
+    assert_rates_match(scn)
+    assert_profiles_match(scn)
+    p_ch, _ = vf.extremal_profiles(scn)
+    assert np.all(p_ch.values == scn.params.p_rated)
+    assert vf.rate_capacities(scn)[0] == 0.0
+
+
+@pytest.mark.parametrize("how", ["hot weather", "unreachable pinch"])
+def test_infeasible_window_raises_in_kernel_and_lp(how):
+    if how == "hot weather":
+        scn = hot_day_scenario(horizon_h=0.5, theta_a=50.0, p_rated=1.0)
+    else:
+        n = 20
+        lo_t, hi_t = np.full(n + 1, 23.0), np.full(n + 1, 25.0)
+        lo_t[3], hi_t[3] = 23.0, 23.0 + 1e-6
+        scn = vf.Scenario(
+            params=make_params(),
+            bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+            dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
+            theta_sp=24.0, theta0=24.0,
+        )
+    assert not vf.feasible_window(scn)[0]
+    for fn in (vf.feasible_band, vf.rate_capacities, vf.energy_capacities):
+        with pytest.raises(vf.InfeasibleError):
+            fn(scn)
+    with pytest.raises(vf.InfeasibleError):
+        lp_profiles(scn)
+
+
+def test_theta0_outside_its_own_sample_band_is_infeasible():
+    n = 30
+    lo_t = np.full(n + 1, 23.0)
+    lo_t[0] = 24.5
+    scn = vf.Scenario(
+        params=make_params(),
+        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 25.0)),
+        dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
+        theta_sp=24.0, theta0=24.0,
+    )
+    assert vf.feasible_window(scn) == (False, 0)
+    for fn in (vf.characterize, lambda s: vf.plan(s, s.baseline().power)):
+        with pytest.raises(vf.InfeasibleError, match="sample 0"):
+            fn(scn)
+
+
+def test_band_edges_are_the_extremal_temperature_paths():
+    scn = random_scenario(7, 90)
+    lo, hi = vf.feasible_band(scn)
+    p_ch, p_dis = vf.extremal_profiles(scn)
+    th_ch = vf.simulate(scn.params, scn.dist, p_ch, scn.theta0).values
+    th_dis = vf.simulate(scn.params, scn.dist, p_dis, scn.theta0).values
+    assert np.max(np.abs(th_ch - lo)) < 1e-9
+    assert np.max(np.abs(th_dis - hi)) < 1e-9
+    assert np.all(lo <= hi)
+    assert lo[0] == hi[0] == scn.theta0
+
+
+def test_failed_profile_audit_raises(monkeypatch, hot_day_2h):
+    import vesflex.battery as battery
+
+    bad = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=26.0, limit=25.0)
+    monkeypatch.setattr(battery, "is_member", lambda p, scn: bad)
+    with pytest.raises(vf.SolverError):
+        vf.extremal_profiles(hot_day_2h)
+
+
+def test_scenario_dynamics_step_matches_simulate():
+    scn = random_scenario(3, 50)
+    a, gain, forcing = scn.dynamics()
+    p = np.linspace(0.0, scn.params.p_rated, scn.n_steps)
+    theta = vf.simulate(scn.params, scn.dist, vf.Trajectory(scn.dt, p), scn.theta0).values
+    assert np.max(np.abs(theta[1:] - (a * theta[:-1] - gain * p + forcing))) < 1e-12

@@ -42,7 +42,11 @@ from .thermal import (
 
 @dataclass(frozen=True)
 class Scenario:
-    """One load, one disturbance record, one comfort contract."""
+    """One load, one disturbance record, one temperature-only comfort contract.
+
+    No analysis here simulates humidity or switching, so humidity and
+    lockout bounds raise InputError instead of being silently dropped.
+    """
 
     params: ThermalParams
     bounds: QoSBounds
@@ -51,6 +55,11 @@ class Scenario:
     theta0: float
 
     def __post_init__(self) -> None:
+        if self.bounds.constrains_humidity or self.bounds.constrains_lockout:
+            raise InputError(
+                "this analysis enforces only the temperature band; drop the "
+                "humidity (w_min/w_max) and lockout (tau_lock) bounds"
+            )
         lo, hi = self.bounds.theta_min, self.bounds.theta_max
         if not lo <= self.theta_sp <= hi:
             raise InputError(
@@ -72,8 +81,22 @@ class Scenario:
     def baseline(self):
         return baseline_trajectory(self.params, self.dist, self.theta_sp)
 
-    def with_state(self, theta0: float, dist: DisturbanceSeries) -> "Scenario":
-        return replace(self, theta0=theta0, dist=dist)
+    def window(self, start: int, n_steps: int, theta0: float) -> "Scenario":
+        """Steps [start, start + n_steps) as a scenario starting at theta0.
+
+        Per-sample temperature bounds cover the N+1 temperature samples, so
+        the window keeps n_steps + 1 of them.
+        """
+        b = self.bounds
+        keep = slice(start, start + n_steps + 1)
+        bounds = replace(
+            b,
+            theta_min_t=None if b.theta_min_t is None else b.theta_min_t[keep],
+            theta_max_t=None if b.theta_max_t is None else b.theta_max_t[keep],
+        )
+        return replace(
+            self, bounds=bounds, dist=self.dist.slice(start, n_steps), theta0=theta0
+        )
 
     def dynamics(self) -> tuple[float, float, np.ndarray]:
         """(a, gain, forcing) of the exact one-step recursion.
@@ -86,15 +109,6 @@ class Scenario:
         gain = (1.0 - a) * par.r_thermal * par.eta_cop
         forcing = (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d)
         return a, gain, forcing
-
-
-def require_temperature_only(scn: Scenario) -> None:
-    """Refuse humidity and lockout bounds, which the analyses cannot enforce."""
-    if scn.bounds.constrains_humidity or scn.bounds.constrains_lockout:
-        raise InputError(
-            "this analysis enforces only the temperature band; drop the "
-            "humidity (w_min/w_max) and lockout (tau_lock) bounds"
-        )
 
 
 def _forward_reach(scn: Scenario) -> tuple[list[float], list[float], int]:
@@ -132,6 +146,15 @@ def feasible_window(scn: Scenario) -> tuple[bool, int]:
     return bad < 0, bad
 
 
+def _unreachable(scn: Scenario, bad: int) -> InfeasibleError:
+    """The error for a window whose reachable interval empties at sample bad."""
+    return InfeasibleError(
+        f"comfort band cannot be held at sample {bad} "
+        f"(t = {bad * scn.dt:.6g} h) under any demand in "
+        f"[0, {scn.params.p_rated}] kW"
+    )
+
+
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample band [lo_k, hi_k] of temperatures on feasible trajectories.
 
@@ -141,14 +164,9 @@ def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     pointwise-lowest and pointwise-highest feasible trajectories.  Returns
     N+1 samples; raises InfeasibleError when no trajectory exists.
     """
-    require_temperature_only(scn)
     lo, hi, bad = _forward_reach(scn)
     if bad >= 0:
-        raise InfeasibleError(
-            f"comfort band cannot be held at sample {bad} "
-            f"(t = {bad * scn.dt:.6g} h) under any demand in "
-            f"[0, {scn.params.p_rated}] kW"
-        )
+        raise _unreachable(scn, bad)
     a, gain, forcing = scn.dynamics()
     drop = gain * scn.params.p_rated
     f = forcing.tolist()
@@ -239,23 +257,16 @@ def envelope(scn: Scenario) -> FlexEnvelope:
     pushes the zone colder).  Both are clamped to [0, p_rated]; where the
     raw band lies entirely outside the rated range the offending side is
     left unclamped, so the stored band inverts and empty_mask flags it.
-    Humidity and lockout bounds are refused with InputError: holding the
-    temperature band says nothing about them.
     """
-    require_temperature_only(scn)
     lo_t, hi_t = scn.bounds.theta_limits(scn.n_steps)
-    par = scn.params
-    raw_hi = (scn.dist.q_d + (scn.dist.theta_a - lo_t) / par.r_thermal) / par.eta_cop
-    raw_lo = (scn.dist.q_d + (scn.dist.theta_a - hi_t) / par.r_thermal) / par.eta_cop
+    par, dist = scn.params, scn.dist
+    raw_hi = equilibrium_power(par, dist.theta_a, lo_t, dist.q_d)
+    raw_lo = equilibrium_power(par, dist.theta_a, hi_t, dist.q_d)
     # an inverted unclamped band is impossible (theta_min < theta_max), so
     # emptiness can only come from the rated-range clamp; keep the violating
     # side raw so the stored band inverts exactly there
-    p_hi = np.where(
-        raw_hi < 0.0, raw_hi, np.minimum(np.maximum(raw_hi, 0.0), par.p_rated)
-    )
-    p_lo = np.where(
-        raw_lo > par.p_rated, raw_lo, np.minimum(np.maximum(raw_lo, 0.0), par.p_rated)
-    )
+    p_hi = np.where(raw_hi < 0.0, raw_hi, np.clip(raw_hi, 0.0, par.p_rated))
+    p_lo = np.where(raw_lo > par.p_rated, raw_lo, np.clip(raw_lo, 0.0, par.p_rated))
     return FlexEnvelope(scn.dt, p_lo, p_hi)
 
 
@@ -339,38 +350,3 @@ def sample_interior_trajectories(
         vals = env.p_lo + u * (env.p_hi - env.p_lo)
         out.append(Trajectory(scn.dt, vals, unit="kW"))
     return out
-
-
-def sine_membership_example(
-    scn: Scenario, amplitude_kw: float, omega: float
-) -> tuple[Verdict, Trajectory]:
-    """Baseline plus a demand sinusoid, returned with its membership verdict.
-
-    Demonstrates envelope conservativeness on a concrete trajectory: pick an
-    amplitude above the envelope half-width but below
-    max_sine_amplitude(omega) and the verdict still comes back feasible.
-    """
-    if not scn.dist.is_constant(tol=1e-12):
-        raise InputError("the sinusoid example requires constant disturbances")
-    base = scn.baseline()
-    if base.saturated:
-        raise InputError("baseline saturates; pick a milder operating point")
-    t = scn.dist.times()
-    p = Trajectory(
-        scn.dt, base.power.values + amplitude_kw * np.sin(omega * t), unit="kW"
-    )
-    return is_member(p, scn), p
-
-
-def hold_step_example(
-    scn: Scenario, step_kw: float
-) -> tuple[Verdict, Trajectory]:
-    """Baseline plus a constant demand step, with its membership verdict.
-
-    The step drives theta to a new quasi-steady value R*eta_cop*step_kw away
-    from the setpoint; any step above the envelope half-width eventually
-    leaves the band, and the verdict's first_violation_index pins the time.
-    """
-    base = scn.baseline()
-    p = Trajectory(scn.dt, base.power.values + step_kw, unit="kW")
-    return is_member(p, scn), p

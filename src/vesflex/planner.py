@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ShapeError, SolverError
-from .flexset import Scenario, feasible_window, require_temperature_only
+from .errors import InputError, ShapeError, SolverError
+from .flexset import Scenario, _unreachable, feasible_window
+from .qos import QoSSignal, satisfies
 from .solver import (
-    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     BoxQP,
     LinearProgram,
@@ -64,10 +64,9 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(n)
     expo = idx[:, None] - idx[None, :]
     mask = expo >= 0
-    lmat = np.where(mask, gain * a ** np.where(mask, expo, 0), 0.0)
     apow = np.where(mask, a ** np.where(mask, expo, 0), 0.0)
     free = (a ** (idx + 1)) * scn.theta0 + apow @ forcing
-    return lmat, free
+    return gain * apow, free
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,21 @@ def tracking_error(
     return float(np.abs(res).max(initial=0.0))
 
 
+def _audited(
+    scn: Scenario, ref: Trajectory, p: Trajectory, norm: str, tol: float
+) -> tuple[Trajectory, float]:
+    """Re-simulated theta and tracking error of p; SolverError past 10*tol."""
+    theta = simulate(scn.params, scn.dist, p, scn.theta0)
+    verdict = satisfies(QoSSignal(theta=theta), scn.bounds, atol=10.0 * tol)
+    if not verdict.ok:
+        raise SolverError(
+            f"planned temperature leaves the comfort band at sample "
+            f"{verdict.first_violation_index}: {verdict.value:.9g} degC "
+            f"against limit {verdict.limit:.9g}"
+        )
+    return theta, tracking_error(p.values, ref.values, scn.dt, norm)
+
+
 def _plan_two(scn: Scenario, ref: Trajectory, tol: float) -> SolveReport:
     n = scn.n_steps
     lmat, free = input_to_state_map(scn)
@@ -126,7 +140,6 @@ def _plan_lp(scn: Scenario, ref: Trajectory, norm: str) -> SolveReport:
     of the a^k fill of the eliminated form, which the simplex prefers.
     """
     n = scn.n_steps
-    par = scn.params
     a, gain, forcing = scn.dynamics()
     lo_t, hi_t = scn.bounds.theta_limits(n + 1)
     n_e = n if norm == "one" else 1
@@ -135,28 +148,23 @@ def _plan_lp(scn: Scenario, ref: Trajectory, norm: str) -> SolveReport:
     c = np.zeros(n_var)
     c[2 * n :] = scn.dt if norm == "one" else 1.0
     lo = np.concatenate([np.zeros(n), lo_t[1:], np.zeros(n_e)])
-    hi = np.concatenate(
-        [np.full(n, par.p_rated), hi_t[1:], np.full(n_e, np.inf)]
-    )
+    hi = np.concatenate([np.full(n, scn.params.p_rated), hi_t[1:], np.full(n_e, np.inf)])
 
+    # row k: gain*p_k + theta_{k+1} - a*theta_k = forcing[k], theta_0 known
+    k = np.arange(n)
     a_eq = np.zeros((n, n_var))
+    a_eq[k, k] = gain
+    a_eq[k, n + k] = 1.0
+    a_eq[k[1:], n + k[:-1]] = -a
     b_eq = forcing.copy()
-    for k in range(n):
-        a_eq[k, k] = gain
-        a_eq[k, n + k] = 1.0
-        if k == 0:
-            b_eq[0] += a * scn.theta0
-        else:
-            a_eq[k, n + k - 1] = -a
+    b_eq[0] += a * scn.theta0
 
+    # rows k and n+k: -p_k - e <= -r_k and p_k - e <= r_k
+    rows = np.arange(2 * n)
     a_ub = np.zeros((2 * n, n_var))
+    a_ub[rows, rows % n] = np.repeat([-1.0, 1.0], n)
+    a_ub[rows, 2 * n + (rows % n if norm == "one" else 0)] = -1.0
     b_ub = np.concatenate([-ref.values, ref.values])
-    for k in range(n):
-        e_col = 2 * n + (k if norm == "one" else 0)
-        a_ub[k, k] = -1.0
-        a_ub[k, e_col] = -1.0
-        a_ub[n + k, k] = 1.0
-        a_ub[n + k, e_col] = -1.0
 
     lp = LinearProgram(c=c, lo=lo, hi=hi, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     return solve_lp(lp)
@@ -168,34 +176,26 @@ def plan(
     """Feasible demand closest to the reference in the chosen norm.
 
     Raises InfeasibleError when no demand trajectory can keep the comfort
-    contract over the window, SolverError if the optimizer gives up on a
-    window that reachability analysis proved feasible, and InputError when
-    the contract bounds humidity or lockout, which the plan cannot enforce.
+    contract over the window, and SolverError if the optimizer gives up on a
+    window that reachability analysis proved feasible or its re-simulated
+    temperature leaves the band by more than 10*tol.
     """
     _check_norm(norm)
     _check_ref(scn, ref)
-    require_temperature_only(scn)
     ok, bad = feasible_window(scn)
     if not ok:
-        raise InfeasibleError(
-            f"comfort band cannot be held at sample {bad} "
-            f"(t = {bad * scn.dt:.6g} h) under any demand in [0, "
-            f"{scn.params.p_rated}] kW"
-        )
+        raise _unreachable(scn, bad)
     if norm == "two":
         report = _plan_two(scn, ref, tol)
     else:
         report = _plan_lp(scn, ref, norm)
-    if report.status == STATUS_INFEASIBLE:
+    if report.status != STATUS_OPTIMAL:
         # reachability said feasible, so this is numerical, not physical
         raise SolverError(
-            f"optimizer reported infeasible on a reachable window: {report}"
+            f"planner solve failed on a reachable window: status {report.status}"
         )
-    if report.status != STATUS_OPTIMAL:
-        raise SolverError(f"planner solve failed: status {report.status}")
     p = Trajectory(scn.dt, np.clip(report.x[: scn.n_steps], 0.0, scn.params.p_rated), unit="kW")
-    theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    err = tracking_error(p.values, ref.values, scn.dt, norm)
+    theta, err = _audited(scn, ref, p, norm, tol)
     return PlanResult(norm=norm, p=p, theta=theta, tracking_error=err, report=report)
 
 
@@ -226,48 +226,41 @@ def receding_horizon(
 ) -> RollingResult:
     """Re-plan over a sliding window, executing apply_steps samples per solve.
 
-    Each window sees the true current temperature, so model and plan cannot
-    drift apart.  The window shrinks near the end of the horizon rather
-    than padding the disturbance record.  With apply_steps == window_steps
-    == scn.n_steps this collapses to a single one-shot plan.
+    Each window is scn.window(t, w, theta_t) at the current temperature,
+    so model and plan cannot drift apart.  The window shrinks near the end
+    of the horizon rather than padding the disturbance record.  With
+    apply_steps == window_steps == scn.n_steps this is exactly one plan.
+    The stitched temperature is re-simulated on the full horizon and
+    audited like a plan's.
     """
-    _check_norm(norm)
     _check_ref(scn, ref)
     if window_steps < 1:
         raise InputError("window_steps must be at least 1")
     if apply_steps < 1 or apply_steps > window_steps:
         raise InputError("apply_steps must be in [1, window_steps]")
     n = scn.n_steps
+    lo_t, hi_t = (b.tolist() for b in scn.bounds.theta_limits(n + 1))
     executed = np.empty(n)
     th = scn.theta0
-    n_solves = 0
-    t = 0
-    while t < n:
+    starts = range(0, n, apply_steps)
+    for t in starts:
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
-        # snap solver-tolerance grazes back inside the band so the window
-        # scenario validates; genuine violations cannot occur because each
+        # snap solver-tolerance grazes back inside sample t's band, where the
+        # window starts; genuine violations cannot occur because each
         # executed sample came from a feasible plan
-        th_clip = min(max(th, scn.bounds.theta_min), scn.bounds.theta_max)
-        sub = scn.with_state(th_clip, scn.dist.slice(t, w))
+        th = min(max(th, lo_t[t]), hi_t[t])
         sub_ref = Trajectory(scn.dt, ref.values[t : t + w], unit=ref.unit)
-        step_plan = plan(sub, sub_ref, norm=norm, tol=tol)
-        n_solves += 1
+        step_plan = plan(scn.window(t, w, th), sub_ref, norm=norm, tol=tol)
         executed[t : t + k] = step_plan.p.values[:k]
-        chunk = simulate(
-            scn.params, scn.dist.slice(t, k),
-            Trajectory(scn.dt, executed[t : t + k], unit="kW"), th_clip,
-        )
-        th = float(chunk.values[-1])
-        t += k
+        th = float(step_plan.theta.values[k])
     p = Trajectory(scn.dt, executed, unit="kW")
-    theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    err = tracking_error(p.values, ref.values, scn.dt, norm)
+    theta, err = _audited(scn, ref, p, norm, tol)
     return RollingResult(
         norm=norm,
         window_steps=window_steps,
         p=p,
         theta=theta,
         tracking_error=err,
-        n_solves=n_solves,
+        n_solves=len(starts),
     )

@@ -208,13 +208,17 @@ class DisturbanceSeries:
 
 
 def equilibrium_power(
-    params: ThermalParams, theta_a: float, theta_sp: float, q_d: float
-) -> float:
+    params: ThermalParams,
+    theta_a: float | np.ndarray,
+    theta_sp: float | np.ndarray,
+    q_d: float | np.ndarray,
+) -> float | np.ndarray:
     """Demand that holds the zone exactly at theta_sp, kW.
 
-    Solves 0 = -(theta_sp - theta_a)/R + q_d - eta_cop*p for p.  The value is
-    returned unclamped: a negative result means the setpoint calls for
-    heating, which this cooling-only model cannot deliver.
+    Solves 0 = -(theta_sp - theta_a)/R + q_d - eta_cop*p for p, elementwise
+    when given per-sample arrays.  The value is returned unclamped: a
+    negative result means the setpoint calls for heating, which this
+    cooling-only model cannot deliver.
     """
     return (q_d + (theta_a - theta_sp) / params.r_thermal) / params.eta_cop
 
@@ -329,14 +333,11 @@ def baseline_trajectory(
     to zero and rated-power excesses clamp to p_rated; both are flagged so
     callers can tell the baseline no longer holds the setpoint there.
     """
-    raw = (dist.q_d + (dist.theta_a - theta_sp) / params.r_thermal) / params.eta_cop
-    lo = raw < 0.0
-    hi = raw > params.p_rated
-    clamped = np.clip(raw, 0.0, params.p_rated)
+    raw = equilibrium_power(params, dist.theta_a, theta_sp, dist.q_d)
     return BaselineResult(
-        power=Trajectory(dist.dt, clamped, unit="kW"),
-        clamped_low=lo,
-        clamped_high=hi,
+        power=Trajectory(dist.dt, np.clip(raw, 0.0, params.p_rated), unit="kW"),
+        clamped_low=raw < 0.0,
+        clamped_high=raw > params.p_rated,
     )
 
 

@@ -263,22 +263,25 @@ def test_capacity_reruns_byte_identical(tmp_path, short_config):
     assert (out_a / "capacity.csv").read_bytes() == (out_b / "capacity.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "capacity", "plan", "envelope"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "capacity", "plan", "envelope", "freq", "deferrable"]
+)
 @pytest.mark.parametrize(
     "extra",
     ["w_min = 0.008\nw_max = 0.012\n", "tau_lock_h = 0.25\n"],
     ids=["humidity", "lockout"],
 )
 def test_unenforceable_comfort_channels_are_usage_errors(tmp_path, command, extra, capsys):
-    # simulate cannot audit channels it has no signal for; the optimizers
-    # cannot enforce them; both refuse rather than ignore them
+    # no subcommand simulates humidity or switching, so every one that
+    # reads a config refuses those bounds rather than ignoring them
     text = SHORT_CONFIG.format(horizon="0.5").replace(
         "theta_max_C = 25.0\n", "theta_max_C = 25.0\n" + extra
     )
     path = tmp_path / "channels.toml"
     path.write_text(text)
     out = tmp_path / "o"
-    assert _run(command, "--config", str(path), "--out-dir", str(out)) == 2
+    args = ["--window", "0.5"] if command == "deferrable" else []
+    assert _run(command, "--config", str(path), *args, "--out-dir", str(out)) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

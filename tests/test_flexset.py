@@ -1,5 +1,6 @@
 """Feasible-set membership, the conservative power envelope, and its cost."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,11 +18,32 @@ def test_scenario_validation(params, bounds):
         vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=22.0)
 
 
-def test_scenario_with_state(hot_day_2h):
-    rolled = hot_day_2h.with_state(23.5, hot_day_2h.dist.slice(10, 20))
+def test_scenario_window(hot_day_2h):
+    rolled = hot_day_2h.window(10, 20, 23.5)
     assert rolled.theta0 == 23.5
     assert rolled.n_steps == 20
     assert rolled.theta_sp == hot_day_2h.theta_sp
+    assert np.array_equal(rolled.dist.theta_a, hot_day_2h.dist.theta_a[10:30])
+    assert rolled.bounds == hot_day_2h.bounds
+
+    # per-sample bounds cover the N+1 temperature samples, so a window of
+    # n steps keeps n+1 of them, the last window ending on the final one
+    n = hot_day_2h.n_steps
+    lo_t = np.linspace(23.0, 23.5, n + 1)
+    hi_t = np.linspace(25.0, 24.6, n + 1)
+    timed = dataclasses.replace(
+        hot_day_2h, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
+    )
+    lo, hi = timed.window(10, 20, 23.5).bounds.theta_limits(21)
+    assert np.array_equal(lo, lo_t[10:31])
+    assert np.array_equal(hi, hi_t[10:31])
+    lo, hi = timed.window(n - 5, 5, 24.0).bounds.theta_limits(6)
+    assert np.array_equal(lo, lo_t[-6:])
+    assert np.array_equal(hi, hi_t[-6:])
+    with pytest.raises(vf.ShapeError):
+        timed.window(n - 5, 6, 24.0)
+    with pytest.raises(vf.InputError):
+        timed.window(0, 5, 26.0)
 
 
 def test_envelope_half_width_constant_weather(hot_day):
@@ -51,6 +73,49 @@ def test_envelope_empty_when_band_unholdable():
     assert env.empty_mask.all()
     # raw requirements are reported even where the envelope is empty
     assert np.all(env.p_lo > scn.params.p_rated)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_envelope_inverts_exactly_where_no_rated_demand_holds_the_band(seed):
+    # weather swings from heating-needed to beyond-rated cooling, and the
+    # per-sample band moves, so both clamp sides bind somewhere
+    rng = np.random.default_rng(seed)
+    n = 240
+    t = np.arange(n) * DT
+    theta_a = 28.0 + rng.uniform(10.0, 16.0) * np.sin(2 * np.pi * t / rng.uniform(1.0, 3.0))
+    q_d = rng.uniform(0.5, 2.5, size=n)
+    lo_t = 23.0 + rng.uniform(0.0, 0.8, size=n)
+    hi_t = lo_t + rng.uniform(0.2, 2.0, size=n)
+    par = make_params(p_rated=rng.uniform(1.0, 2.0))
+    scn = vf.Scenario(
+        params=par,
+        bounds=vf.QoSBounds(23.0, 26.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        dist=vf.DisturbanceSeries(DT, theta_a, q_d),
+        theta_sp=24.0,
+        theta0=24.0,
+    )
+    env = vf.envelope(scn)
+
+    def steady(p):  # quasi-steady temperature under a constant demand p
+        return theta_a + par.r_thermal * (q_d - par.eta_cop * p)
+
+    # empty exactly where even the rated range cannot hold the band:
+    # full power still leaves the zone too warm, or zero power too cold
+    hot, cold = steady(par.p_rated) > hi_t, steady(0.0) < lo_t
+    assert hot.any() and cold.any() and not (hot | cold).all()
+    assert np.array_equal(env.empty_mask, hot | cold)
+    # where the band inverts, the violating side keeps its raw requirement
+    assert np.all(env.p_lo[hot] > par.p_rated)
+    assert np.all(env.p_hi[cold] < 0.0)
+    # elsewhere both edges are physical demands that hold the band
+    ok = ~env.empty_mask
+    assert np.all((0.0 <= env.p_lo[ok]) & (env.p_lo[ok] <= env.p_hi[ok]))
+    assert np.all(env.p_hi[ok] <= par.p_rated)
+    for p in (env.p_lo, env.p_hi):
+        assert np.all(steady(p)[ok] >= lo_t[ok] - 1e-9)
+        assert np.all(steady(p)[ok] <= hi_t[ok] + 1e-9)
+    with pytest.raises(vf.InputError):
+        vf.sample_interior_trajectories(scn, 1, rng)
 
 
 def test_is_member_accepts_baseline_and_edge_hold(hot_day):
@@ -138,19 +203,16 @@ def test_interior_samples_are_members(hot_day_2h):
     ids=["humidity", "lockout"],
 )
 def test_analyses_refuse_channels_they_cannot_enforce(hot_day_2h, channels):
-    scn = vf.Scenario(
-        params=hot_day_2h.params,
-        bounds=vf.QoSBounds(theta_min=23.0, theta_max=25.0, **channels),
-        dist=hot_day_2h.dist,
-        theta_sp=24.0,
-        theta0=24.0,
-    )
-    ref = scn.baseline().power
-    calls = [
-        vf.characterize, vf.rate_capacities, vf.energy_capacities,
-        vf.extremal_profiles, vf.envelope, vf.feasible_band,
-        lambda s: vf.plan(s, ref), lambda s: vf.receding_horizon(s, ref, 10),
-    ]
-    for call in calls:
-        with pytest.raises(vf.InputError, match="temperature band"):
-            call(scn)
+    # every analysis takes a Scenario, so refusing the contract there keeps
+    # each of them from silently dropping the humidity or lockout bounds
+    bounds = vf.QoSBounds(theta_min=23.0, theta_max=25.0, **channels)
+    with pytest.raises(vf.InputError, match="temperature band"):
+        vf.Scenario(
+            params=hot_day_2h.params,
+            bounds=bounds,
+            dist=hot_day_2h.dist,
+            theta_sp=24.0,
+            theta0=24.0,
+        )
+    with pytest.raises(vf.InputError, match="temperature band"):
+        dataclasses.replace(hot_day_2h, bounds=bounds)

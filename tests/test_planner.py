@@ -1,5 +1,6 @@
 """Reference tracking: projection onto the feasible set under three norms."""
 
+import dataclasses
 import itertools
 import math
 
@@ -167,3 +168,82 @@ def test_receding_horizon_validation(hot_day_2h):
         vf.receding_horizon(hot_day_2h, ref, window_steps=0)
     with pytest.raises(vf.InputError):
         vf.receding_horizon(hot_day_2h, ref, window_steps=10, apply_steps=11)
+
+
+def _late_warm_floor(horizon_h=0.5):
+    # the floor rises to 23.6 C two thirds in; a +0.6 kW reference alone
+    # would cool the zone to about 23.5 C by then
+    scn = hot_day_scenario(horizon_h=horizon_h)
+    n = scn.n_steps
+    lo_t = np.full(n + 1, 23.0)
+    lo_t[2 * n // 3 :] = 23.6
+    bounds = vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 25.0))
+    scn = dataclasses.replace(scn, bounds=bounds)
+    return scn, _ref(scn, scn.baseline().power.values + 0.6)
+
+
+def test_receding_horizon_per_sample_bounds():
+    scn, ref = _late_warm_floor()
+    free = vf.simulate(scn.params, scn.dist, ref, scn.theta0)
+    assert not vf.satisfies(vf.QoSSignal(theta=free), scn.bounds).ok
+    one_shot = vf.plan(scn, ref)
+    rolled = vf.receding_horizon(scn, ref, window_steps=10)
+    assert rolled.n_solves == scn.n_steps
+    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert rolled.tracking_error >= one_shot.tracking_error - 1e-9
+
+
+def test_receding_horizon_full_window_is_plan_bit_for_bit():
+    scn, ref = _late_warm_floor()
+    n = scn.n_steps
+    for norm in vf.NORMS:
+        one_shot = vf.plan(scn, ref, norm=norm)
+        rolled = vf.receding_horizon(scn, ref, window_steps=n, norm=norm, apply_steps=n)
+        assert np.array_equal(rolled.p.values, one_shot.p.values)
+        assert np.array_equal(rolled.theta.values, one_shot.theta.values)
+        assert rolled.tracking_error == one_shot.tracking_error
+
+
+_GRAZE = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=22.9, limit=23.0)
+
+
+def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
+    import vesflex.planner as planner
+
+    monkeypatch.setattr(planner, "satisfies", lambda sig, bounds, atol: _GRAZE)
+    ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
+    for norm in vf.NORMS:
+        with pytest.raises(vf.SolverError, match="sample 3"):
+            vf.plan(hot_day_2h, ref, norm=norm)
+
+
+def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
+    import vesflex.planner as planner
+
+    n = hot_day_2h.n_steps
+    real = planner.satisfies
+
+    def full_horizon_fails(sig, bounds, atol):
+        # every window's plan passes; only the stitched check fails
+        return _GRAZE if len(sig.theta) == n + 1 else real(sig, bounds, atol)
+
+    monkeypatch.setattr(planner, "satisfies", full_horizon_fails)
+    ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
+    with pytest.raises(vf.SolverError, match="sample 3"):
+        vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20)
+
+
+def test_audit_tolerance_is_ten_solver_tolerances(monkeypatch, hot_day_2h):
+    import vesflex.planner as planner
+
+    seen = []
+    real = planner.satisfies
+
+    def spy(sig, bounds, atol):
+        seen.append(atol)
+        return real(sig, bounds, atol=atol)
+
+    monkeypatch.setattr(planner, "satisfies", spy)
+    ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
+    vf.plan(hot_day_2h, ref, tol=1e-8)
+    assert seen == [1e-7]

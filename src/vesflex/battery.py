@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError, SolverError
-from .flexset import Scenario, feasible_band, is_member
+from .errors import InputError, ShapeError
+from .flexset import Scenario, feasible_band, require_member
 from .thermal import ThermalParams, Trajectory
 
 
@@ -64,10 +64,9 @@ def rate_capacities(scn: Scenario) -> tuple[float, float]:
     band, and any such step extends to a whole feasible trajectory.
     """
     lo, hi = feasible_band(scn)
-    a, gain, forcing = scn.dynamics()
     base = scn.baseline().power.values
-    p_max = np.minimum(scn.params.p_rated, (a * hi[:-1] + forcing - lo[1:]) / gain)
-    p_min = np.maximum(0.0, (a * lo[:-1] + forcing - hi[1:]) / gain)
+    p_max = np.minimum(scn.params.p_rated, scn.step_demand(hi[:-1], lo[1:]))
+    p_min = np.maximum(0.0, scn.step_demand(lo[:-1], hi[1:]))
     return float((p_max - base).max()), float((base - p_min).max())
 
 
@@ -81,15 +80,11 @@ def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
     integrates them.
     """
     lo, hi = feasible_band(scn)
-    a, gain, forcing = scn.dynamics()
     out = []
     for edge, name in ((lo, "charge"), (hi, "discharge")):
-        p = (a * edge[:-1] + forcing - edge[1:]) / gain
+        p = scn.step_demand(edge[:-1], edge[1:])
         traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
-        verdict = is_member(traj, scn)
-        if not verdict.ok:
-            at = verdict.first_violation_index
-            raise SolverError(f"{name} profile fails its audit at sample {at}")
+        require_member(traj, scn, 1e-9, f"{name} profile")
         out.append(traj)
     return out[0], out[1]
 

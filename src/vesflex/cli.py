@@ -23,8 +23,8 @@ import numpy as np
 
 from . import battery, deferrable, ensemble, flexset, humidity, planner
 from .errors import InfeasibleError, InputError, VesflexError
-from .qos import QoSBounds
-from .thermal import DisturbanceSeries, ThermalParams, Trajectory, simulate
+from .qos import QoSBounds, Verdict
+from .thermal import DisturbanceSeries, ThermalParams, Trajectory
 
 FLOAT_FMT = "%.17g"
 
@@ -208,6 +208,15 @@ def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
 # ----------------------------------------------------------- subcommands --
 
 
+def _verdict_line(label: str, v: Verdict) -> str:
+    if v.ok:
+        return f"{label}: ok"
+    return (
+        f"{label}: violated channel={v.channel} index={v.first_violation_index} "
+        f"value={v.value:.6g} limit={v.limit:.6g}"
+    )
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     scn = scenario_from_config(cfg, args.dist)
@@ -218,8 +227,7 @@ def cmd_simulate(args) -> int:
         p = Trajectory(scn.dt, np.full(scn.n_steps, args.power_const), unit="kW")
     else:
         p = base.power
-    theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    verdict = flexset.is_member(p, scn, atol=args.atol)
+    theta, verdict = flexset.audit(p, scn, atol=args.atol)
     path = _out(args, "simulate.csv")
     write_csv(
         path,
@@ -228,13 +236,7 @@ def cmd_simulate(args) -> int:
     )
     print(f"wrote {path}")
     print(f"baseline saturated: {'yes' if base.saturated else 'no'}")
-    if verdict.ok:
-        print("qos: ok")
-    else:
-        print(
-            f"qos: violated channel={verdict.channel} index={verdict.first_violation_index} "
-            f"value={verdict.value:.6g} limit={verdict.limit:.6g}"
-        )
+    print(_verdict_line("qos", verdict))
     return 0
 
 
@@ -397,14 +399,7 @@ def cmd_deferrable(args) -> int:
     )
     print(f"wrote {path}")
     print(f"contract: {'ok' if result.contract else 'violated'} ({result.contract.reason})")
-    if result.comfort.ok:
-        print("comfort: ok")
-    else:
-        print(
-            f"comfort: violated channel={result.comfort.channel} "
-            f"index={result.comfort.first_violation_index} "
-            f"value={result.comfort.value:.6g} limit={result.comfort.limit:.6g}"
-        )
+    print(_verdict_line("comfort", result.comfort))
     print(f"demonstrates contract/comfort gap: {'yes' if result.demonstrates_gap else 'no'}")
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, PowerRangeError, ShapeError
+from .errors import InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
     DisturbanceSeries,
@@ -46,6 +46,9 @@ class Scenario:
 
     No analysis here simulates humidity or switching, so humidity and
     lockout bounds raise InputError instead of being silently dropped.
+    Per-sample temperature bounds cover the N+1 temperature samples
+    theta_0..theta_N; their length and order are checked once, here, and
+    every analysis reads that one grid off theta_limits().
     """
 
     params: ThermalParams
@@ -61,14 +64,12 @@ class Scenario:
                 "humidity (w_min/w_max) and lockout (tau_lock) bounds"
             )
         lo, hi = self.bounds.theta_min, self.bounds.theta_max
-        if not lo <= self.theta_sp <= hi:
-            raise InputError(
-                f"theta_sp {self.theta_sp} outside comfort band [{lo}, {hi}]"
-            )
-        if not lo <= self.theta0 <= hi:
-            raise InputError(
-                f"theta0 {self.theta0} outside comfort band [{lo}, {hi}]"
-            )
+        for name in ("theta_sp", "theta0"):
+            if not lo <= getattr(self, name) <= hi:
+                raise InputError(
+                    f"{name} {getattr(self, name)} outside comfort band [{lo}, {hi}]"
+                )
+        self.theta_limits()
 
     @property
     def n_steps(self) -> int:
@@ -81,11 +82,14 @@ class Scenario:
     def baseline(self):
         return baseline_trajectory(self.params, self.dist, self.theta_sp)
 
+    def theta_limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample (lower, upper) temperature limits over samples 0..N."""
+        return self.bounds.theta_limits(self.n_steps + 1)
+
     def window(self, start: int, n_steps: int, theta0: float) -> "Scenario":
         """Steps [start, start + n_steps) as a scenario starting at theta0.
 
-        Per-sample temperature bounds cover the N+1 temperature samples, so
-        the window keeps n_steps + 1 of them.
+        Per-sample temperature bounds keep their n_steps + 1 samples.
         """
         b = self.bounds
         keep = slice(start, start + n_steps + 1)
@@ -110,6 +114,11 @@ class Scenario:
         forcing = (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d)
         return a, gain, forcing
 
+    def step_demand(self, theta_k: np.ndarray, theta_next: np.ndarray) -> np.ndarray:
+        """Demand per step moving theta_k to theta_next: dynamics() inverted."""
+        a, gain, forcing = self.dynamics()
+        return (a * theta_k + forcing - theta_next) / gain
+
 
 def _forward_reach(scn: Scenario) -> tuple[list[float], list[float], int]:
     """Reachable temperature interval per sample, intersected with the band.
@@ -120,7 +129,7 @@ def _forward_reach(scn: Scenario) -> tuple[list[float], list[float], int]:
     interval empties, and the lists then stop before it.
     """
     a, gain, forcing = scn.dynamics()
-    lo_t, hi_t = (b.tolist() for b in scn.bounds.theta_limits(scn.n_steps + 1))
+    lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
     drop = gain * scn.params.p_rated
     lo, hi = [scn.theta0], [scn.theta0]
     if not lo_t[0] <= scn.theta0 <= hi_t[0]:
@@ -227,9 +236,10 @@ class FlexEnvelope:
         )
 
 
-def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:
-    """Simulate p under the scenario and check the comfort contract.
+def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory, Verdict]:
+    """Simulate p under the scenario and judge the comfort contract.
 
+    Returns the re-simulated temperature (N+1 samples) and its verdict.
     Demand outside the physical range [0, p_rated] is not a QoS question;
     it raises PowerRangeError instead of returning a verdict.  atol is the
     slack granted to optimizer output on both the power range and the
@@ -246,22 +256,42 @@ def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:
             f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW"
         )
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    return satisfies(QoSSignal(theta=theta), scn.bounds, atol=atol)
+    return theta, satisfies(QoSSignal(theta=theta), scn.bounds, atol=atol)
+
+
+def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:
+    """The verdict half of audit: does p keep the comfort contract?"""
+    return audit(p, scn, atol)[1]
+
+
+def require_member(p: Trajectory, scn: Scenario, atol: float, what: str) -> Trajectory:
+    """audit for optimizer output: theta, or SolverError naming the violation."""
+    theta, verdict = audit(p, scn, atol)
+    if not verdict.ok:
+        raise SolverError(
+            f"{what} leaves the comfort band at sample "
+            f"{verdict.first_violation_index}: {verdict.value:.9g} degC "
+            f"against limit {verdict.limit:.9g}"
+        )
+    return theta
 
 
 def envelope(scn: Scenario) -> FlexEnvelope:
     """Quasi-steady power envelope clamped to the rated range.
 
-    p_hi(t) is the demand holding theta at the per-sample lower temperature
-    bound, p_lo(t) the demand holding the upper bound (more cooling power
-    pushes the zone colder).  Both are clamped to [0, p_rated]; where the
-    raw band lies entirely outside the rated range the offending side is
-    left unclamped, so the stored band inverts and empty_mask flags it.
+    p_hi(t) is the demand holding theta at the lower temperature bound, p_lo(t)
+    the demand holding the upper bound (more cooling power pushes the zone
+    colder).  Step k is held against bound sample k+1, the temperature sample
+    that step lands on, the pairing the planners and feasible_band use, so
+    the envelope has N samples for the scenario's N+1 bound samples.  Both
+    edges are clamped to [0, p_rated]; where the raw band lies entirely
+    outside the rated range the offending side is left unclamped, so the
+    stored band inverts and empty_mask flags it.
     """
-    lo_t, hi_t = scn.bounds.theta_limits(scn.n_steps)
+    lo_t, hi_t = scn.theta_limits()
     par, dist = scn.params, scn.dist
-    raw_hi = equilibrium_power(par, dist.theta_a, lo_t, dist.q_d)
-    raw_lo = equilibrium_power(par, dist.theta_a, hi_t, dist.q_d)
+    raw_hi = equilibrium_power(par, dist.theta_a, lo_t[1:], dist.q_d)
+    raw_lo = equilibrium_power(par, dist.theta_a, hi_t[1:], dist.q_d)
     # an inverted unclamped band is impossible (theta_min < theta_max), so
     # emptiness can only come from the rated-range clamp; keep the violating
     # side raw so the stored band inverts exactly there

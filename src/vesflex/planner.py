@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
-from .flexset import Scenario, _unreachable, feasible_window
-from .qos import QoSSignal, satisfies
+from .flexset import Scenario, _unreachable, feasible_window, require_member
 from .solver import (
     STATUS_OPTIMAL,
     BoxQP,
@@ -34,7 +33,7 @@ from .solver import (
     solve_box_qp,
     solve_lp,
 )
-from .thermal import Trajectory, simulate
+from .thermal import Trajectory
 
 NORMS = ("two", "one", "inf")
 
@@ -100,25 +99,10 @@ def tracking_error(
     return float(np.abs(res).max(initial=0.0))
 
 
-def _audited(
-    scn: Scenario, ref: Trajectory, p: Trajectory, norm: str, tol: float
-) -> tuple[Trajectory, float]:
-    """Re-simulated theta and tracking error of p; SolverError past 10*tol."""
-    theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    verdict = satisfies(QoSSignal(theta=theta), scn.bounds, atol=10.0 * tol)
-    if not verdict.ok:
-        raise SolverError(
-            f"planned temperature leaves the comfort band at sample "
-            f"{verdict.first_violation_index}: {verdict.value:.9g} degC "
-            f"against limit {verdict.limit:.9g}"
-        )
-    return theta, tracking_error(p.values, ref.values, scn.dt, norm)
-
-
 def _plan_two(scn: Scenario, ref: Trajectory, tol: float) -> SolveReport:
     n = scn.n_steps
     lmat, free = input_to_state_map(scn)
-    lo_t, hi_t = scn.bounds.theta_limits(n + 1)
+    lo_t, hi_t = scn.theta_limits()
     a_ub = np.vstack([lmat, -lmat])
     b_ub = np.concatenate([free - lo_t[1:], hi_t[1:] - free])
     qp = BoxQP(
@@ -141,7 +125,7 @@ def _plan_lp(scn: Scenario, ref: Trajectory, norm: str) -> SolveReport:
     """
     n = scn.n_steps
     a, gain, forcing = scn.dynamics()
-    lo_t, hi_t = scn.bounds.theta_limits(n + 1)
+    lo_t, hi_t = scn.theta_limits()
     n_e = n if norm == "one" else 1
     n_var = 2 * n + n_e
 
@@ -195,7 +179,8 @@ def plan(
             f"planner solve failed on a reachable window: status {report.status}"
         )
     p = Trajectory(scn.dt, np.clip(report.x[: scn.n_steps], 0.0, scn.params.p_rated), unit="kW")
-    theta, err = _audited(scn, ref, p, norm, tol)
+    theta = require_member(p, scn, 10.0 * tol, "planned temperature")
+    err = tracking_error(p.values, ref.values, scn.dt, norm)
     return PlanResult(norm=norm, p=p, theta=theta, tracking_error=err, report=report)
 
 
@@ -239,7 +224,7 @@ def receding_horizon(
     if apply_steps < 1 or apply_steps > window_steps:
         raise InputError("apply_steps must be in [1, window_steps]")
     n = scn.n_steps
-    lo_t, hi_t = (b.tolist() for b in scn.bounds.theta_limits(n + 1))
+    lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
     executed = np.empty(n)
     th = scn.theta0
     starts = range(0, n, apply_steps)
@@ -255,12 +240,11 @@ def receding_horizon(
         executed[t : t + k] = step_plan.p.values[:k]
         th = float(step_plan.theta.values[k])
     p = Trajectory(scn.dt, executed, unit="kW")
-    theta, err = _audited(scn, ref, p, norm, tol)
     return RollingResult(
         norm=norm,
         window_steps=window_steps,
         p=p,
-        theta=theta,
-        tracking_error=err,
+        theta=require_member(p, scn, 10.0 * tol, "planned temperature"),
+        tracking_error=tracking_error(p.values, ref.values, scn.dt, norm),
         n_solves=len(starts),
     )

@@ -30,7 +30,8 @@ class QoSBounds:
 
     theta_min/theta_max are scalars (degC); theta_min_t/theta_max_t, when
     given, override them sample-by-sample and must match the checked signal
-    length.  Humidity-ratio bounds (kg water per kg dry air) and the lockout
+    length: for a flexset.Scenario of N steps that is the N+1 temperature
+    samples, checked when the Scenario is built.  Humidity-ratio bounds (kg water per kg dry air) and the lockout
     window tau_lock (hours) are optional; leaving a channel's bounds unset
     leaves that channel unconstrained.
     """
@@ -68,16 +69,8 @@ class QoSBounds:
 
     def theta_limits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits for an n-sample signal."""
-        lo = (
-            np.full(n, self.theta_min)
-            if self.theta_min_t is None
-            else np.asarray(self.theta_min_t, dtype=float)
-        )
-        hi = (
-            np.full(n, self.theta_max)
-            if self.theta_max_t is None
-            else np.asarray(self.theta_max_t, dtype=float)
-        )
+        lo = np.full(n, self.theta_min) if self.theta_min_t is None else self.theta_min_t
+        hi = np.full(n, self.theta_max) if self.theta_max_t is None else self.theta_max_t
         if lo.size != n or hi.size != n:
             raise ShapeError(
                 f"per-sample temperature bounds sized {lo.size}/{hi.size} "

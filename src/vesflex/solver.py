@@ -242,13 +242,7 @@ def solve_lp(
     status = np.where(np.isfinite(lo[:n_tot]), _AT_LO, _AT_HI).astype(np.int8)
 
     if m == 0:
-        # pure bound minimization
-        xx = np.where(lp.c > 0, lp.lo, np.where(lp.c < 0, lp.hi, x[:n]))
-        if np.any(~np.isfinite(xx) & (lp.c != 0)):
-            return SolveReport(STATUS_UNBOUNDED, None, None, 0)
-        xx = np.where(np.isfinite(xx), xx, 0.0)
-        obj = float(lp.c @ xx)
-        return SolveReport(STATUS_OPTIMAL, obj, xx, 0, obj, 0.0)
+        return _bound_minimum(lp, lp.c, lp.lo, lp.hi, x[:n], 0)
 
     # artificial columns match the sign of the initial residual
     resid = b - A[:, :n_tot] @ x[:n_tot]
@@ -299,19 +293,11 @@ def solve_lp(
     c2 = np.concatenate([lp.c, np.zeros(m_ub)])
     x = x[:n_tot]
     status = status[:n_tot]
-    if A.shape[0]:
-        Binv = _refactorize(A, b, basis, x)
-        code, it2 = _iterate(
-            A, b, c2, lo, hi, basis, status, x, Binv, tol, max_iter - it1
-        )
-    else:
-        # every row was redundant; fall back to bound minimization
-        Binv = np.zeros((0, 0))
-        xx = np.where(c2 > 0, lo, np.where(c2 < 0, hi, x))
-        if np.any(~np.isfinite(xx) & (c2 != 0)):
-            return SolveReport(STATUS_UNBOUNDED, None, None, it1)
-        x = np.where(np.isfinite(xx), xx, 0.0)
-        code, it2 = "opt", 0
+    if not A.shape[0]:
+        # every row was redundant
+        return _bound_minimum(lp, c2, lo, hi, x, it1)
+    Binv = _refactorize(A, b, basis, x)
+    code, it2 = _iterate(A, b, c2, lo, hi, basis, status, x, Binv, tol, max_iter - it1)
 
     iters = it1 + it2
     if code == "iter":
@@ -321,23 +307,35 @@ def solve_lp(
 
     obj = float(c2 @ x)
     # dual bound from the final basis
-    if A.shape[0]:
-        y = Binv.T @ c2[basis]
-        d = c2 - A.T @ y
-        dual = float(y @ b)
-        sel_lo = (status == _AT_LO) & (np.abs(lo) > 0)
-        sel_hi = status == _AT_HI
-        dual += float(d[sel_lo] @ lo[sel_lo]) + float(d[sel_hi] @ hi[sel_hi])
-    else:
-        dual = obj
-
+    y = Binv.T @ c2[basis]
+    d = c2 - A.T @ y
+    dual = float(y @ b)
+    sel_lo = (status == _AT_LO) & (np.abs(lo) > 0)
+    sel_hi = status == _AT_HI
+    dual += float(d[sel_lo] @ lo[sel_lo]) + float(d[sel_hi] @ hi[sel_hi])
     xs = x[:n]
+    return SolveReport(STATUS_OPTIMAL, obj, xs, iters, dual, _residual(lp, xs))
+
+
+def _residual(lp: LinearProgram, xs: np.ndarray) -> float:
+    """Worst equality or inequality row violation of the structural x."""
     res = 0.0
     if lp.a_eq is not None:
         res = max(res, float(np.abs(lp.a_eq @ xs - lp.b_eq).max(initial=0.0)))
     if lp.a_ub is not None:
         res = max(res, float(np.maximum(lp.a_ub @ xs - lp.b_ub, 0.0).max(initial=0.0)))
-    return SolveReport(STATUS_OPTIMAL, obj, xs, iters, dual, res)
+    return res
+
+
+def _bound_minimum(lp, c, lo, hi, x, iters) -> SolveReport:
+    """min c.x over the box alone (no rows, or only redundant ones); x parks c == 0."""
+    xx = np.where(c > 0, lo, np.where(c < 0, hi, x))
+    if np.any(~np.isfinite(xx) & (c != 0)):
+        return SolveReport(STATUS_UNBOUNDED, None, None, iters)
+    xx = np.where(np.isfinite(xx), xx, 0.0)
+    obj = float(c @ xx)
+    xs = xx[: lp.n_vars]
+    return SolveReport(STATUS_OPTIMAL, obj, xs, iters, obj, _residual(lp, xs))
 
 
 @dataclass(frozen=True)

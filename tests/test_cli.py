@@ -99,6 +99,39 @@ def test_simulate_roundtrip(tmp_path, short_config, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_simulate_reports_first_violation(tmp_path, short_config, capsys):
+    # with the unit off the hot zone warms past 25 C inside half an hour
+    rc = _run(
+        "simulate", "--config", short_config, "--power-const", "0",
+        "--out-dir", str(tmp_path / "x"),
+    )
+    assert rc == 0
+    scn = cli.scenario_from_config(cli.load_config(short_config))
+    v = vf.is_member(vf.Trajectory(scn.dt, np.zeros(scn.n_steps)), scn)
+    line = (
+        f"qos: violated channel=theta index={v.first_violation_index} "
+        f"value={v.value:.6g} limit=25\n"
+    )
+    assert line in capsys.readouterr().out
+
+
+def test_simulate_paper_simulates_once(tmp_path, monkeypatch):
+    # the CSV's temperature and the comfort verdict share one re-simulation;
+    # count it in every vesflex namespace that imports simulate
+    real = vf.simulate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vesflex" and getattr(module, "simulate", None) is real:
+            monkeypatch.setattr(module, "simulate", counted)
+    assert _run("simulate", "--config", "paper", "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 1
+
+
 def test_simulate_rejects_out_of_range_power(tmp_path, short_config):
     rc = _run(
         "simulate", "--config", short_config, "--power-const", "9.0",

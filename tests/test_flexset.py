@@ -18,6 +18,26 @@ def test_scenario_validation(params, bounds):
         vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=22.0)
 
 
+def test_per_sample_bounds_are_checked_when_the_scenario_is_built(params):
+    # bounds cover the N+1 temperature samples; a wrong length or a crossed
+    # pair is refused here rather than deep inside some analysis
+    n = 30
+    dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
+
+    def build(lo_t, hi_t):
+        bounds = vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
+        return vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
+
+    for size in (n, n + 2):
+        with pytest.raises(vf.ShapeError, match=f"do not match {n + 1} signal samples"):
+            build(np.full(size, 23.0), np.full(size, 25.0))
+    crossed = np.full(n + 1, 25.0)
+    crossed[7] = 23.0
+    with pytest.raises(vf.InputError, match="lower < upper"):
+        build(np.full(n + 1, 23.0), crossed)
+    assert build(np.full(n + 1, 23.0), np.full(n + 1, 25.0)).n_steps == n
+
+
 def test_scenario_window(hot_day_2h):
     rolled = hot_day_2h.window(10, 20, 23.5)
     assert rolled.theta0 == 23.5
@@ -84,17 +104,20 @@ def test_envelope_inverts_exactly_where_no_rated_demand_holds_the_band(seed):
     t = np.arange(n) * DT
     theta_a = 28.0 + rng.uniform(10.0, 16.0) * np.sin(2 * np.pi * t / rng.uniform(1.0, 3.0))
     q_d = rng.uniform(0.5, 2.5, size=n)
-    lo_t = 23.0 + rng.uniform(0.0, 0.8, size=n)
-    hi_t = lo_t + rng.uniform(0.2, 2.0, size=n)
+    # per-sample bounds cover the N+1 temperature samples; step k is held
+    # against sample k+1, the one it lands on
+    lo_all = 23.0 + rng.uniform(0.0, 0.8, size=n + 1)
+    hi_all = lo_all + rng.uniform(0.2, 2.0, size=n + 1)
     par = make_params(p_rated=rng.uniform(1.0, 2.0))
     scn = vf.Scenario(
         params=par,
-        bounds=vf.QoSBounds(23.0, 26.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        bounds=vf.QoSBounds(23.0, 26.0, theta_min_t=lo_all, theta_max_t=hi_all),
         dist=vf.DisturbanceSeries(DT, theta_a, q_d),
         theta_sp=24.0,
         theta0=24.0,
     )
     env = vf.envelope(scn)
+    lo_t, hi_t = lo_all[1:], hi_all[1:]
 
     def steady(p):  # quasi-steady temperature under a constant demand p
         return theta_a + par.r_thermal * (q_d - par.eta_cop * p)

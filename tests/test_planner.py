@@ -208,9 +208,9 @@ _GRAZE = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=22
 
 
 def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
-    import vesflex.planner as planner
+    import vesflex.flexset as flexset
 
-    monkeypatch.setattr(planner, "satisfies", lambda sig, bounds, atol: _GRAZE)
+    monkeypatch.setattr(flexset, "satisfies", lambda sig, bounds, atol: _GRAZE)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     for norm in vf.NORMS:
         with pytest.raises(vf.SolverError, match="sample 3"):
@@ -218,32 +218,32 @@ def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
 
 
 def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
-    import vesflex.planner as planner
+    import vesflex.flexset as flexset
 
     n = hot_day_2h.n_steps
-    real = planner.satisfies
+    real = flexset.satisfies
 
     def full_horizon_fails(sig, bounds, atol):
         # every window's plan passes; only the stitched check fails
         return _GRAZE if len(sig.theta) == n + 1 else real(sig, bounds, atol)
 
-    monkeypatch.setattr(planner, "satisfies", full_horizon_fails)
+    monkeypatch.setattr(flexset, "satisfies", full_horizon_fails)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     with pytest.raises(vf.SolverError, match="sample 3"):
         vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20)
 
 
 def test_audit_tolerance_is_ten_solver_tolerances(monkeypatch, hot_day_2h):
-    import vesflex.planner as planner
+    import vesflex.flexset as flexset
 
     seen = []
-    real = planner.satisfies
+    real = flexset.satisfies
 
     def spy(sig, bounds, atol):
         seen.append(atol)
         return real(sig, bounds, atol=atol)
 
-    monkeypatch.setattr(planner, "satisfies", spy)
+    monkeypatch.setattr(flexset, "satisfies", spy)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     vf.plan(hot_day_2h, ref, tol=1e-8)
     assert seen == [1e-7]

@@ -229,10 +229,10 @@ def test_band_edges_are_the_extremal_temperature_paths():
 
 
 def test_failed_profile_audit_raises(monkeypatch, hot_day_2h):
-    import vesflex.battery as battery
+    import vesflex.flexset as flexset
 
     bad = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=26.0, limit=25.0)
-    monkeypatch.setattr(battery, "is_member", lambda p, scn: bad)
+    monkeypatch.setattr(flexset, "satisfies", lambda sig, bounds, atol: bad)
     with pytest.raises(vf.SolverError):
         vf.extremal_profiles(hot_day_2h)
 
@@ -243,3 +243,33 @@ def test_scenario_dynamics_step_matches_simulate():
     p = np.linspace(0.0, scn.params.p_rated, scn.n_steps)
     theta = vf.simulate(scn.params, scn.dist, vf.Trajectory(scn.dt, p), scn.theta0).values
     assert np.max(np.abs(theta[1:] - (a * theta[:-1] - gain * p + forcing))) < 1e-12
+
+
+def test_step_demand_inverts_the_dynamics():
+    scn = random_scenario(3, 50)
+    p = np.linspace(0.0, scn.params.p_rated, scn.n_steps)
+    theta = vf.simulate(scn.params, scn.dist, vf.Trajectory(scn.dt, p), scn.theta0).values
+    assert np.max(np.abs(scn.step_demand(theta[:-1], theta[1:]) - p)) < 1e-9
+
+
+def test_one_per_sample_scenario_serves_every_analysis():
+    # the envelope used to read N bound samples where every other analysis
+    # read N+1, so no scenario with per-sample bounds worked in both
+    scn = random_scenario(3, 50)
+    lo_t, hi_t = scn.theta_limits()
+    assert lo_t.size == hi_t.size == scn.n_steps + 1
+    env = vf.envelope(scn)
+    assert len(env) == scn.n_steps
+    # step k is held against the bound sample it lands on, k+1
+    par, dist = scn.params, scn.dist
+    raw_hi = vf.equilibrium_power(par, dist.theta_a, lo_t[1:], dist.q_d)
+    assert np.array_equal(env.p_hi, np.clip(raw_hi, 0.0, par.p_rated))
+    lo, hi = vf.feasible_band(scn)
+    assert lo.size == hi.size == scn.n_steps + 1
+    caps = vf.characterize(scn)
+    assert caps.charge_energy_kwh > 0.0 and caps.discharge_energy_kwh > 0.0
+    ref = scn.baseline().power
+    for norm in vf.NORMS:
+        assert vf.is_member(vf.plan(scn, ref, norm=norm).p, scn, atol=1e-6).ok
+    rolled = vf.receding_horizon(scn, ref, window_steps=20, apply_steps=5)
+    assert vf.is_member(rolled.p, scn, atol=1e-6).ok

@@ -47,6 +47,23 @@ def test_lp_unbounded():
     assert rep.x is None
 
 
+@pytest.mark.parametrize("c", [[1.0, -2.0], [1.0, 2.0]], ids=["optimal", "unbounded"])
+def test_lp_only_redundant_rows_reports_like_no_rows(c):
+    # 0.x = 0 leaves phase 1 with nothing to pivot on, so the row is dropped
+    # and the box alone decides the answer, as it does with no rows at all
+    lo, hi = [0.0, -np.inf], [1.0, 3.0]
+    bare = vf.solve_lp(_lp(c, lo, hi))
+    redundant = vf.solve_lp(_lp(c, lo, hi, a_eq=[[0.0, 0.0]], b_eq=[0.0]))
+    assert bare.status == ("optimal" if c[1] < 0 else "unbounded")
+    for field in ("status", "objective", "iterations", "dual_bound", "max_residual"):
+        assert getattr(redundant, field) == getattr(bare, field)
+    if bare.x is None:
+        assert redundant.x is None
+    else:
+        assert np.array_equal(redundant.x, bare.x)
+        assert bare.objective == -6.0
+
+
 def test_lp_every_variable_needs_a_bound():
     with pytest.raises(vf.InputError):
         _lp([1.0], [-np.inf], [np.inf])

@@ -55,6 +55,7 @@ from .flexset import (
     conservativeness_curve,
     envelope,
     feasible_band,
+    feasible_window,
     is_member,
     sample_interior_trajectories,
 )
@@ -75,7 +76,6 @@ from .planner import (
     NORMS,
     PlanResult,
     RollingResult,
-    feasible_window,
     plan,
     receding_horizon,
     tracking_error,

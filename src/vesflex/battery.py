@@ -56,6 +56,35 @@ class VirtualBatteryCaps:
     discharge_energy_kwh: float
 
 
+def _rates(
+    scn: Scenario, lo: np.ndarray, hi: np.ndarray, base: np.ndarray
+) -> tuple[float, float]:
+    p_max = np.minimum(scn.params.p_rated, scn.step_demand(hi[:-1], lo[1:]))
+    p_min = np.maximum(0.0, scn.step_demand(lo[:-1], hi[1:]))
+    return float((p_max - base).max()), float((base - p_min).max())
+
+
+def _profiles(
+    scn: Scenario, lo: np.ndarray, hi: np.ndarray
+) -> tuple[Trajectory, Trajectory]:
+    out = []
+    for edge, name in ((lo, "charge"), (hi, "discharge")):
+        p = scn.step_demand(edge[:-1], edge[1:])
+        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
+        require_member(traj, scn, 1e-9, f"{name} profile")
+        out.append(traj)
+    return out[0], out[1]
+
+
+def _energies(
+    scn: Scenario, lo: np.ndarray, hi: np.ndarray, base: np.ndarray
+) -> tuple[float, float]:
+    p_ch, p_dis = _profiles(scn, lo, hi)
+    e_ch = float((p_ch.values - base).sum()) * scn.dt
+    e_dis = float((base - p_dis.values).sum()) * scn.dt
+    return e_ch, e_dis
+
+
 def rate_capacities(scn: Scenario) -> tuple[float, float]:
     """(charge, discharge) rate caps, kW: peak attainable |deviation|.
 
@@ -63,11 +92,7 @@ def rate_capacities(scn: Scenario) -> tuple[float, float]:
     demand stepping from some theta_k to some theta_{k+1} of the feasible
     band, and any such step extends to a whole feasible trajectory.
     """
-    lo, hi = feasible_band(scn)
-    base = scn.baseline().power.values
-    p_max = np.minimum(scn.params.p_rated, scn.step_demand(hi[:-1], lo[1:]))
-    p_min = np.maximum(0.0, scn.step_demand(lo[:-1], hi[1:]))
-    return float((p_max - base).max()), float((base - p_min).max())
+    return _rates(scn, *feasible_band(scn), scn.baseline().power.values)
 
 
 def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
@@ -79,35 +104,19 @@ def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
     they are returned (SolverError on failure); energy_capacities
     integrates them.
     """
-    lo, hi = feasible_band(scn)
-    out = []
-    for edge, name in ((lo, "charge"), (hi, "discharge")):
-        p = scn.step_demand(edge[:-1], edge[1:])
-        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
-        require_member(traj, scn, 1e-9, f"{name} profile")
-        out.append(traj)
-    return out[0], out[1]
+    return _profiles(scn, *feasible_band(scn))
 
 
 def energy_capacities(scn: Scenario) -> tuple[float, float]:
     """(charge, discharge) energy caps, kWh, over the scenario horizon."""
-    base = scn.baseline().power.values
-    p_ch, p_dis = extremal_profiles(scn)
-    e_ch = float((p_ch.values - base).sum()) * scn.dt
-    e_dis = float((base - p_dis.values).sum()) * scn.dt
-    return e_ch, e_dis
+    return _energies(scn, *feasible_band(scn), scn.baseline().power.values)
 
 
 def characterize(scn: Scenario) -> VirtualBatteryCaps:
-    """All four capacities in one report."""
-    up, dn = rate_capacities(scn)
-    e_ch, e_dis = energy_capacities(scn)
-    return VirtualBatteryCaps(
-        charge_rate_kw=up,
-        discharge_rate_kw=dn,
-        charge_energy_kwh=e_ch,
-        discharge_energy_kwh=e_dis,
-    )
+    """All four capacities in one report, from one band and one baseline."""
+    lo, hi = feasible_band(scn)
+    base = scn.baseline().power.values
+    return VirtualBatteryCaps(*_rates(scn, lo, hi, base), *_energies(scn, lo, hi, base))
 
 
 def bangbang_energy_oracle(

@@ -255,7 +255,7 @@ def cmd_envelope(args) -> int:
     print(f"empty samples: {int(env.empty_mask.sum())}")
     if args.verify_samples > 0:
         rng = np.random.default_rng(args.seed)
-        draws = flexset.sample_interior_trajectories(scn, args.verify_samples, rng)
+        draws = flexset.sample_interior_trajectories(env, args.verify_samples, rng)
         bad = sum(1 for p in draws if not flexset.is_member(p, scn))
         print(f"interior draws violating comfort: {bad}/{args.verify_samples}")
         if bad:
@@ -300,6 +300,8 @@ def cmd_plan(args) -> int:
     if args.ref is not None:
         ref = read_reference_csv(args.ref, scn.dt, scn.n_steps)
     else:
+        if not 0.0 <= args.step_at < np.inf:
+            raise InputError(f"--step-at must be a finite time >= 0 h, got {args.step_at}")
         base = scn.baseline().power.values
         step = np.zeros(scn.n_steps)
         k0 = min(int(round(args.step_at / scn.dt)), scn.n_steps)

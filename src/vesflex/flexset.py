@@ -120,28 +120,35 @@ class Scenario:
         return (a * theta_k + forcing - theta_next) / gain
 
 
-def _forward_reach(scn: Scenario) -> tuple[list[float], list[float], int]:
+def _forward_reach(
+    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
+) -> tuple[list[float], list[float], int]:
     """Reachable temperature interval per sample, intersected with the band.
 
-    The next state is affine and increasing in the current one, so the
-    reachable set stays an interval.  Returns (lo, hi, bad) over samples
-    0..N, sample 0 being theta0; bad is -1, or the sample where the
-    interval empties, and the lists then stop before it.
+    Step k draws demand in [p_lo[k], p_hi[k]].  The next state is affine
+    and monotone in both, so the reachable set stays an interval.  Returns
+    (lo, hi, bad) over samples 0..N, sample 0 being theta0; bad is -1, or
+    the sample where the interval empties, and the lists then stop before it.
     """
     a, gain, forcing = scn.dynamics()
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
-    drop = gain * scn.params.p_rated
+    drop_lo, drop_hi = (gain * p_lo).tolist(), (gain * p_hi).tolist()
     lo, hi = [scn.theta0], [scn.theta0]
     if not lo_t[0] <= scn.theta0 <= hi_t[0]:
         return [], [], 0
     for k, f in enumerate(forcing.tolist()):
-        x_lo = max(a * lo[k] + f - drop, lo_t[k + 1])
-        x_hi = min(a * hi[k] + f, hi_t[k + 1])
+        x_lo = max(a * lo[k] + f - drop_hi[k], lo_t[k + 1])
+        x_hi = min(a * hi[k] + f - drop_lo[k], hi_t[k + 1])
         if x_lo > x_hi:
             return lo, hi, k + 1
         lo.append(x_lo)
         hi.append(x_hi)
     return lo, hi, -1
+
+
+def _rated_box(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    n = scn.n_steps
+    return np.zeros(n), np.full(n, scn.params.p_rated)
 
 
 def feasible_window(scn: Scenario) -> tuple[bool, int]:
@@ -151,17 +158,37 @@ def feasible_window(scn: Scenario) -> tuple[bool, int]:
     where the reachable interval first empties (0 when theta0 itself is
     outside that sample's band), or -1 when feasible.
     """
-    bad = _forward_reach(scn)[2]
+    bad = _forward_reach(scn, *_rated_box(scn))[2]
     return bad < 0, bad
 
 
-def _unreachable(scn: Scenario, bad: int) -> InfeasibleError:
-    """The error for a window whose reachable interval empties at sample bad."""
-    return InfeasibleError(
-        f"comfort band cannot be held at sample {bad} "
-        f"(t = {bad * scn.dt:.6g} h) under any demand in "
-        f"[0, {scn.params.p_rated}] kW"
-    )
+def _band(
+    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]].
+
+    The error names the rated range: other boxes come from the planner,
+    which passes only boxes its forward pass has already found feasible.
+    """
+    lo, hi, bad = _forward_reach(scn, p_lo, p_hi)
+    if bad >= 0:
+        raise InfeasibleError(
+            f"comfort band cannot be held at sample {bad} "
+            f"(t = {bad * scn.dt:.6g} h) under any demand in "
+            f"[0, {scn.params.p_rated}] kW"
+        )
+    a, gain, forcing = scn.dynamics()
+    f = forcing.tolist()
+    rise_lo, rise_hi = (gain * p_lo).tolist(), (gain * p_hi).tolist()
+    for k in range(scn.n_steps - 1, -1, -1):
+        # preimage of the viable interval at k+1 (everything when a == 0);
+        # it meets the reachable one in exact arithmetic, and the clamps
+        # keep rounding from crossing the edges
+        pre_lo = (lo[k + 1] - f[k] + rise_lo[k]) / a if a > 0.0 else -math.inf
+        pre_hi = (hi[k + 1] - f[k] + rise_hi[k]) / a if a > 0.0 else math.inf
+        lo[k] = min(max(lo[k], pre_lo), hi[k])
+        hi[k] = max(min(hi[k], pre_hi), lo[k])
+    return np.array(lo), np.array(hi)
 
 
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -173,21 +200,7 @@ def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     pointwise-lowest and pointwise-highest feasible trajectories.  Returns
     N+1 samples; raises InfeasibleError when no trajectory exists.
     """
-    lo, hi, bad = _forward_reach(scn)
-    if bad >= 0:
-        raise _unreachable(scn, bad)
-    a, gain, forcing = scn.dynamics()
-    drop = gain * scn.params.p_rated
-    f = forcing.tolist()
-    for k in range(scn.n_steps - 1, -1, -1):
-        # preimage of the viable interval at k+1 (everything when a == 0);
-        # it meets the reachable one in exact arithmetic, and the clamps
-        # keep rounding from crossing the edges
-        pre_lo = (lo[k + 1] - f[k]) / a if a > 0.0 else -math.inf
-        pre_hi = (hi[k + 1] - f[k] + drop) / a if a > 0.0 else math.inf
-        lo[k] = min(max(lo[k], pre_lo), hi[k])
-        hi[k] = max(min(hi[k], pre_hi), lo[k])
-    return np.array(lo), np.array(hi)
+    return _band(scn, *_rated_box(scn))
 
 
 @dataclass(frozen=True)
@@ -362,7 +375,7 @@ def conservativeness_curve(
 
 
 def sample_interior_trajectories(
-    scn: Scenario, n_draws: int, rng: np.random.Generator
+    env: FlexEnvelope, n_draws: int, rng: np.random.Generator
 ) -> list[Trajectory]:
     """Random demand trajectories drawn uniformly inside the envelope.
 
@@ -371,12 +384,11 @@ def sample_interior_trajectories(
     tests.  An envelope that is empty somewhere has no interior to draw
     from; that is an InputError, not an infeasibility verdict.
     """
-    env = envelope(scn)
     if env.empty_mask.any():
         raise InputError("envelope is empty at some samples; nothing to draw")
     out = []
     for _ in range(n_draws):
-        u = rng.uniform(size=scn.n_steps)
+        u = rng.uniform(size=len(env))
         vals = env.p_lo + u * (env.p_hi - env.p_lo)
-        out.append(Trajectory(scn.dt, vals, unit="kW"))
+        out.append(Trajectory(env.dt, vals, unit="kW"))
     return out

@@ -7,13 +7,27 @@ closest to it.  "Closest" is one of three norms on the residual r - p:
 * two : sum of squared residuals, weighted by dt.  Solved as a box QP in p
         alone; the temperature recursion is eliminated into a triangular
         input-to-state map, leaving dense inequality rows.
-* one : dt-weighted absolute residual sum.  Epigraph LP.
-* inf : worst residual.  Epigraph LP with a single bound variable.
+* one : dt-weighted absolute residual sum.  A forward ride through
+        flexset.feasible_band: step k applies the rated demand nearest r_k
+        and clips the state it lands on into the band at k+1.
+* inf : worst residual.  Bisection on e, each probe one forward pass of
+        reachability under the demand box [r_k - e, r_k + e] in
+        [0, p_rated]; then the ride through the smallest feasible e's band.
+
+The ride is exact in the one-norm.  Clipping x into an interval J gives
+|x - proj x| + |u - proj x| = |u - x| for every u in J; the band and
+[0, p_rated] are such intervals, and the decay a <= 1 shrinks state gaps.
+So for any feasible plan (u, q), input gain g and every k, by induction,
+
+    sum_{j<k} |r_j - p_j| + |theta_k - u_k| / g  <=  sum_{j<k} |r_j - q_j|.
+
+On e*'s band the ride is the inf-norm argmin chosen: among the plans with
+worst residual e*, the one closest to the reference in the one-norm.
 
 An infeasible planning window is a hard error, not a best-effort answer:
-the caller must know the comfort contract cannot be met.  Feasibility is
-decided exactly (and cheaply) beforehand by interval forward reachability
-(flexset.feasible_window), which a scalar monotone system admits.
+the caller must know the comfort contract cannot be met.  Every norm
+computes feasible_band first, which decides that exactly and cheaply, as
+a scalar monotone system admits.
 """
 
 from __future__ import annotations
@@ -24,15 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
-from .flexset import Scenario, _unreachable, feasible_window, require_member
-from .solver import (
-    STATUS_OPTIMAL,
-    BoxQP,
-    LinearProgram,
-    SolveReport,
-    solve_box_qp,
-    solve_lp,
-)
+from .flexset import Scenario, _band, _forward_reach, feasible_band, require_member
+from .solver import STATUS_OPTIMAL, BoxQP, SolveReport, solve_box_qp
 from .thermal import Trajectory
 
 NORMS = ("two", "one", "inf")
@@ -57,6 +64,8 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (L, free) with theta_{k+1} = free[k] - (L @ p)[k] for
     k = 0..N-1.  L[i, j] = (1-a) R eta_cop a^(i-j) for j <= i, else 0.
+    Only the two-norm QP and acceptance criterion 8b's lattice read it;
+    the one- and inf-norm plans work on the feasible band instead.
     """
     n = scn.n_steps
     a, gain, forcing = scn.dynamics()
@@ -116,42 +125,38 @@ def _plan_two(scn: Scenario, ref: Trajectory, tol: float) -> SolveReport:
     return solve_box_qp(qp, tol=tol)
 
 
-def _plan_lp(scn: Scenario, ref: Trajectory, norm: str) -> SolveReport:
-    """Epigraph LP over stacked (p, theta, e) variables.
-
-    theta_1..theta_N are kept as explicitly bounded variables tied to p by
-    one equality row per step; that keeps every matrix entry O(1) instead
-    of the a^k fill of the eliminated form, which the simplex prefers.
-    """
-    n = scn.n_steps
+def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Demand of the ride through the band [lo, hi] steering at target."""
     a, gain, forcing = scn.dynamics()
-    lo_t, hi_t = scn.theta_limits()
-    n_e = n if norm == "one" else 1
-    n_var = 2 * n + n_e
+    push = (forcing - gain * target).tolist()
+    theta = [scn.theta0]
+    for k, (d, l, h) in enumerate(zip(push, lo[1:].tolist(), hi[1:].tolist())):
+        theta.append(min(max(a * theta[k] + d, l), h))
+    th = np.array(theta)
+    return scn.step_demand(th[:-1], th[1:])
 
-    c = np.zeros(n_var)
-    c[2 * n :] = scn.dt if norm == "one" else 1.0
-    lo = np.concatenate([np.zeros(n), lo_t[1:], np.zeros(n_e)])
-    hi = np.concatenate([np.full(n, scn.params.p_rated), hi_t[1:], np.full(n_e, np.inf)])
 
-    # row k: gain*p_k + theta_{k+1} - a*theta_k = forcing[k], theta_0 known
-    k = np.arange(n)
-    a_eq = np.zeros((n, n_var))
-    a_eq[k, k] = gain
-    a_eq[k, n + k] = 1.0
-    a_eq[k[1:], n + k[:-1]] = -a
-    b_eq = forcing.copy()
-    b_eq[0] += a * scn.theta0
+def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray) -> SolveReport:
+    """Bisection on e, stopped when the midpoint rounds onto an end."""
+    p_rated = scn.params.p_rated
 
-    # rows k and n+k: -p_k - e <= -r_k and p_k - e <= r_k
-    rows = np.arange(2 * n)
-    a_ub = np.zeros((2 * n, n_var))
-    a_ub[rows, rows % n] = np.repeat([-1.0, 1.0], n)
-    a_ub[rows, 2 * n + (rows % n if norm == "one" else 0)] = -1.0
-    b_ub = np.concatenate([-ref.values, ref.values])
+    def box(e: float) -> tuple[np.ndarray, np.ndarray]:
+        return np.maximum(r - e, 0.0), np.minimum(r + e, p_rated)
 
-    lp = LinearProgram(c=c, lo=lo, hi=hi, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    return solve_lp(lp)
+    # below e_lo some box is empty; at e_hi every box is [0, p_rated]
+    e_lo = max(0.0, float(np.max(r - p_rated)), float(np.max(-r)))
+    e_hi = p_rated + float(np.max(np.abs(r)))
+    halvings = 0
+    if _forward_reach(scn, *box(e_lo))[2] < 0:
+        e_hi = e_lo
+    while e_lo < (mid := 0.5 * (e_lo + e_hi)) < e_hi:
+        halvings += 1
+        if _forward_reach(scn, *box(mid))[2] < 0:
+            e_hi = mid
+        else:
+            e_lo = mid
+    p = _ride(scn, target, *_band(scn, *box(e_hi)))
+    return SolveReport(STATUS_OPTIMAL, e_hi, p, halvings, dual_bound=e_lo)
 
 
 def plan(
@@ -160,27 +165,31 @@ def plan(
     """Feasible demand closest to the reference in the chosen norm.
 
     Raises InfeasibleError when no demand trajectory can keep the comfort
-    contract over the window, and SolverError if the optimizer gives up on a
-    window that reachability analysis proved feasible or its re-simulated
-    temperature leaves the band by more than 10*tol.
+    contract over the window, and SolverError if the two-norm solver gives
+    up on a window that reachability analysis proved feasible or any
+    plan's re-simulated temperature leaves the band by more than 10*tol.
     """
     _check_norm(norm)
     _check_ref(scn, ref)
-    ok, bad = feasible_window(scn)
-    if not ok:
-        raise _unreachable(scn, bad)
-    if norm == "two":
-        report = _plan_two(scn, ref, tol)
+    lo, hi = feasible_band(scn)
+    r = ref.values
+    # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
+    target = np.clip(r, 0.0, scn.params.p_rated)
+    if norm == "one":
+        p = _ride(scn, target, lo, hi)
+        report = SolveReport(STATUS_OPTIMAL, tracking_error(p, r, scn.dt, "one"), p, 0)
+    elif norm == "inf":
+        report = _plan_inf(scn, r, target)
     else:
-        report = _plan_lp(scn, ref, norm)
-    if report.status != STATUS_OPTIMAL:
-        # reachability said feasible, so this is numerical, not physical
-        raise SolverError(
-            f"planner solve failed on a reachable window: status {report.status}"
-        )
-    p = Trajectory(scn.dt, np.clip(report.x[: scn.n_steps], 0.0, scn.params.p_rated), unit="kW")
+        report = _plan_two(scn, ref, tol)
+        if report.status != STATUS_OPTIMAL:
+            # reachability said feasible, so this is numerical, not physical
+            raise SolverError(
+                f"planner solve failed on a reachable window: status {report.status}"
+            )
+    p = Trajectory(scn.dt, np.clip(report.x, 0.0, scn.params.p_rated), unit="kW")
     theta = require_member(p, scn, 10.0 * tol, "planned temperature")
-    err = tracking_error(p.values, ref.values, scn.dt, norm)
+    err = tracking_error(p.values, r, scn.dt, norm)
     return PlanResult(norm=norm, p=p, theta=theta, tracking_error=err, report=report)
 
 

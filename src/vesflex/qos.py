@@ -63,7 +63,8 @@ class QoSBounds:
         for name in ("theta_min_t", "theta_max_t"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=float)
+                # a copy, so that freezing it leaves the caller's array writable
+                arr = np.array(arr, dtype=float)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

@@ -264,7 +264,7 @@ def test_criterion_7_battery_energy_vs_oracle():
 def test_criterion_8a_envelope_soundness():
     scn = hot_day_scenario(horizon_h=2.0)
     rng = np.random.default_rng(7)
-    draws = vf.sample_interior_trajectories(scn, 200, rng)
+    draws = vf.sample_interior_trajectories(vf.envelope(scn), 200, rng)
     bad = sum(1 for tr in draws if not vf.is_member(tr, scn).ok)
     ok = bad == 0
     _verdict(

@@ -79,6 +79,27 @@ def test_characterize_bundle(hot_day_2h):
     assert caps.discharge_energy_kwh == pytest.approx(0.56202715934910585, abs=1e-8)
 
 
+def test_characterize_computes_band_and_baseline_once(monkeypatch):
+    import vesflex.battery as battery
+    import vesflex.flexset as flexset
+    from test_reachability import random_scenario
+
+    calls = {"band": 0, "baseline": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(battery, "feasible_band", counted(battery.feasible_band, "band"))
+    monkeypatch.setattr(
+        flexset, "baseline_trajectory", counted(flexset.baseline_trajectory, "baseline")
+    )
+    vf.characterize(random_scenario(3, 50))
+    assert calls == {"band": 1, "baseline": 1}
+
+
 def test_extremal_profiles_are_members_and_attain_capacity(hot_day_2h):
     charge, discharge = vf.extremal_profiles(hot_day_2h)
     base = hot_day_2h.baseline().power

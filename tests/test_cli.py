@@ -151,6 +151,20 @@ def test_envelope_with_verification(tmp_path, short_config):
     assert header == "t_hours,p_lo_kw,p_hi_kw,empty"
 
 
+def test_envelope_verification_computes_envelope_once(tmp_path, monkeypatch):
+    from vesflex import flexset
+
+    calls = []
+    real = flexset.envelope
+    monkeypatch.setattr(flexset, "envelope", lambda scn: calls.append(scn) or real(scn))
+    rc = _run(
+        "envelope", "--config", "paper", "--out-dir", str(tmp_path / "env"),
+        "--verify-samples", "3",
+    )
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_freq_omega_units_agree(tmp_path, short_config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -179,6 +193,18 @@ def test_plan_step_reference(tmp_path, short_config):
     assert rc == 0
     data = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1)
     assert data.shape == (30, 4)
+
+
+@pytest.mark.parametrize("step_at", ["-0.05", "nan"])
+def test_plan_rejects_bad_step_time(tmp_path, short_config, step_at):
+    # a negative time used to index the step from the end of the horizon
+    out = tmp_path / "plan"
+    rc = _run(
+        "plan", "--config", short_config, "--step-kw", "0.2", f"--step-at={step_at}",
+        "--out-dir", str(out),
+    )
+    assert rc == 2
+    assert not (out / "plan.csv").exists()
 
 
 def test_plan_reads_reference_csv(tmp_path, short_config):

@@ -138,7 +138,7 @@ def test_envelope_inverts_exactly_where_no_rated_demand_holds_the_band(seed):
         assert np.all(steady(p)[ok] >= lo_t[ok] - 1e-9)
         assert np.all(steady(p)[ok] <= hi_t[ok] + 1e-9)
     with pytest.raises(vf.InputError):
-        vf.sample_interior_trajectories(scn, 1, rng)
+        vf.sample_interior_trajectories(env, 1, rng)
 
 
 def test_is_member_accepts_baseline_and_edge_hold(hot_day):
@@ -210,13 +210,13 @@ def test_sine_within_envelope_amplitude_is_member(hot_day):
 
 def test_interior_samples_are_members(hot_day_2h):
     rng = np.random.default_rng(42)
-    draws = vf.sample_interior_trajectories(hot_day_2h, 20, rng)
+    draws = vf.sample_interior_trajectories(vf.envelope(hot_day_2h), 20, rng)
     assert len(draws) == 20
     for tr in draws:
         assert vf.is_member(tr, hot_day_2h).ok
 
     rng2 = np.random.default_rng(42)
-    again = vf.sample_interior_trajectories(hot_day_2h, 20, rng2)
+    again = vf.sample_interior_trajectories(vf.envelope(hot_day_2h), 20, rng2)
     assert np.array_equal(draws[0].values, again[0].values)
 
 

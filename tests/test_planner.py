@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ def test_plan_inf_norm_closed_form(hot_day_2h):
     d_max = 1.0 / (hot_day_2h.params.dc_gain * (1.0 - a**n))
     assert res.tracking_error == pytest.approx(c - d_max, rel=1e-7)
     assert res.theta.values[-1] == pytest.approx(23.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("norm", ["one", "inf"])
+def test_week_long_band_plan_runtime(norm):
+    scn = hot_day_scenario(horizon_h=168.0)
+    t = np.arange(scn.n_steps) * scn.dt
+    ref = _ref(scn, scn.baseline().power.values + 0.6 * np.sin(2 * math.pi * t / 5.0))
+    t0 = time.perf_counter()
+    res = vf.plan(scn, ref, norm=norm)
+    assert time.perf_counter() - t0 < 2.0
+    assert scn.n_steps == 10080
+    assert res.tracking_error > 0.0
 
 
 def test_plan_norm_validation(hot_day_2h):

@@ -51,6 +51,16 @@ def test_time_varying_theta_bounds():
     assert v.limit == 24.5
 
 
+def test_per_sample_bounds_are_copied_then_frozen():
+    lo, hi = np.array([23.0, 24.5, 23.0]), np.array([25.0, 25.0, 25.0])
+    band = vf.QoSBounds(23.0, 25.0, theta_min_t=lo, theta_max_t=hi)
+    lo[1] = 23.5
+    assert band.theta_min_t[1] == 24.5
+    assert lo.flags.writeable and hi.flags.writeable
+    assert not band.theta_min_t.flags.writeable
+    assert not band.theta_max_t.flags.writeable
+
+
 def test_channel_tie_order():
     # theta and humidity both break at index 0; theta wins the report
     band = vf.QoSBounds(23.0, 25.0, w_min=0.004, w_max=0.01)

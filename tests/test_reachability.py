@@ -2,7 +2,8 @@
 
 The oracle is the exact dynamics written as equality rows over stacked
 (p, theta_1..theta_N) and solved by solve_lp; it shares no code with the
-kernel beyond the thermal constants.  Scenarios are time-varying: a
+kernel beyond the thermal constants.  Capacities and the one- and inf-norm
+plans, which ride the band, are both checked against it.  Scenarios are time-varying: a
 sinusoidal ambient, varying gains and per-sample comfort bounds.
 """
 
@@ -38,6 +39,32 @@ def dynamics_lp(scn: vf.Scenario, c_p: np.ndarray) -> vf.LinearProgram:
         a_eq=a_eq,
         b_eq=b_eq,
     )
+
+
+def tracking_lp(scn: vf.Scenario, ref: np.ndarray, norm: str) -> vf.SolveReport:
+    """One- or inf-norm tracking as the epigraph LP over (p, theta, e).
+
+    dynamics_lp's rows plus -p_k - e <= -r_k and p_k - e <= r_k, with one
+    e per step (one-norm, cost dt * e_k) or one shared e (inf-norm).
+    """
+    n = scn.n_steps
+    dyn = dynamics_lp(scn, np.zeros(n))
+    n_e = n if norm == "one" else 1
+    c = np.zeros(2 * n + n_e)
+    c[2 * n :] = scn.dt if norm == "one" else 1.0
+    rows = np.arange(2 * n)
+    a_ub = np.zeros((2 * n, 2 * n + n_e))
+    a_ub[rows, rows % n] = np.repeat([-1.0, 1.0], n)
+    a_ub[rows, 2 * n + (rows % n if norm == "one" else 0)] = -1.0
+    return vf.solve_lp(vf.LinearProgram(
+        c=c,
+        lo=np.concatenate([dyn.lo, np.zeros(n_e)]),
+        hi=np.concatenate([dyn.hi, np.full(n_e, np.inf)]),
+        a_ub=a_ub,
+        b_ub=np.concatenate([-ref, ref]),
+        a_eq=np.hstack([dyn.a_eq, np.zeros((n, n_e))]),
+        b_eq=dyn.b_eq,
+    ))
 
 
 def lp_demand(scn: vf.Scenario, c_p: np.ndarray) -> np.ndarray:
@@ -130,6 +157,43 @@ def test_rate_caps_match_per_sample_lp_sweep(seed):
     scn = random_scenario(100 + seed, n)
     assert_rates_match(scn)
     assert_profiles_match(scn)
+
+
+def _hard_reference(scn: vf.Scenario, kind: str, rng: np.random.Generator) -> np.ndarray:
+    n, p_rated = scn.n_steps, scn.params.p_rated
+    if kind == "noise":
+        # a good share of the samples falls outside [0, p_rated]
+        return scn.baseline().power.values + rng.normal(0.0, 0.6 * p_rated, n)
+    if kind == "bang-bang":
+        half = int(rng.integers(3, 15))
+        return np.where(np.arange(n) // half % 2 == 0, -1.0, p_rated + 1.0)
+    return np.linspace(-0.5, p_rated + 0.5, n)[:: int(rng.choice([-1, 1]))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_and_inf_norm_plans_match_epigraph_lp(seed):
+    rng = np.random.default_rng(3000 + seed)
+    scn = random_scenario(300 + seed, int(rng.integers(20, 61)))
+    kind = ("noise", "bang-bang", "ramp")[seed % 3]
+    ref = vf.Trajectory(scn.dt, _hard_reference(scn, kind, rng), unit="kW")
+    for norm in ("one", "inf"):
+        want = tracking_lp(scn, ref.values, norm)
+        assert want.status == "optimal"
+        got = vf.plan(scn, ref, norm=norm)
+        assert got.tracking_error == pytest.approx(want.objective, rel=1e-9)
+        again = vf.plan(scn, ref, norm=norm)
+        assert np.array_equal(again.p.values, got.p.values)
+        rep, rep2 = got.report, again.report
+        assert (rep2.objective, rep2.iterations, rep2.dual_bound) == (
+            rep.objective, rep.iterations, rep.dual_bound
+        )
+        if norm == "one":
+            assert (rep.iterations, rep.dual_bound) == (0, None)
+        else:
+            # the bisection's bracket holds the simplex optimum
+            assert rep.dual_bound <= rep.objective
+            assert rep.dual_bound <= want.objective * (1 + 1e-9)
+            assert rep.objective == pytest.approx(want.objective, rel=1e-9)
 
 
 def _edge_scenarios():

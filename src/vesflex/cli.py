@@ -2,14 +2,16 @@
 
 One subcommand per analysis; all of them read the same sectioned key=value
 config (a flat TOML subset parsed here so the tool runs on any Python this
-package supports), write plain CSV into --out-dir, and print a short
-summary to stdout.  Numeric CSV fields use repr-faithful %.17g so outputs
-are byte-identical across runs and round-trip through float exactly.
+package supports), read and write CSV through thermal.read_csv and
+thermal.write_csv, and print a short summary to stdout.  Numeric CSV fields
+use repr-faithful %.17g so outputs are byte-identical across runs and
+round-trip through float exactly.
 
 Exit codes:
     0  success
     1  the request is infeasible in the model (no plan, fleet too small, ...)
-    2  bad input: unreadable config or CSV, malformed arguments
+    2  bad input: unreadable or malformed config or CSV, unknown config key,
+       malformed arguments, an --out-dir that cannot be created
 """
 
 from __future__ import annotations
@@ -24,9 +26,15 @@ import numpy as np
 from . import battery, deferrable, ensemble, flexset, humidity, planner
 from .errors import InfeasibleError, InputError, VesflexError
 from .qos import QoSBounds, Verdict
-from .thermal import DisturbanceSeries, ThermalParams, Trajectory
+from .thermal import DisturbanceSeries, ThermalParams, Trajectory, read_csv, write_csv
 
-FLOAT_FMT = "%.17g"
+# Every key a scenario config may hold; any other is refused, not ignored.
+CONFIG_KEYS = {
+    "thermal": ("r_C_per_kW", "c_kWh_per_C", "eta_cop", "p_rated_kW"),
+    # w_* and tau_lock_h are read only so that Scenario can refuse them
+    "comfort": ("theta_min_C", "theta_max_C", "w_min", "w_max", "tau_lock_h"),
+    "scenario": ("theta_sp_C", "theta0_C", "theta_a_C", "q_d_kW", "dt_h", "horizon_h"),
+}
 
 
 # ---------------------------------------------------------------- config --
@@ -130,6 +138,13 @@ def bounds_from_config(cfg: dict) -> QoSBounds:
 
 
 def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scenario:
+    unknown = [f"[{sec}]" for sec in cfg if sec not in CONFIG_KEYS] + [
+        f"[{sec}] {key}"
+        for sec, keys in cfg.items() if sec in CONFIG_KEYS
+        for key in keys if key not in CONFIG_KEYS[sec]
+    ]
+    if unknown:
+        raise InputError(f"unknown config entries: {', '.join(unknown)}")
     params = params_from_config(cfg)
     bounds = bounds_from_config(cfg)
     scn_cfg = cfg.get("scenario", {})
@@ -159,50 +174,21 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scen
 # ------------------------------------------------------------------- io --
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FLOAT_FMT % float(v)
-
-
-def write_csv(path: str, header: list[str], columns: list) -> None:
-    rows = len(columns[0])
-    for col in columns:
-        if len(col) != rows:
-            raise InputError("internal: ragged CSV columns")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
-
-
-def _out(args, name: str) -> str:
+def _write(args, name: str, header: list[str], columns: list) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, name)
+    write_csv(path, header, columns)
+    print(f"wrote {path}")
 
 
 def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     """Two columns t_hours,ref_kw on exactly the scenario grid."""
-    try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError:
-        raise InputError(f"cannot read reference CSV {path!r}") from None
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if raw.shape[1] != 2:
-        raise InputError(f"{path}: expected columns t_hours,ref_kw")
-    if raw.shape[0] != n_steps:
-        raise InputError(
-            f"{path}: {raw.shape[0]} rows but the scenario has {n_steps} steps"
-        )
-    t = raw[:, 0]
+    t, ref = read_csv(path, ["t_hours", "ref_kw"]).T
+    if t.size != n_steps:
+        raise InputError(f"{path}: {t.size} rows but the scenario has {n_steps} steps")
     if np.max(np.abs(t - np.arange(n_steps) * dt)) > 1e-9:
         raise InputError(f"{path}: time stamps do not match the scenario grid")
-    return Trajectory(dt, raw[:, 1], unit="kW")
+    return Trajectory(dt, ref, unit="kW")
 
 
 # ----------------------------------------------------------- subcommands --
@@ -217,9 +203,12 @@ def _verdict_line(label: str, v: Verdict) -> str:
     )
 
 
+def _scenario(args) -> flexset.Scenario:
+    return scenario_from_config(load_config(args.config), args.dist)
+
+
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     base = scn.baseline()
     if args.power is not None:
         p = read_reference_csv(args.power, scn.dt, scn.n_steps)
@@ -228,29 +217,24 @@ def cmd_simulate(args) -> int:
     else:
         p = base.power
     theta, verdict = flexset.audit(p, scn, atol=args.atol)
-    path = _out(args, "simulate.csv")
-    write_csv(
-        path,
+    _write(
+        args, "simulate.csv",
         ["t_hours", "p_kw", "theta_C"],
         [p.times(), p.values, theta.values[1:]],
     )
-    print(f"wrote {path}")
     print(f"baseline saturated: {'yes' if base.saturated else 'no'}")
     print(_verdict_line("qos", verdict))
     return 0
 
 
 def cmd_envelope(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     env = flexset.envelope(scn)
-    path = _out(args, "envelope.csv")
-    write_csv(
-        path,
+    _write(
+        args, "envelope.csv",
         ["t_hours", "p_lo_kw", "p_hi_kw", "empty"],
         [env.times(), env.p_lo, env.p_hi, env.empty_mask],
     )
-    print(f"wrote {path}")
     print(f"half width at t=0: {env.half_width[0]:.6g} kW")
     print(f"empty samples: {int(env.empty_mask.sum())}")
     if args.verify_samples > 0:
@@ -264,8 +248,7 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_freq(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     omegas = [float(w) for w in args.omega or []]
     omegas += [2.0 * np.pi * float(f) for f in args.omega_cycles or []]
     if omegas:
@@ -273,9 +256,8 @@ def cmd_freq(args) -> int:
     else:
         omegas = np.concatenate([[0.0], np.logspace(-2, 3, num=51)])
     pts = flexset.conservativeness_curve(scn, omegas)
-    path = _out(args, "freq.csv")
-    write_csv(
-        path,
+    _write(
+        args, "freq.csv",
         ["omega_rad_per_h", "a_max_unclamped_kw", "a_max_kw", "ratio_vs_dc"],
         [
             [p.omega for p in pts],
@@ -284,7 +266,6 @@ def cmd_freq(args) -> int:
             [p.ratio for p in pts],
         ],
     )
-    print(f"wrote {path}")
     print(f"dc gain: {scn.params.dc_gain:.6g} degC/kW")
     for p in pts:
         if p.omega == 0.0:
@@ -295,8 +276,7 @@ def cmd_freq(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     if args.ref is not None:
         ref = read_reference_csv(args.ref, scn.dt, scn.n_steps)
     else:
@@ -313,13 +293,11 @@ def cmd_plan(args) -> int:
     else:
         result = planner.plan(scn, ref, norm=args.norm)
         n_solves = 1
-    path = _out(args, "plan.csv")
-    write_csv(
-        path,
+    _write(
+        args, "plan.csv",
         ["t_hours", "ref_kw", "p_kw", "theta_C"],
         [ref.times(), ref.values, result.p.values, result.theta.values[1:]],
     )
-    print(f"wrote {path}")
     print(f"norm: {args.norm}  solves: {n_solves}")
     print(f"tracking error: {result.tracking_error:.9g}")
     return 0
@@ -356,9 +334,7 @@ def cmd_humidity(args) -> int:
         latent, sensible, (float("nan") if frac_l is None else frac_l),
         err,
     ]
-    path = _out(args, "humidity.csv")
-    write_csv(path, ["name", "value"], [names, vals])
-    print(f"wrote {path}")
+    _write(args, "humidity.csv", ["name", "value"], [names, vals])
     print(f"coil: {coil:.6g} kW  electric: {electric:.6g} kW")
     print(f"latent fraction: {frac_l if frac_l is None else f'{frac_l:.6g}'}")
     print(f"dry-model relative error: {err:.6g}")
@@ -366,8 +342,7 @@ def cmd_humidity(args) -> int:
 
 
 def cmd_deferrable(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     if args.energy is not None:
         energy = args.energy
     else:
@@ -393,13 +368,7 @@ def cmd_deferrable(args) -> int:
             f"{spec.p_max * spec.window_h:.6g} kWh"
         )
     result = deferrable.counterexample_check(spec, scn)
-    path = _out(args, "deferrable.csv")
-    write_csv(
-        path,
-        ["t_hours", "p_kw"],
-        [result.p.times(), result.p.values],
-    )
-    print(f"wrote {path}")
+    _write(args, "deferrable.csv", ["t_hours", "p_kw"], [result.p.times(), result.p.values])
     print(f"contract: {'ok' if result.contract else 'violated'} ({result.contract.reason})")
     print(_verdict_line("comfort", result.comfort))
     print(f"demonstrates contract/comfort gap: {'yes' if result.demonstrates_gap else 'no'}")
@@ -416,11 +385,10 @@ def _ensemble_reference(args) -> np.ndarray:
         raise InputError("give exactly one of --ref, --triangle, --square")
     if args.ref is not None:
         if os.path.exists(args.ref):
-            try:
-                raw = np.loadtxt(args.ref, delimiter=",", skiprows=1, ndmin=2)
-            except ValueError as exc:
-                raise InputError(f"{args.ref}: {exc}") from None
-            return np.asarray(np.rint(raw[:, -1]), dtype=np.int64)
+            slots, units = read_csv(args.ref, ["slot", "units"]).T
+            if not np.array_equal(slots, np.arange(slots.size)):
+                raise InputError(f"{args.ref}: slots must count 0, 1, 2, ...")
+            return units
         try:
             return np.array([int(tok) for tok in args.ref.split(",")], dtype=np.int64)
         except ValueError:
@@ -443,22 +411,18 @@ def cmd_ensemble(args) -> int:
     agg = sched.aggregate_units()
     if not np.array_equal(agg, ref):
         raise InfeasibleError("internal: schedule does not reproduce the reference")
-    path = _out(args, "ensemble.csv")
     cols = [np.arange(sched.n_loads)] + [
         sched.actions[:, t] for t in range(sched.n_slots)
     ]
-    write_csv(path, ["load"] + [f"slot_{t}" for t in range(sched.n_slots)], cols)
-    print(f"wrote {path}")
+    _write(args, "ensemble.csv", ["load"] + [f"slot_{t}" for t in range(sched.n_slots)], cols)
     print(f"loads used: {sched.loads_used} of {sched.n_loads}")
     print("aggregate matches reference: yes")
     return 0
 
 
 def cmd_capacity(args) -> int:
-    cfg = load_config(args.config)
-    scn = scenario_from_config(cfg, args.dist)
+    scn = _scenario(args)
     caps = battery.characterize(scn)
-    path = _out(args, "capacity.csv")
     header = ["p_c_kW", "p_dc_kW", "e_c_kWh", "e_dc_kWh", "horizon_h"]
     vals = [
         caps.charge_rate_kw,
@@ -467,8 +431,7 @@ def cmd_capacity(args) -> int:
         caps.discharge_energy_kwh,
         scn.dist.horizon_h,
     ]
-    write_csv(path, header, [[v] for v in vals])
-    print(f"wrote {path}")
+    _write(args, "capacity.csv", header, [[v] for v in vals])
     for name, val in zip(header, vals):
         print(f"{name}: {val:.9g}")
     return 0
@@ -601,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ref",
         default=None,
-        help="comma-separated integer reference, or a CSV whose last column is it",
+        help="comma-separated integer reference, or a CSV slot,units",
     )
     p.add_argument("--triangle", type=int, default=None, help="staircase triangle peak")
     p.add_argument(
@@ -627,7 +590,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VesflexError as exc:

@@ -36,7 +36,6 @@ from .thermal import (
     equilibrium_power,
     max_sine_amplitude,
     simulate,
-    tf_magnitude,
 )
 
 

@@ -27,9 +27,8 @@ R * eta_cop degC per kW.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +46,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.setflags(write=False)
     return out
+
+
+def read_csv(path: str, header: list[str]) -> np.ndarray:
+    """Rows x columns of finite floats under exactly `header`.
+
+    LF and CRLF line ends are accepted and blank lines are skipped; a wrong
+    header, a row of another width or a non-finite field is an InputError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != ",".join(header):
+        raise InputError(f"{path}: expected header {','.join(header)!r}")
+    rows = []
+    for no, line in lines[1:]:
+        try:
+            row = [float(f) for f in line.split(",")]
+        except ValueError as exc:
+            raise InputError(f"{path}:{no}: {exc}") from None
+        if len(row) != len(header) or not all(map(math.isfinite, row)):
+            raise InputError(f"{path}:{no}: expected {len(header)} finite numbers")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+def write_csv(path: str, header: list[str], columns: list) -> None:
+    """One header line, then one LF-ended row per index of the equal-length columns."""
+    rows = len(columns[0])
+    for col in columns:
+        if len(col) != rows:
+            raise InputError("internal: ragged CSV columns")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(rows):
+            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
 
 
 @dataclass(frozen=True)
@@ -177,21 +220,9 @@ class DisturbanceSeries:
     @classmethod
     def from_csv(cls, path: str) -> "DisturbanceSeries":
         """Read `t_hours,theta_a_C,q_d_kW` rows with a uniform time grid."""
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        if not rows or rows[0] != ["t_hours", "theta_a_C", "q_d_kW"]:
-            raise InputError(
-                f"{path}: expected header 't_hours,theta_a_C,q_d_kW'"
-            )
-        body = rows[1:]
-        if len(body) < 2:
+        t, ta, qd = read_csv(path, ["t_hours", "theta_a_C", "q_d_kW"]).T
+        if t.size < 2:
             raise InputError(f"{path}: need at least 2 samples")
-        try:
-            t = np.array([float(r[0]) for r in body])
-            ta = np.array([float(r[1]) for r in body])
-            qd = np.array([float(r[2]) for r in body])
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}: malformed row ({exc})") from exc
         dt = t[1] - t[0]
         if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > TIME_GRID_TOL_H:
             raise InputError(
@@ -200,11 +231,9 @@ class DisturbanceSeries:
         return cls(float(dt), ta, qd)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t_hours", "theta_a_C", "q_d_kW"])
-            for t, a, q in zip(self.times(), self.theta_a, self.q_d):
-                w.writerow([f"{t:.17g}", f"{a:.17g}", f"{q:.17g}"])
+        write_csv(
+            path, ["t_hours", "theta_a_C", "q_d_kW"], [self.times(), self.theta_a, self.q_d]
+        )
 
 
 def equilibrium_power(

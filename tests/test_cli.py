@@ -345,6 +345,74 @@ def test_unenforceable_comfort_channels_are_usage_errors(tmp_path, command, extr
     assert not out.exists() or not any(out.iterdir())
 
 
+def _put(path, data):
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return path
+
+
+_REF_ROWS = "".join(f"{k / 60!r},1.0\n" for k in range(30))
+_SHORT = SHORT_CONFIG.format(horizon="0.5")
+
+# each builds its inputs in a directory and returns the argv that reads them
+MALFORMED_INPUTS = {
+    "dist-missing": lambda d: ["simulate", "--dist", d / "none.csv"],
+    "config-directory": lambda d: ["capacity", "--config", d],
+    "config-not-utf8": lambda d: [
+        "capacity", "--config", _put(d / "c.toml", b"[thermal]\neta_cop = 3.5 # \xff\n"),
+    ],
+    "ensemble-ref-directory": lambda d: ["ensemble", "--ref", d],
+    "out-dir-is-a-file": lambda d: ["humidity", "--out-dir", _put(d / "taken", "")],
+    "ref-wrong-header": lambda d: [
+        "plan", "--config", _put(d / "s.toml", _SHORT),
+        "--ref", _put(d / "ref.csv", "time,kw\n" + _REF_ROWS),
+    ],
+    "dist-ragged-row": lambda d: [
+        "simulate", "--dist",
+        _put(d / "dist.csv", "t_hours,theta_a_C,q_d_kW\n0,32,1.5\n0.5,32,1.5,9\n1,32,1.5\n"),
+    ],
+    "ensemble-fractional-units": lambda d: [
+        "ensemble", "--ref", _put(d / "ref.csv", "slot,units\n0,0.6\n1,-0.6\n"),
+    ],
+    "ensemble-slots-out-of-order": lambda d: [
+        "ensemble", "--ref", _put(d / "ref.csv", "slot,units\n1,1\n0,-1\n"),
+    ],
+    "config-unknown-key": lambda d: [
+        "simulate", "--config",
+        _put(d / "typo.toml", _SHORT.replace("theta0_C = 24.0", "theta0 = 23.2")),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
+    argv = MALFORMED_INPUTS[case](tmp_path)
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", tmp_path / "out"]
+    before = set(tmp_path.rglob("*"))
+    assert _run(*argv) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_crlf_disturbance_csv_reads_back(tmp_path):
+    # the CRLF form csv.writer gave DisturbanceSeries.to_csv; to_csv now
+    # writes the same fields with LF ends, and blank lines are skipped
+    d = vf.DisturbanceSeries(0.25, 30.0 + 0.1 * np.arange(8), np.linspace(0.5, 1.2, 8))
+    rows = [f"{t:.17g},{a:.17g},{q:.17g}" for t, a, q in zip(d.times(), d.theta_a, d.q_d)]
+    crlf = "\r\n".join(["t_hours,theta_a_C,q_d_kW"] + rows) + "\r\n"
+    for text in (crlf, crlf.replace(rows[3], "\r\n" + rows[3])):
+        back = vf.DisturbanceSeries.from_csv(str(_put(tmp_path / "crlf.csv", text.encode())))
+        assert back.dt == d.dt
+        assert np.array_equal(back.theta_a, d.theta_a) and np.array_equal(back.q_d, d.q_d)
+    d.to_csv(str(tmp_path / "lf.csv"))
+    assert (tmp_path / "lf.csv").read_bytes() == crlf.replace("\r\n", "\n").encode()
+
+
 def test_missing_config_is_usage_error(tmp_path):
     rc = _run("simulate", "--config", str(tmp_path / "nope.toml"),
               "--out-dir", str(tmp_path / "o"))

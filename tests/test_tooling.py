@@ -1,0 +1,34 @@
+"""Source hygiene checks over the package modules."""
+
+import ast
+import pathlib
+
+import vesflex
+
+PACKAGE = pathlib.Path(vesflex.__file__).parent
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports names to re-export them, so it is exempt
+    unread = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []

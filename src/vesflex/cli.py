@@ -249,8 +249,7 @@ def cmd_envelope(args) -> int:
 
 def cmd_freq(args) -> int:
     scn = _scenario(args)
-    omegas = [float(w) for w in args.omega or []]
-    omegas += [2.0 * np.pi * float(f) for f in args.omega_cycles or []]
+    omegas = (args.omega or []) + [2.0 * np.pi * f for f in args.omega_cycles or []]
     if omegas:
         omegas = np.array(sorted(omegas))
     else:
@@ -450,10 +449,18 @@ def _two_ints(text: str) -> tuple[int, int]:
         ) from None
 
 
+def finite(text: str) -> float:
+    """Float option type: NaN or inf is a usage error ("invalid finite value")."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError(text)
+    return val
+
+
 def _three_floats(text: str) -> tuple[float, float, float]:
     try:
         a, b, c = text.split(",")
-        return float(a), float(b), float(c)
+        return finite(a), finite(b), finite(c)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected T,W,FRACTION, got {text!r}") from None
 
@@ -484,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate demand and audit comfort")
     scenario_args(p)
     p.add_argument("--power", default=None, help="demand CSV t_hours,ref_kw")
-    p.add_argument("--power-const", type=float, default=None, help="constant demand, kW")
-    p.add_argument("--atol", type=float, default=1e-9, help="comfort audit tolerance")
+    p.add_argument("--power-const", type=finite, default=None, help="constant demand, kW")
+    p.add_argument("--atol", type=finite, default=1e-9, help="comfort audit tolerance")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("envelope", help="quasi-steady feasible power band")
@@ -501,15 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq", help="envelope conservativeness across frequency")
     scenario_args(p)
     p.add_argument(
-        "--omega",
-        action="append",
-        default=None,
+        "--omega", action="append", type=finite, default=None,
         help="rad/h sample (repeatable; default log sweep)",
     )
     p.add_argument(
-        "--omega-cycles",
-        action="append",
-        default=None,
+        "--omega-cycles", action="append", type=finite, default=None,
         help="cycles/h sample (repeatable), converted to rad/h",
     )
     p.set_defaults(func=cmd_freq)
@@ -517,19 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="track a reference demand inside comfort")
     scenario_args(p)
     p.add_argument("--ref", default=None, help="reference CSV t_hours,ref_kw")
-    p.add_argument("--step-kw", type=float, default=0.2, help="synthetic step height")
-    p.add_argument("--step-at", type=float, default=0.0, help="synthetic step time, h")
+    p.add_argument("--step-kw", type=finite, default=0.2, help="synthetic step height")
+    p.add_argument("--step-at", type=finite, default=0.0, help="synthetic step time, h")
     p.add_argument("--norm", choices=planner.NORMS, default="two")
     p.add_argument("--window", type=int, default=None, help="receding-horizon window, steps")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("humidity", help="moist-air coil demand accounting")
-    p.add_argument("--t-in", type=float, default=humidity.DESIGN_T_RETURN_C)
-    p.add_argument("--w-in", type=float, default=humidity.DESIGN_W_RETURN)
-    p.add_argument("--t-out", type=float, default=humidity.DESIGN_T_SUPPLY_C)
-    p.add_argument("--w-out", type=float, default=humidity.DESIGN_W_SUPPLY)
-    p.add_argument("--m-dot", type=float, default=1.0, help="dry-air flow, kg/s")
-    p.add_argument("--eta-chiller", type=float, default=3.5)
+    p.add_argument("--t-in", type=finite, default=humidity.DESIGN_T_RETURN_C)
+    p.add_argument("--w-in", type=finite, default=humidity.DESIGN_W_RETURN)
+    p.add_argument("--t-out", type=finite, default=humidity.DESIGN_T_SUPPLY_C)
+    p.add_argument("--w-out", type=finite, default=humidity.DESIGN_W_SUPPLY)
+    p.add_argument("--m-dot", type=finite, default=1.0, help="dry-air flow, kg/s")
+    p.add_argument("--eta-chiller", type=finite, default=3.5)
     p.add_argument(
         "--outdoor",
         type=_three_floats,
@@ -541,22 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deferrable", help="deferrable contract vs comfort audit")
     scenario_args(p)
-    p.add_argument("--arrival", type=float, default=0.0, help="contract arrival, h")
-    p.add_argument("--window", type=float, required=True, help="completion window, h")
-    p.add_argument("--energy", type=float, default=None, help="required energy, kWh")
+    p.add_argument("--arrival", type=finite, default=0.0, help="contract arrival, h")
+    p.add_argument("--window", type=finite, required=True, help="completion window, h")
+    p.add_argument("--energy", type=finite, default=None, help="required energy, kWh")
     p.add_argument(
         "--sizing-theta-a",
-        type=float,
+        type=finite,
         default=32.0,
         help="outdoor temperature of the sizing day when --energy is absent",
     )
     p.add_argument(
         "--sizing-q-d",
-        type=float,
+        type=finite,
         default=1.5,
         help="internal gains of the sizing day when --energy is absent",
     )
-    p.add_argument("--p-max", type=float, default=None, help="contract power ceiling, kW")
+    p.add_argument("--p-max", type=finite, default=None, help="contract power ceiling, kW")
     p.add_argument("--kind", choices=deferrable.KINDS, default="battery")
     p.set_defaults(func=cmd_deferrable)
 
@@ -571,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--square", type=_two_ints, default=None, metavar="AMPLITUDE,TAU",
         help="square wave amplitude and half-period in slots",
     )
-    p.add_argument("--unit-kw", type=float, default=1.0, help="pulse height, kW")
-    p.add_argument("--slot-h", type=float, default=1.0, help="slot length, h")
+    p.add_argument("--unit-kw", type=finite, default=1.0, help="pulse height, kW")
+    p.add_argument("--slot-h", type=finite, default=1.0, help="slot length, h")
     p.add_argument("--n-loads", type=int, default=None, help="fleet size (default: minimum)")
     p.set_defaults(func=cmd_ensemble)
 
@@ -584,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has printed
+        return exc.code
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -255,8 +255,10 @@ def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory,
     Demand outside the physical range [0, p_rated] is not a QoS question;
     it raises PowerRangeError instead of returning a verdict.  atol is the
     slack granted to optimizer output on both the power range and the
-    comfort bounds.
+    comfort bounds; a negative or non-finite atol is an InputError.
     """
+    if not 0.0 <= atol < math.inf:
+        raise InputError(f"atol must be finite and >= 0, got {atol}")
     if len(p) != scn.n_steps:
         raise ShapeError(
             f"demand has {len(p)} samples but scenario has {scn.n_steps}"

@@ -4,9 +4,10 @@ Given a reference demand trajectory (for example a grid-services dispatch
 request on top of the baseline), the planner picks the feasible demand
 closest to it.  "Closest" is one of three norms on the residual r - p:
 
-* two : sum of squared residuals, weighted by dt.  Solved as a box QP in p
-        alone; the temperature recursion is eliminated into a triangular
-        input-to-state map, leaving dense inequality rows.
+* two : sum of squared residuals, weighted by dt.  A primal-dual interior
+        point (Mehrotra) on the temperature path: every row touches one or
+        two adjacent samples, so each Newton step is one O(n) tridiagonal
+        sweep, and a Lagrangian bound certifies the duality gap.
 * one : dt-weighted absolute residual sum.  A forward ride through
         flexset.feasible_band: step k applies the rated demand nearest r_k
         and clips the state it lands on into the band at k+1.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
 from .flexset import Scenario, _band, _forward_reach, feasible_band, require_member
-from .solver import STATUS_OPTIMAL, BoxQP, SolveReport, solve_box_qp
+from .solver import STATUS_OPTIMAL, SolveReport
 from .thermal import Trajectory
 
 NORMS = ("two", "one", "inf")
@@ -64,8 +65,8 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (L, free) with theta_{k+1} = free[k] - (L @ p)[k] for
     k = 0..N-1.  L[i, j] = (1-a) R eta_cop a^(i-j) for j <= i, else 0.
-    Only the two-norm QP and acceptance criterion 8b's lattice read it;
-    the one- and inf-norm plans work on the feasible band instead.
+    Oracle only: criterion 8b's lattice and the tests' dense box QP read
+    it; every plan works on the band or the temperature path instead.
     """
     n = scn.n_steps
     a, gain, forcing = scn.dynamics()
@@ -108,21 +109,96 @@ def tracking_error(
     return float(np.abs(res).max(initial=0.0))
 
 
-def _plan_two(scn: Scenario, ref: Trajectory, tol: float) -> SolveReport:
-    n = scn.n_steps
-    lmat, free = input_to_state_map(scn)
+# interior-point stop: primal residual and duality gap relative to the data
+_IPM_EPS, _IPM_MAX_ITER = 1e-13, 100
+
+
+def _riccati(a: float, rho: np.ndarray, w: np.ndarray):
+    """Solver for diag(w) + D^T diag(rho gain^2) D, the tridiagonal Newton matrix.
+
+    A Thomas sweep run backward in scalar Riccati form: each pivot is a sum
+    of positive terms, so none cancels to zero as barrier weights grow.
+    """
+    decay, inv, tail = [], [], 0.0
+    for rk, wk in zip(reversed(rho.tolist()), reversed(w.tolist())):
+        inv.append(1.0 / (rk + wk + tail))
+        decay.append(a * rk * inv[-1])
+        tail = a * decay[-1] * (wk + tail)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        q, acc = [], 0.0
+        for dk, bk in zip([0.0] + decay, reversed(b.tolist())):  # costs-to-go
+            acc = bk + dk * acc
+            q.append(acc)
+        y, acc = [], 0.0
+        for dk, ik, qk in zip(reversed(decay), reversed(inv), reversed(q)):  # states
+            acc = dk * acc + ik * qk
+            y.append(acc)
+        return np.array(y)
+
+    return solve
+
+
+def _plan_two(scn: Scenario, r: np.ndarray) -> SolveReport:
+    """Mehrotra predictor-corrector on x = theta_1..N; objective dt*sum((r-p)^2)."""
+    a, gain, forcing = scn.dynamics()
     lo_t, hi_t = scn.theta_limits()
-    a_ub = np.vstack([lmat, -lmat])
-    b_ub = np.concatenate([free - lo_t[1:], hi_t[1:] - free])
-    qp = BoxQP(
-        h=np.full(n, 2.0),
-        g=-2.0 * ref.values,
-        lo=np.zeros(n),
-        hi=np.full(n, scn.params.p_rated),
-        a_ub=a_ub,
-        b_ub=b_ub,
-    )
-    return solve_box_qp(qp, tol=tol)
+    c = forcing / gain  # p = c + D x, with (D x)_k = (a x_{k-1} - x_k) / gain
+    c[0] += a * scn.theta0 / gain
+
+    def dtmul(y):  # D^T y
+        return (a * np.append(y[1:], 0.0) - y) / gain
+
+    def gmul(x):
+        y = (a * np.append(0.0, x[:-1]) - x) / gain  # D x
+        return np.stack([x, -x, y, -y])
+
+    # G x <= h: theta <= hi, theta >= lo, p <= p_rated, p >= 0
+    h = np.stack([hi_t[1:], -lo_t[1:], scn.params.p_rated - c, c])
+    tol_p = _IPM_EPS * (1.0 + float(np.abs(h).max()))
+    x = 0.5 * (lo_t[1:] + hi_t[1:])
+    s = np.maximum(h - gmul(x), 1.0)
+    z = np.ones_like(s)
+    for it in range(_IPM_MAX_ITER + 1):
+        slack = gmul(x) - h
+        rp = slack + s
+        res = slack[2] + scn.params.p_rated - r  # p - r
+        f = float(res @ res)
+        rd = dtmul(2.0 * res + z[2] - z[3]) + z[0] - z[1]
+        # Lagrangian bound: the least f + z.(G x' - h) over all x' is its value
+        # at x less |D^-T rd|^2 / 4; dropping rows x overshoots keeps it <= f
+        acc = wsq = 0.0
+        for rj in reversed(rd.tolist()):
+            acc = a * acc - gain * rj
+            wsq += acc * acc
+        dual = f + float(np.sum(z * np.minimum(slack, 0.0))) - 0.25 * wsq
+        # the residual rp leaves z.(G x - h), so the gap, open by up to z.|rp|
+        slop = _IPM_EPS * (1.0 + f) + float(np.sum(z * np.abs(rp)))
+        if np.abs(rp).max() <= tol_p and f - dual <= slop:
+            break
+        if it == _IPM_MAX_ITER:
+            raise SolverError(f"two-norm plan: no convergence in {it} iterations")
+        w = z / s
+        solve = _riccati(a, (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1])
+
+        def newton(rc):  # the step, and how far s and z stay non-negative along it
+            v = w * rp - rc / s
+            dx = solve(v[1] - v[0] - dtmul(v[2] - v[3]) - rd)
+            ds = -rp - gmul(dx)
+            dz = -(rc + z * ds) / s
+            sz, dsz = np.stack([s, z]), np.stack([ds, dz])
+            return dx, ds, dz, float(np.min(-sz[dsz < 0] / dsz[dsz < 0], initial=np.inf))
+
+        gap = float(np.sum(s * z))
+        dx, ds, dz, reach = newton(s * z)
+        step = min(1.0, reach)
+        sigma = (float(np.sum((s + step * ds) * (z + step * dz))) / gap) ** 3
+        dx, ds, dz, reach = newton(s * z + ds * dz - sigma * gap / s.size)
+        step = min(1.0, 0.99 * reach)
+        x, s, z = x + step * dx, s + step * ds, z + step * dz
+    p = scn.step_demand(np.append(scn.theta0, x[:-1]), x)
+    return SolveReport(STATUS_OPTIMAL, f * scn.dt, p, it, dual_bound=dual * scn.dt,
+                       max_residual=float(np.max(slack, initial=0.0)))
 
 
 def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -181,12 +257,7 @@ def plan(
     elif norm == "inf":
         report = _plan_inf(scn, r, target)
     else:
-        report = _plan_two(scn, ref, tol)
-        if report.status != STATUS_OPTIMAL:
-            # reachability said feasible, so this is numerical, not physical
-            raise SolverError(
-                f"planner solve failed on a reachable window: status {report.status}"
-            )
+        report = _plan_two(scn, r)
     p = Trajectory(scn.dt, np.clip(report.x, 0.0, scn.params.p_rated), unit="kW")
     theta = require_member(p, scn, 10.0 * tol, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)

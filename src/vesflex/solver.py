@@ -1,11 +1,11 @@
-"""Deterministic dense LP and box-QP solvers.
+"""Deterministic dense LP and box-QP solvers, kept as oracles.
 
-The two-norm planner reduces to a small, well-scaled box QP (hundreds to a
-couple thousand variables).  Capacity and the one- and inf-norm planners
-need no solver: they read the O(n) feasible band, and solve_lp remains
-their test oracle.  Rather than pull in an external optimizer, this module
-implements two classic algorithms whose every tie-break is fixed, so
-repeated solves of the same problem return bit-identical reports:
+No analysis calls them.  Capacity and the one- and inf-norm planners read
+the O(n) feasible band, and the two-norm planner runs an O(n) interior
+point on the temperature path; solve_lp and solve_box_qp are the dense
+references the tests check those against.  This module implements two
+classic algorithms whose every tie-break is fixed, so repeated solves of
+the same problem return bit-identical reports:
 
 * solve_lp: a bounded-variable primal simplex on dense arrays.  Two phases
   with artificial variables; Dantzig pricing (most negative reduced cost,

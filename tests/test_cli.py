@@ -399,6 +399,23 @@ def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
     assert set(tmp_path.rglob("*")) == before
 
 
+NON_FINITE_OPTIONS = {
+    "simulate-atol-nan": ["simulate", "--power-const", "9", "--atol", "nan"],
+    "deferrable-window-nan": ["deferrable", "--window", "nan"],
+    "humidity-m-dot-nan": ["humidity", "--m-dot", "nan"],
+    "plan-step-kw-inf": ["plan", "--step-kw", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_OPTIONS)
+def test_non_finite_float_option_is_usage_error(tmp_path, case, capsys):
+    out = tmp_path / "out"
+    assert _run(*NON_FINITE_OPTIONS[case], "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert "invalid finite value" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_crlf_disturbance_csv_reads_back(tmp_path):
     # the CRLF form csv.writer gave DisturbanceSeries.to_csv; to_csv now
     # writes the same fields with LF ends, and blank lines are skipped

@@ -169,6 +169,15 @@ def test_is_member_power_range(hot_day):
         )
 
 
+@pytest.mark.parametrize("atol", [math.nan, math.inf, -1e-9])
+def test_audit_refuses_a_tolerance_that_cannot_judge(hot_day, atol):
+    # every comparison against a NaN slack is false, so a NaN atol used to
+    # pass 9 kW on a 2.27 kW unit
+    p = vf.Trajectory(hot_day.dt, np.full(hot_day.n_steps, 9.0), unit="kW")
+    with pytest.raises(vf.InputError, match="atol"):
+        vf.flexset.audit(p, hot_day, atol=atol)
+
+
 def test_envelope_width_tracks_band(params):
     wide = vf.QoSBounds(theta_min=22.0, theta_max=26.0)
     dist = vf.DisturbanceSeries.constant(DT, 60, 32.0, 1.5)

@@ -89,7 +89,7 @@ def test_plan_inf_norm_closed_form(hot_day_2h):
     assert res.theta.values[-1] == pytest.approx(23.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("norm", ["one", "inf"])
+@pytest.mark.parametrize("norm", ["one", "inf", "two"])
 def test_week_long_band_plan_runtime(norm):
     scn = hot_day_scenario(horizon_h=168.0)
     t = np.arange(scn.n_steps) * scn.dt

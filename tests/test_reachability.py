@@ -3,8 +3,10 @@
 The oracle is the exact dynamics written as equality rows over stacked
 (p, theta_1..theta_N) and solved by solve_lp; it shares no code with the
 kernel beyond the thermal constants.  Capacities and the one- and inf-norm
-plans, which ride the band, are both checked against it.  Scenarios are time-varying: a
-sinusoidal ambient, varying gains and per-sample comfort bounds.
+plans, which ride the band, are both checked against it; the two-norm
+interior point, on the temperature path, is checked against the dense box
+QP over p.  Scenarios are time-varying: a sinusoidal ambient, varying gains
+and per-sample comfort bounds.
 """
 
 import numpy as np
@@ -196,6 +198,48 @@ def test_one_and_inf_norm_plans_match_epigraph_lp(seed):
             assert rep.objective == pytest.approx(want.objective, rel=1e-9)
 
 
+def box_qp_objective(scn: vf.Scenario, ref: np.ndarray) -> float:
+    """dt * |r - p|^2 at the dense box QP's optimum over p alone."""
+    from vesflex.planner import input_to_state_map
+
+    n = scn.n_steps
+    lmat, free = input_to_state_map(scn)
+    lo_t, hi_t = scn.theta_limits()
+    report = vf.solve_box_qp(vf.BoxQP(
+        h=np.full(n, 2.0),
+        g=-2.0 * ref,
+        lo=np.zeros(n),
+        hi=np.full(n, scn.params.p_rated),
+        a_ub=np.vstack([lmat, -lmat]),
+        b_ub=np.concatenate([free - lo_t[1:], hi_t[1:] - free]),
+    ), tol=1e-9)
+    assert report.status == "optimal"
+    res = ref - report.x
+    return float(res @ res) * scn.dt
+
+
+def assert_two_norm_matches_box_qp(scn: vf.Scenario, ref: np.ndarray) -> None:
+    traj = vf.Trajectory(scn.dt, ref, unit="kW")
+    got = vf.plan(scn, traj, norm="two")
+    rep = got.report
+    assert rep.objective == pytest.approx(box_qp_objective(scn, ref), rel=1e-7, abs=1e-12)
+    assert rep.dual_bound <= rep.objective
+    assert got.tracking_error**2 == pytest.approx(rep.objective, rel=1e-9, abs=1e-12)
+    again = vf.plan(scn, traj, norm="two")
+    assert np.array_equal(again.p.values, got.p.values)
+    assert (again.report.objective, again.report.iterations, again.report.dual_bound) == (
+        rep.objective, rep.iterations, rep.dual_bound
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_norm_interior_point_matches_box_qp(seed):
+    rng = np.random.default_rng(4000 + seed)
+    scn = random_scenario(400 + seed, int(rng.integers(20, 61)))
+    kind = ("noise", "bang-bang", "ramp")[seed % 3]
+    assert_two_norm_matches_box_qp(scn, _hard_reference(scn, kind, rng))
+
+
 def _edge_scenarios():
     par = make_params()
     one = vf.Scenario(
@@ -230,6 +274,39 @@ def test_edge_cases_match_dense_lp(name):
     scn = _edge_scenarios()[name]
     assert_rates_match(scn)
     assert_profiles_match(scn)
+
+
+def _pinched_to_one_float() -> vf.Scenario:
+    # QoSBounds refuses theta_min_t == theta_max_t; adjacent doubles are
+    # the narrowest window it admits
+    n = 30
+    lo_t, hi_t = np.full(n + 1, 23.0), np.full(n + 1, 25.0)
+    lo_t[12], hi_t[12] = 23.8, np.nextafter(23.8, 25.0)
+    return vf.Scenario(
+        params=make_params(),
+        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5), theta_sp=24.0, theta0=24.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["n=1", "theta0 on bound", "1e-6 gap", "a=0", "one float", "1-s steps"]
+)
+@pytest.mark.parametrize("ref", ["baseline + 0.5", "above p_rated"])
+def test_two_norm_interior_point_edge_cases(name, ref):
+    if name == "one float":
+        scn = _pinched_to_one_float()
+    elif name == "1-s steps":
+        # gain 7.5e-4: each demand is a difference of temperatures divided
+        # by it, so a row's slack is known only to about 1e-12 kW
+        scn = hot_day_scenario(horizon_h=60 / 3600, dt=1 / 3600)
+    else:
+        scn = _edge_scenarios()[name]
+    if ref == "above p_rated":
+        values = np.full(scn.n_steps, scn.params.p_rated + 1.0)
+    else:
+        values = scn.baseline().power.values + 0.5
+    assert_two_norm_matches_box_qp(scn, values)
 
 
 def test_saturated_baseline_rides_rated_power():

@@ -32,3 +32,15 @@ def test_every_imported_name_is_read():
         for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unread == []
+
+
+def test_planner_imports_no_solve_function_from_solver():
+    # the dense LP and box QP are oracles; every plan runs on O(n) kernels
+    tree = ast.parse((PACKAGE / "planner.py").read_text(encoding="utf-8"))
+    taken = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "solver"
+        for a in node.names
+    }
+    assert taken <= {"SolveReport", "STATUS_OPTIMAL"}

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-One subcommand per analysis; all of them read the same sectioned key=value
-config (a flat TOML subset parsed here so the tool runs on any Python this
-package supports), read and write CSV through thermal.read_csv and
-thermal.write_csv, and print a short summary to stdout.  Numeric CSV fields
-use repr-faithful %.17g so outputs are byte-identical across runs and
-round-trip through float exactly.
+One subcommand per analysis; all of them read the same sectioned TOML
+config (parsed by the standard library's tomllib and checked against
+CONFIG_KEYS, so every value is a number), read and write CSV through
+thermal.read_csv and thermal.write_csv, and print a short summary to
+stdout.  Numeric CSV fields use repr-faithful %.17g so outputs are
+byte-identical across runs and round-trip through float exactly.
 
 Exit codes:
     0  success
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
+import tomllib
 from importlib import resources
 
 import numpy as np
@@ -28,116 +30,48 @@ from .errors import InfeasibleError, InputError, VesflexError
 from .qos import QoSBounds, Verdict
 from .thermal import DisturbanceSeries, ThermalParams, Trajectory, read_csv, write_csv
 
-# Every key a scenario config may hold; any other is refused, not ignored.
+# The config schema: every key a config may hold, by section, and the field
+# it fills in ThermalParams ([thermal]), QoSBounds ([comfort]) or the Scenario
+# and its constant disturbance grid ([scenario]).  Other keys are refused, not
+# ignored; keys carry their units, as unit bugs dominate this domain.
 CONFIG_KEYS = {
-    "thermal": ("r_C_per_kW", "c_kWh_per_C", "eta_cop", "p_rated_kW"),
+    "thermal": {
+        "r_C_per_kW": "r_thermal", "c_kWh_per_C": "c_thermal",
+        "eta_cop": "eta_cop", "p_rated_kW": "p_rated",
+    },
     # w_* and tau_lock_h are read only so that Scenario can refuse them
-    "comfort": ("theta_min_C", "theta_max_C", "w_min", "w_max", "tau_lock_h"),
-    "scenario": ("theta_sp_C", "theta0_C", "theta_a_C", "q_d_kW", "dt_h", "horizon_h"),
+    "comfort": {
+        "theta_min_C": "theta_min", "theta_max_C": "theta_max",
+        "w_min": "w_min", "w_max": "w_max", "tau_lock_h": "tau_lock",
+    },
+    "scenario": {
+        "theta_sp_C": "theta_sp", "theta0_C": "theta0",
+        "dt_h": "dt", "horizon_h": "horizon", "theta_a_C": "theta_a", "q_d_kW": "q_d",
+    },
 }
 
 
 # ---------------------------------------------------------------- config --
 
 
-def _parse_value(val: str, origin: str, lineno: int):
-    if val.startswith('"'):
-        end = val.find('"', 1)
-        if end < 0:
-            raise InputError(f"{origin}:{lineno}: unterminated string")
-        rest = val[end + 1 :].strip()
-        if rest and not rest.startswith("#"):
-            raise InputError(f"{origin}:{lineno}: trailing junk after string")
-        return val[1:end]
-    val = val.split("#", 1)[0].strip()
-    if val in ("true", "false"):
-        return val == "true"
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        raise InputError(f"{origin}:{lineno}: cannot parse value {val!r}") from None
-
-
-def parse_config_text(text: str, origin: str) -> dict:
-    """Sections of key = value pairs; comments with #, quoted strings."""
-    data: dict[str, dict] = {}
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section:
-                raise InputError(f"{origin}:{lineno}: empty section name")
-            data.setdefault(section, {})
-            continue
-        if "=" not in line:
-            raise InputError(f"{origin}:{lineno}: expected key = value")
-        if section is None:
-            raise InputError(f"{origin}:{lineno}: key outside any [section]")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise InputError(f"{origin}:{lineno}: empty key")
-        data[section][key] = _parse_value(val.strip(), origin, lineno)
-    return data
-
-
 def load_config(name_or_path: str) -> dict:
-    """A config is either a file path or the name of a bundled preset."""
-    if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), name_or_path)
+    """A config is either a TOML file path or the name of a bundled preset."""
     preset = resources.files(__package__) / "presets" / f"{name_or_path}.toml"
-    if preset.is_file():
-        return parse_config_text(
-            preset.read_text(encoding="utf-8"), f"preset:{name_or_path}"
-        )
-    raise InputError(
-        f"config {name_or_path!r} is neither a file nor a bundled preset"
-    )
-
-
-def _req(cfg: dict, section: str, key: str):
+    if os.path.exists(name_or_path):
+        origin, source = name_or_path, pathlib.Path(name_or_path)
+    elif preset.is_file():
+        origin, source = f"preset:{name_or_path}", preset
+    else:
+        raise InputError(f"config {name_or_path!r} is neither a file nor a bundled preset")
     try:
-        return cfg[section][key]
-    except KeyError:
-        raise InputError(f"config is missing [{section}] {key}") from None
-
-
-def params_from_config(cfg: dict) -> ThermalParams:
-    # config keys carry their units; unit bugs dominate this domain
-    return ThermalParams(
-        r_thermal=float(_req(cfg, "thermal", "r_C_per_kW")),
-        c_thermal=float(_req(cfg, "thermal", "c_kWh_per_C")),
-        eta_cop=float(_req(cfg, "thermal", "eta_cop")),
-        p_rated=float(_req(cfg, "thermal", "p_rated_kW")),
-    )
-
-
-def bounds_from_config(cfg: dict) -> QoSBounds:
-    com = cfg.get("comfort", {})
-    kwargs = {}
-    for cfg_key, field in (
-        ("w_min", "w_min"),
-        ("w_max", "w_max"),
-        ("tau_lock_h", "tau_lock"),
-    ):
-        if cfg_key in com:
-            kwargs[field] = float(com[cfg_key])
-    return QoSBounds(
-        theta_min=float(_req(cfg, "comfort", "theta_min_C")),
-        theta_max=float(_req(cfg, "comfort", "theta_max_C")),
-        **kwargs,
-    )
+        return tomllib.loads(source.read_text(encoding="utf-8"))
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{origin}: {exc}") from None
 
 
 def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scenario:
+    if loose := [key for key, table in cfg.items() if not isinstance(table, dict)]:
+        raise InputError(f"config keys outside any [section]: {', '.join(loose)}")
     unknown = [f"[{sec}]" for sec in cfg if sec not in CONFIG_KEYS] + [
         f"[{sec}] {key}"
         for sec, keys in cfg.items() if sec in CONFIG_KEYS
@@ -145,26 +79,37 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scen
     ]
     if unknown:
         raise InputError(f"unknown config entries: {', '.join(unknown)}")
-    params = params_from_config(cfg)
-    bounds = bounds_from_config(cfg)
-    scn_cfg = cfg.get("scenario", {})
-    theta_sp = float(_req(cfg, "scenario", "theta_sp_C"))
-    theta0 = float(scn_cfg.get("theta0_C", theta_sp))
+    # may be left out: the refused channels, theta0_C (= theta_sp_C), the grid under --dist
+    optional = {"w_min", "w_max", "tau_lock_h", "theta0_C"}
+    if dist_csv is not None:
+        optional |= {"dt_h", "horizon_h", "theta_a_C", "q_d_kW"}
+    fields = {sec: {} for sec in CONFIG_KEYS}
+    for sec, keys in CONFIG_KEYS.items():
+        for key, field in keys.items():
+            if key in cfg.get(sec, {}):
+                val = cfg[sec][key]
+                # by type: TOML's true is an int to isinstance; nan and inf fail the bound
+                if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
+                    raise InputError(f"config [{sec}] {key} is not a finite number: {val!r}")
+                fields[sec][field] = float(val)
+            elif key not in optional:
+                raise InputError(f"config is missing [{sec}] {key}")
+    params = ThermalParams(**fields["thermal"])
+    bounds = QoSBounds(**fields["comfort"])
+    scn_cfg = fields["scenario"]
+    theta_sp = scn_cfg["theta_sp"]
+    theta0 = scn_cfg.get("theta0", theta_sp)
     if dist_csv is not None:
         dist = DisturbanceSeries.from_csv(dist_csv)
     else:
-        dt = float(_req(cfg, "scenario", "dt_h"))
-        horizon = float(_req(cfg, "scenario", "horizon_h"))
+        dt, horizon = scn_cfg["dt"], scn_cfg["horizon"]
         if dt <= 0 or horizon <= 0:
             raise InputError("dt_h and horizon_h must be positive")
         n = int(round(horizon / dt))
         if n < 1 or abs(n * dt - horizon) > 1e-9:
             raise InputError("horizon_h must be a positive multiple of dt_h")
         dist = DisturbanceSeries.constant(
-            dt,
-            n,
-            theta_a=float(_req(cfg, "scenario", "theta_a_C")),
-            q_d=float(_req(cfg, "scenario", "q_d_kW")),
+            dt, n, theta_a=scn_cfg["theta_a"], q_d=scn_cfg["q_d"]
         )
     return flexset.Scenario(
         params=params, bounds=bounds, dist=dist, theta_sp=theta_sp, theta0=theta0
@@ -457,6 +402,14 @@ def finite(text: str) -> float:
     return val
 
 
+def count(text: str) -> int:
+    """Integer option type: a negative value is a usage error ("invalid count value")."""
+    val = int(text)
+    if val < 0:
+        raise ValueError(text)
+    return val
+
+
 def _three_floats(text: str) -> tuple[float, float, float]:
     try:
         a, b, c = text.split(",")
@@ -473,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--out-dir", default=".", help="directory for CSV outputs (default: .)"
     )
-    top.add_argument("--seed", type=int, default=0, help="RNG seed where sampling is used")
+    top.add_argument("--seed", type=count, default=0, help="RNG seed where sampling is used")
     sub = top.add_subparsers(dest="command", required=True)
 
     def scenario_args(p):
@@ -498,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="quasi-steady feasible power band")
     scenario_args(p)
     p.add_argument(
-        "--verify-samples",
-        type=int,
-        default=0,
+        "--verify-samples", type=count, default=0,
         help="draw N random interior trajectories and audit each",
     )
     p.set_defaults(func=cmd_envelope)
@@ -576,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--unit-kw", type=finite, default=1.0, help="pulse height, kW")
     p.add_argument("--slot-h", type=finite, default=1.0, help="slot length, h")
-    p.add_argument("--n-loads", type=int, default=None, help="fleet size (default: minimum)")
+    p.add_argument("--n-loads", type=count, default=None, help="fleet size (default: minimum)")
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("capacity", help="virtual-battery rate and energy capacities")

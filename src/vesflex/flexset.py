@@ -161,10 +161,8 @@ def feasible_window(scn: Scenario) -> tuple[bool, int]:
     return bad < 0, bad
 
 
-def _band(
-    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]].
+def _reach(scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray) -> tuple[list, list]:
+    """_forward_reach that raises InfeasibleError where the interval empties.
 
     The error names the rated range: other boxes come from the planner,
     which passes only boxes its forward pass has already found feasible.
@@ -176,6 +174,14 @@ def _band(
             f"(t = {bad * scn.dt:.6g} h) under any demand in "
             f"[0, {scn.params.p_rated}] kW"
         )
+    return lo, hi
+
+
+def _band(
+    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]]."""
+    lo, hi = _reach(scn, p_lo, p_hi)
     a, gain, forcing = scn.dynamics()
     f = forcing.tolist()
     rise_lo, rise_hi = (gain * p_lo).tolist(), (gain * p_hi).tolist()

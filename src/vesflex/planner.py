@@ -26,9 +26,9 @@ On e*'s band the ride is the inf-norm argmin chosen: among the plans with
 worst residual e*, the one closest to the reference in the one-norm.
 
 An infeasible planning window is a hard error, not a best-effort answer:
-the caller must know the comfort contract cannot be met.  Every norm
-computes feasible_band first, which decides that exactly and cheaply, as
-a scalar monotone system admits.
+the caller must know the comfort contract cannot be met.  Every norm first
+runs the forward pass of feasible_band, exact and cheap for a scalar monotone
+system; only the one-norm ride, which reads the band, runs the backward pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
-from .flexset import Scenario, _band, _forward_reach, feasible_band, require_member
+from .flexset import Scenario, _band, _forward_reach, _rated_box, _reach, require_member
 from .solver import STATUS_OPTIMAL, SolveReport
 from .thermal import Trajectory
 
@@ -247,17 +247,15 @@ def plan(
     """
     _check_norm(norm)
     _check_ref(scn, ref)
-    lo, hi = feasible_band(scn)
     r = ref.values
     # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
     target = np.clip(r, 0.0, scn.params.p_rated)
     if norm == "one":
-        p = _ride(scn, target, lo, hi)
+        p = _ride(scn, target, *_band(scn, *_rated_box(scn)))
         report = SolveReport(STATUS_OPTIMAL, tracking_error(p, r, scn.dt, "one"), p, 0)
-    elif norm == "inf":
-        report = _plan_inf(scn, r, target)
     else:
-        report = _plan_two(scn, r)
+        _reach(scn, *_rated_box(scn))
+        report = _plan_inf(scn, r, target) if norm == "inf" else _plan_two(scn, r)
     p = Trajectory(scn.dt, np.clip(report.x, 0.0, scn.params.p_rated), unit="kW")
     theta = require_member(p, scn, 10.0 * tol, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)

@@ -52,22 +52,20 @@ def _run(*argv):
     return cli.main(pre + rest)
 
 
-def test_parse_config_text_types():
-    cfg = cli.parse_config_text(
-        '[a]\nx = 1\ny = 2.5  # trailing comment\nz = "hello"\nflag = true\n\n[b]\nw = false\n',
-        origin="inline",
-    )
-    assert cfg == {
-        "a": {"x": 1, "y": 2.5, "z": "hello", "flag": True},
-        "b": {"w": False},
-    }
+def test_parse_config_text_types(tmp_path):
+    # tomllib reads the file; scenario_from_config then refuses non-numbers
+    text = "[a]\nx = 1\ny = 2.5  # trailing comment\n\n[b]\nw = -3\n"
+    path = _put(tmp_path / "types.toml", text)
+    cfg = cli.load_config(str(path))
+    assert cfg == {"a": {"x": 1, "y": 2.5}, "b": {"w": -3}}
+    assert [type(cfg["a"]["x"]), type(cfg["a"]["y"])] == [int, float]
 
 
-def test_parse_config_text_rejects_garbage():
-    with pytest.raises(vf.InputError):
-        cli.parse_config_text("x 1\n", origin="inline")
-    with pytest.raises(vf.InputError):
-        cli.parse_config_text("[a\nx = 1\n", origin="inline")
+def test_parse_config_text_rejects_garbage(tmp_path):
+    for text in ("x 1\n", "[a\nx = 1\n", b"[a]\nx = 1 # \xff\n"):
+        path = _put(tmp_path / "garbage.toml", text)
+        with pytest.raises(vf.InputError, match="garbage.toml"):
+            cli.load_config(str(path))
 
 
 def test_load_config_bundled_preset():
@@ -383,6 +381,25 @@ MALFORMED_INPUTS = {
         "simulate", "--config",
         _put(d / "typo.toml", _SHORT.replace("theta0_C = 24.0", "theta0 = 23.2")),
     ],
+    "config-bool-value": lambda d: [
+        "capacity", "--config",
+        _put(d / "b.toml", _SHORT.replace("eta_cop = 3.5", "eta_cop = true")),
+    ],
+    "config-string-value": lambda d: [
+        "capacity", "--config",
+        _put(d / "s.toml", _SHORT.replace("theta_min_C = 23.0", 'theta_min_C = "23"')),
+    ],
+    "config-duplicate-key": lambda d: [
+        "capacity", "--config", _put(d / "d.toml", _SHORT + "q_d_kW = 0.5\n"),
+    ],
+    "config-nan-step": lambda d: [
+        "capacity", "--config",
+        _put(d / "n.toml", _SHORT.replace("dt_h = 0.016666666666666666", "dt_h = nan")),
+    ],
+    "config-key-outside-section": lambda d: [
+        "capacity", "--config",
+        _put(d / "o.toml", "thermal = 1\n" + _SHORT[_SHORT.index("[comfort]"):]),
+    ],
 }
 
 
@@ -413,6 +430,23 @@ def test_non_finite_float_option_is_usage_error(tmp_path, case, capsys):
     assert _run(*NON_FINITE_OPTIONS[case], "--out-dir", out) == 2
     err = capsys.readouterr().err
     assert "invalid finite value" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+NEGATIVE_COUNT_OPTIONS = {
+    "seed": ["--seed", "-1", "envelope", "--verify-samples", "2"],
+    "verify-samples": ["envelope", "--verify-samples", "-1"],
+    "n-loads": ["ensemble", "--triangle", "3", "--n-loads", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_COUNT_OPTIONS)
+def test_negative_count_option_is_usage_error(tmp_path, case, capsys):
+    out = tmp_path / "out"
+    assert _run(*NEGATIVE_COUNT_OPTIONS[case], "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid count value: '-1'" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -116,6 +116,40 @@ def test_plan_infeasible_window_raises():
         vf.plan(cooked, ref)
 
 
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_every_norm_refuses_an_infeasible_window_alike(norm):
+    cooked = hot_day_scenario(horizon_h=1.0, theta_a=50.0, p_rated=1.0)
+    with pytest.raises(vf.InfeasibleError) as band_err:
+        vf.feasible_band(cooked)
+    with pytest.raises(vf.InfeasibleError) as plan_err:
+        vf.plan(cooked, _ref(cooked, np.full(cooked.n_steps, 0.5)), norm=norm)
+    assert str(plan_err.value) == str(band_err.value)
+
+
+def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
+    # the forward pass alone decides feasibility; only the one-norm ride
+    # reads the band, so only it pays for the backward pass
+    from vesflex import flexset, planner
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(planner, "_band", counted(planner._band))
+    monkeypatch.setattr(flexset, "_band", counted(flexset._band))
+    scn = hot_day_scenario(horizon_h=0.5)
+    ref = _ref(scn, scn.baseline().power.values + 0.2)
+    vf.plan(scn, ref, norm="two")
+    assert vf.receding_horizon(scn, ref, 10, norm="two").n_solves == scn.n_steps
+    assert calls == []
+    vf.plan(scn, ref, norm="one")
+    assert calls == ["_band"]
+
+
 def test_plan_small_instance_beats_lattice():
     # five steps, 0.01 kW lattice over [0, 0.1] kW: exhaustive search cannot
     # find a better feasible two-norm objective than the solver's

@@ -25,6 +25,27 @@ So for any feasible plan (u, q), input gain g and every k, by induction,
 On e*'s band the ride is the inf-norm argmin chosen: among the plans with
 worst residual e*, the one closest to the reference in the one-norm.
 
+A rolling two-norm plan skips a window's solve when the last window's
+plan is provably still optimal there.  The candidate is that plan's
+unexecuted tail, then clip(r_j, 0, p_rated) at each sample j the window
+appends; it is kept when snapping theta_t into sample t's band moved
+nothing and every appended sample lands strictly inside its band.  The
+objective is strictly convex in p, so a point meeting the KKT conditions
+is the unique optimum, and the candidate meets them:
+
+* the shifted tail starts from the state the last plan reached, so it
+  keeps that plan's stationarity and multipliers;
+* at an appended sample the residual gradient 2(p - r) is cancelled by
+  the p-bound multiplier 2|r - clip r| >= 0, and the state multiplier there
+  is 0 because the state is strictly inside the band, so nothing flows back
+  into the tail's costate;
+* a window that shrinks at the horizon end appends nothing: its candidate
+  is the tail alone, optimal by Bellman's principle.
+
+The check costs one re-simulation of the window with thermal.simulate,
+the one the audits use.  One- and inf-norm windows are planned afresh:
+their argmin is not unique, so a kept plan could differ from a fresh one.
+
 An infeasible planning window is a hard error, not a best-effort answer:
 the caller must know the comfort contract cannot be met.  Every norm first
 runs the forward pass of feasible_band, exact and cheap for a scalar monotone
@@ -41,7 +62,7 @@ import numpy as np
 from .errors import InputError, ShapeError, SolverError
 from .flexset import Scenario, _band, _forward_reach, _rated_box, _reach, require_member
 from .solver import STATUS_OPTIMAL, SolveReport
-from .thermal import Trajectory
+from .thermal import Trajectory, simulate
 
 NORMS = ("two", "one", "inf")
 
@@ -267,8 +288,9 @@ class RollingResult:
     """Closed-loop result of receding-horizon planning.
 
     Unlike PlanResult there is no single solver report; n_solves windows
-    were solved and the executed first samples were stitched together, with
-    the temperature re-simulated on the full horizon.
+    were planned and the executed first samples were stitched together, with
+    the temperature re-simulated on the full horizon.  n_solves counts every
+    window, including those that kept the previous window's plan unsolved.
     """
 
     norm: str
@@ -287,14 +309,19 @@ def receding_horizon(
     tol: float = 1e-7,
     apply_steps: int = 1,
 ) -> RollingResult:
-    """Re-plan over a sliding window, executing apply_steps samples per solve.
+    """Re-plan over a sliding window, executing apply_steps samples per window.
 
     Each window is scn.window(t, w, theta_t) at the current temperature,
     so model and plan cannot drift apart.  The window shrinks near the end
     of the horizon rather than padding the disturbance record.  With
     apply_steps == window_steps == scn.n_steps this is exactly one plan.
-    The stitched temperature is re-simulated on the full horizon and
-    audited like a plan's.
+    In the two-norm a window keeps the previous plan, shifted by the
+    executed samples and extended by clip(r, 0, p_rated), when the KKT
+    check in the module docstring shows it is still the window's unique
+    optimum: theta_t needed no snap and every appended sample lands
+    strictly inside its band.  Every other window calls plan.  The stitched
+    temperature is re-simulated on the full horizon and audited like a
+    plan's.
     """
     _check_ref(scn, ref)
     if window_steps < 1:
@@ -304,7 +331,7 @@ def receding_horizon(
     n = scn.n_steps
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
     executed = np.empty(n)
-    th = scn.theta0
+    th, kept = scn.theta0, None
     starts = range(0, n, apply_steps)
     for t in starts:
         w = min(window_steps, n - t)
@@ -312,11 +339,22 @@ def receding_horizon(
         # snap solver-tolerance grazes back inside sample t's band, where the
         # window starts; genuine violations cannot occur because each
         # executed sample came from a feasible plan
-        th = min(max(th, lo_t[t]), hi_t[t])
-        sub_ref = Trajectory(scn.dt, ref.values[t : t + w], unit=ref.unit)
-        step_plan = plan(scn.window(t, w, th), sub_ref, norm=norm, tol=tol)
-        executed[t : t + k] = step_plan.p.values[:k]
-        th = float(step_plan.theta.values[k])
+        snapped = min(max(th, lo_t[t]), hi_t[t])
+        win, r = scn.window(t, w, snapped), ref.values[t : t + w]
+        p = None
+        if norm == "two" and kept is not None and snapped == th:
+            # the last plan's unexecuted tail, then the nearest rated demand
+            p = np.append(kept, np.clip(r[kept.size :], 0.0, scn.params.p_rated))
+            theta = simulate(win.params, win.dist, Trajectory(scn.dt, p), th).values
+            lo_w, hi_w = win.theta_limits()
+            j = slice(kept.size + 1, w + 1)  # the samples appended demand lands on
+            if not np.all((lo_w[j] < theta[j]) & (theta[j] < hi_w[j])):
+                p = None
+        if p is None:
+            step_plan = plan(win, Trajectory(scn.dt, r, unit=ref.unit), norm=norm, tol=tol)
+            p, theta = step_plan.p.values, step_plan.theta.values
+        executed[t : t + k] = p[:k]
+        th, kept = float(theta[k]), p[k:]
     p = Trajectory(scn.dt, executed, unit="kW")
     return RollingResult(
         norm=norm,

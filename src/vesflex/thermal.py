@@ -51,11 +51,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def read_csv(path: str, header: list[str]) -> np.ndarray:
     """Rows x columns of finite floats under exactly `header`.
 
-    LF and CRLF line ends are accepted and blank lines are skipped; a wrong
-    header, a row of another width or a non-finite field is an InputError.
+    LF and CRLF line ends are accepted and blank lines are skipped; a byte
+    that is not UTF-8, a wrong header, a row of another width or a
+    non-finite field is an InputError naming the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != ",".join(header):
         raise InputError(f"{path}: expected header {','.join(header)!r}")
     rows = []

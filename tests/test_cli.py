@@ -361,6 +361,13 @@ MALFORMED_INPUTS = {
     "config-not-utf8": lambda d: [
         "capacity", "--config", _put(d / "c.toml", b"[thermal]\neta_cop = 3.5 # \xff\n"),
     ],
+    "dist-not-utf8": lambda d: [
+        "simulate", "--dist", _put(d / "dist.csv", b"t_hours,theta_a_C,q_d_kW\n0,32,1.5 \xff\n"),
+    ],
+    "ref-not-utf8": lambda d: [
+        "plan", "--config", _put(d / "s.toml", _SHORT),
+        "--ref", _put(d / "ref.csv", ("t_hours,ref_kw\n" + _REF_ROWS).encode() + b"\xff\n"),
+    ],
     "ensemble-ref-directory": lambda d: ["ensemble", "--ref", d],
     "out-dir-is-a-file": lambda d: ["humidity", "--out-dir", _put(d / "taken", "")],
     "ref-wrong-header": lambda d: [
@@ -402,6 +409,11 @@ MALFORMED_INPUTS = {
     ],
 }
 
+# the file each undecodable input is read from, which its error must name
+UNDECODABLE_FILES = {
+    "config-not-utf8": "c.toml", "dist-not-utf8": "dist.csv", "ref-not-utf8": "ref.csv",
+}
+
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
@@ -414,6 +426,8 @@ def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert set(tmp_path.rglob("*")) == before
+    if case in UNDECODABLE_FILES:
+        assert f"error: {tmp_path / UNDECODABLE_FILES[case]}: 'utf-8' codec" in err
 
 
 NON_FINITE_OPTIONS = {

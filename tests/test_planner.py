@@ -294,3 +294,77 @@ def test_audit_tolerance_is_ten_solver_tolerances(monkeypatch, hot_day_2h):
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     vf.plan(hot_day_2h, ref, tol=1e-8)
     assert seen == [1e-7]
+
+
+def _replan_every_window(scn, ref, window_steps, norm, apply_steps):
+    """Oracle: the receding-horizon loop that plans every window afresh."""
+    n = scn.n_steps
+    lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
+    executed = np.empty(n)
+    th = scn.theta0
+    for t in range(0, n, apply_steps):
+        w = min(window_steps, n - t)
+        k = min(apply_steps, w)
+        th = min(max(th, lo_t[t]), hi_t[t])
+        sub_ref = vf.Trajectory(scn.dt, ref.values[t : t + w], unit=ref.unit)
+        step_plan = vf.plan(scn.window(t, w, th), sub_ref, norm=norm)
+        executed[t : t + k] = step_plan.p.values[:k]
+        th = float(step_plan.theta.values[k])
+    return executed
+
+
+def _random_rolling_case(rng):
+    # time-varying weather and gains; the reference steps between the
+    # baseline and levels that saturate at 0 and at p_rated
+    n = int(rng.integers(36, 72))
+    t = np.arange(n) * DT
+    theta_a = 31.0 + rng.uniform(-1.0, 1.0) + rng.uniform(0.5, 2.0) * np.sin(
+        2.0 * math.pi * t / rng.uniform(0.5, 3.0) + rng.uniform(0.0, 2.0 * math.pi)
+    )
+    dist = vf.DisturbanceSeries(DT, theta_a, rng.uniform(1.0, 2.0, n))
+    # a narrow band, so the reference drives the zone onto its edges
+    lo_t, hi_t = np.full(n + 1, 23.5), np.full(n + 1, 24.5)
+    if rng.uniform() < 0.5:
+        lo_t[int(rng.integers(n // 3, n)) :] = 23.7
+        hi_t[int(rng.integers(0, n // 2)) : int(rng.integers(n // 2, n + 1))] = 24.3
+    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=hi_t)
+    scn = vf.Scenario(params=make_params(), bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
+    ref = scn.baseline().power.values.copy()
+    edges = np.sort(rng.choice(np.arange(1, n), size=4, replace=False))
+    for seg in np.split(np.arange(n), edges):
+        ref[seg] += rng.choice([-1.5, -0.4, 0.0, 0.0, 0.4, 1.5])
+    return scn, _ref(scn, ref), int(rng.integers(10, 30))
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_receding_horizon_matches_replanning_every_window(case):
+    scn, ref, window = _random_rolling_case(np.random.default_rng([2024, case]))
+    apply_steps = (1, 3, window)[case % 3]
+    rolled = vf.receding_horizon(scn, ref, window, norm="two", apply_steps=apply_steps)
+    assert rolled.n_solves == len(range(0, scn.n_steps, apply_steps))
+    oracle = _replan_every_window(scn, ref, window, "two", apply_steps)
+    assert np.max(np.abs(rolled.p.values - oracle)) <= 1e-7
+    err = vf.tracking_error(oracle, ref.values, scn.dt, "two")
+    assert rolled.tracking_error == pytest.approx(err, rel=1e-8)
+    for norm in ("one", "inf"):
+        rolled = vf.receding_horizon(scn, ref, window, norm=norm, apply_steps=apply_steps)
+        oracle = _replan_every_window(scn, ref, window, norm, apply_steps)
+        assert np.array_equal(rolled.p.values, oracle)
+        assert rolled.tracking_error == vf.tracking_error(oracle, ref.values, scn.dt, norm)
+
+
+def test_rolling_two_norm_keeps_plans_that_stay_optimal(monkeypatch, hot_day_2h):
+    from vesflex import planner
+
+    solves, real = [], planner._plan_two
+    monkeypatch.setattr(planner, "_plan_two", lambda *a: solves.append(1) or real(*a))
+    # the feasible reference: only the first window is solved
+    ref = hot_day_2h.baseline().power.values.copy()
+    ref[:30] += 0.2
+    rolled = vf.receding_horizon(hot_day_2h, _ref(hot_day_2h, ref), window_steps=60)
+    assert (len(solves), rolled.n_solves) == (1, hot_day_2h.n_steps)
+    # the rising floor turns kept plans down, but not all of them
+    solves.clear()
+    scn, ref = _late_warm_floor()
+    rolled = vf.receding_horizon(scn, ref, window_steps=10)
+    assert 1 < len(solves) < scn.n_steps == rolled.n_solves

@@ -75,7 +75,6 @@ from .humidity import (
 from .planner import (
     NORMS,
     PlanResult,
-    RollingResult,
     plan,
     receding_horizon,
     tracking_error,

@@ -28,7 +28,9 @@ import numpy as np
 from . import battery, deferrable, ensemble, flexset, humidity, planner
 from .errors import InfeasibleError, InputError, VesflexError
 from .qos import QoSBounds, Verdict
-from .thermal import DisturbanceSeries, ThermalParams, Trajectory, read_csv, write_csv
+from .thermal import (
+    DisturbanceSeries, ThermalParams, Trajectory, grid_steps, read_csv, write_csv,
+)
 
 # The config schema: every key a config may hold, by section, and the field
 # it fills in ThermalParams ([thermal]), QoSBounds ([comfort]) or the Scenario
@@ -102,14 +104,9 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scen
     if dist_csv is not None:
         dist = DisturbanceSeries.from_csv(dist_csv)
     else:
-        dt, horizon = scn_cfg["dt"], scn_cfg["horizon"]
-        if dt <= 0 or horizon <= 0:
-            raise InputError("dt_h and horizon_h must be positive")
-        n = int(round(horizon / dt))
-        if n < 1 or abs(n * dt - horizon) > 1e-9:
-            raise InputError("horizon_h must be a positive multiple of dt_h")
+        dt = scn_cfg["dt"]
         dist = DisturbanceSeries.constant(
-            dt, n, theta_a=scn_cfg["theta_a"], q_d=scn_cfg["q_d"]
+            dt, grid_steps(scn_cfg["horizon"], dt), scn_cfg["theta_a"], scn_cfg["q_d"]
         )
     return flexset.Scenario(
         params=params, bounds=bounds, dist=dist, theta_sp=theta_sp, theta0=theta0
@@ -228,21 +225,19 @@ def cmd_plan(args) -> int:
             raise InputError(f"--step-at must be a finite time >= 0 h, got {args.step_at}")
         base = scn.baseline().power.values
         step = np.zeros(scn.n_steps)
-        k0 = min(int(round(args.step_at / scn.dt)), scn.n_steps)
+        k0 = round(min(args.step_at / scn.dt, scn.n_steps))
         step[k0:] = args.step_kw
         ref = Trajectory(scn.dt, base + step, unit="kW")
     if args.window is not None:
         result = planner.receding_horizon(scn, ref, args.window, norm=args.norm)
-        n_solves = result.n_solves
     else:
         result = planner.plan(scn, ref, norm=args.norm)
-        n_solves = 1
     _write(
         args, "plan.csv",
         ["t_hours", "ref_kw", "p_kw", "theta_C"],
         [ref.times(), ref.values, result.p.values, result.theta.values[1:]],
     )
-    print(f"norm: {args.norm}  solves: {n_solves}")
+    print(f"norm: {args.norm}  solves: {result.solves}")
     print(f"tracking error: {result.tracking_error:.9g}")
     return 0
 

@@ -22,7 +22,9 @@ import numpy as np
 from .errors import InputError
 from .flexset import Scenario, is_member
 from .qos import Verdict
-from .thermal import DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory
+from .thermal import (
+    DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory, grid_steps,
+)
 
 KINDS = ("battery", "bucket", "bakery")
 
@@ -155,8 +157,11 @@ def front_loaded_profile(
         raise InputError("cannot front-load a contract with no fixed energy")
     if not spec_feasible(spec):
         raise InputError("contract requires more energy than P*T allows")
-    start = int(math.ceil(spec.arrival_h / dt - 1e-12))
-    full = int(spec.energy_kwh / (spec.p_max * dt) + 1e-12)
+    # samples before the run, then at the ceiling: tested as floats, which may be inf
+    wait, run = spec.arrival_h / dt - 1e-12, spec.energy_kwh / (spec.p_max * dt) + 1e-12
+    if not wait + run <= n_steps + 1:
+        raise InputError(f"arrival and run need more than the grid's {n_steps} samples")
+    start, full = int(math.ceil(wait)), int(run)
     rem = spec.energy_kwh - full * spec.p_max * dt
     n_need = start + full + (1 if rem > ENERGY_ATOL_KWH else 0)
     if n_need > n_steps:
@@ -189,10 +194,7 @@ def baseline_energy(
     This is the number a deferrable abstraction would write into E when
     sizing the contract from one observed (or design) day.
     """
-    n = int(round(horizon_h / dt))
-    if abs(n * dt - horizon_h) > 1e-9 or n < 1:
-        raise InputError("horizon must be a positive multiple of dt")
-    dist = DisturbanceSeries.constant(dt, n, theta_a=theta_a, q_d=q_d)
+    dist = DisturbanceSeries.constant(dt, grid_steps(horizon_h, dt), theta_a=theta_a, q_d=q_d)
     base = baseline_trajectory(params, dist, theta_sp)
     return float(base.power.values.sum()) * dt
 

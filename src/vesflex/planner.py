@@ -25,6 +25,11 @@ So for any feasible plan (u, q), input gain g and every k, by induction,
 On e*'s band the ride is the inf-norm argmin chosen: among the plans with
 worst residual e*, the one closest to the reference in the one-norm.
 
+A plan reports a lower bound on the optimal error (the interior point's
+Lagrangian bound, or the bisection's largest infeasible e) and the number
+of windows it solved, which a rolling two-norm plan can keep below its
+window count, as follows.
+
 A rolling two-norm plan skips a window's solve when the last window's
 plan is provably still optimal there.  The candidate is that plan's
 unexecuted tail, then clip(r_j, 0, p_rated) at each sample j the window
@@ -61,10 +66,15 @@ import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
 from .flexset import Scenario, _band, _forward_reach, _rated_box, _reach, require_member
-from .solver import STATUS_OPTIMAL, SolveReport
 from .thermal import Trajectory, simulate
 
 NORMS = ("two", "one", "inf")
+
+# slack, in degrees C, of the audit on every plan's re-simulated temperature
+_AUDIT_ATOL = 1e-6
+
+# a solve's demand, its iterations and its certified lower bound on the error
+_Solved = tuple[np.ndarray, int, float]
 
 
 def _check_norm(norm: str) -> None:
@@ -101,17 +111,26 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Feasible demand plan plus the temperature it produces.
+    """Feasible demand plan, the temperature it produces, and its certificate.
 
     tracking_error follows the norm convention: sqrt(sum((r-p)^2) dt) for
-    "two", sum(|r-p|) dt for "one", max|r-p| for "inf".
+    "two", sum(|r-p|) dt for "one", max|r-p| for "inf".  bound is a
+    certified lower bound on the optimal tracking_error, in its units: the
+    square root of the interior point's Lagrangian bound in the two-norm,
+    the bisection's largest infeasible e in the inf-norm.  It is None for
+    the one-norm ride, exact by proof, and for a stitched rolling plan.
+    iterations sums interior-point steps or bisection halvings over every
+    solve (0 in the one-norm); solves counts the windows actually planned,
+    1 for a one-shot plan.
     """
 
     norm: str
     p: Trajectory
     theta: Trajectory
     tracking_error: float
-    report: SolveReport
+    bound: float | None
+    iterations: int
+    solves: int
 
 
 def tracking_error(
@@ -160,7 +179,7 @@ def _riccati(a: float, rho: np.ndarray, w: np.ndarray):
     return solve
 
 
-def _plan_two(scn: Scenario, r: np.ndarray) -> SolveReport:
+def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
     """Mehrotra predictor-corrector on x = theta_1..N; objective dt*sum((r-p)^2)."""
     a, gain, forcing = scn.dynamics()
     lo_t, hi_t = scn.theta_limits()
@@ -218,8 +237,7 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> SolveReport:
         step = min(1.0, 0.99 * reach)
         x, s, z = x + step * dx, s + step * ds, z + step * dz
     p = scn.step_demand(np.append(scn.theta0, x[:-1]), x)
-    return SolveReport(STATUS_OPTIMAL, f * scn.dt, p, it, dual_bound=dual * scn.dt,
-                       max_residual=float(np.max(slack, initial=0.0)))
+    return p, it, math.sqrt(max(dual * scn.dt, 0.0))
 
 
 def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -233,7 +251,7 @@ def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return scn.step_demand(th[:-1], th[1:])
 
 
-def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray) -> SolveReport:
+def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray) -> _Solved:
     """Bisection on e, stopped when the midpoint rounds onto an end."""
     p_rated = scn.params.p_rated
 
@@ -252,19 +270,16 @@ def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray) -> SolveReport:
             e_hi = mid
         else:
             e_lo = mid
-    p = _ride(scn, target, *_band(scn, *box(e_hi)))
-    return SolveReport(STATUS_OPTIMAL, e_hi, p, halvings, dual_bound=e_lo)
+    return _ride(scn, target, *_band(scn, *box(e_hi))), halvings, e_lo
 
 
-def plan(
-    scn: Scenario, ref: Trajectory, norm: str = "two", tol: float = 1e-7
-) -> PlanResult:
+def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     """Feasible demand closest to the reference in the chosen norm.
 
     Raises InfeasibleError when no demand trajectory can keep the comfort
     contract over the window, and SolverError if the two-norm solver gives
     up on a window that reachability analysis proved feasible or any
-    plan's re-simulated temperature leaves the band by more than 10*tol.
+    plan's re-simulated temperature leaves the band by more than 1e-6 C.
     """
     _check_norm(norm)
     _check_ref(scn, ref)
@@ -272,33 +287,15 @@ def plan(
     # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
     target = np.clip(r, 0.0, scn.params.p_rated)
     if norm == "one":
-        p = _ride(scn, target, *_band(scn, *_rated_box(scn)))
-        report = SolveReport(STATUS_OPTIMAL, tracking_error(p, r, scn.dt, "one"), p, 0)
+        solved = _ride(scn, target, *_band(scn, *_rated_box(scn))), 0, None
     else:
         _reach(scn, *_rated_box(scn))
-        report = _plan_inf(scn, r, target) if norm == "inf" else _plan_two(scn, r)
-    p = Trajectory(scn.dt, np.clip(report.x, 0.0, scn.params.p_rated), unit="kW")
-    theta = require_member(p, scn, 10.0 * tol, "planned temperature")
+        solved = _plan_inf(scn, r, target) if norm == "inf" else _plan_two(scn, r)
+    p, iterations, bound = solved
+    p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
+    theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)
-    return PlanResult(norm=norm, p=p, theta=theta, tracking_error=err, report=report)
-
-
-@dataclass(frozen=True)
-class RollingResult:
-    """Closed-loop result of receding-horizon planning.
-
-    Unlike PlanResult there is no single solver report; n_solves windows
-    were planned and the executed first samples were stitched together, with
-    the temperature re-simulated on the full horizon.  n_solves counts every
-    window, including those that kept the previous window's plan unsolved.
-    """
-
-    norm: str
-    window_steps: int
-    p: Trajectory
-    theta: Trajectory
-    tracking_error: float
-    n_solves: int
+    return PlanResult(norm, p, theta, err, bound, iterations, solves=1)
 
 
 def receding_horizon(
@@ -306,9 +303,8 @@ def receding_horizon(
     ref: Trajectory,
     window_steps: int,
     norm: str = "two",
-    tol: float = 1e-7,
     apply_steps: int = 1,
-) -> RollingResult:
+) -> PlanResult:
     """Re-plan over a sliding window, executing apply_steps samples per window.
 
     Each window is scn.window(t, w, theta_t) at the current temperature,
@@ -319,7 +315,8 @@ def receding_horizon(
     executed samples and extended by clip(r, 0, p_rated), when the KKT
     check in the module docstring shows it is still the window's unique
     optimum: theta_t needed no snap and every appended sample lands
-    strictly inside its band.  Every other window calls plan.  The stitched
+    strictly inside its band.  Every other window calls plan; solves counts
+    those calls and iterations sums theirs, and bound is None.  The stitched
     temperature is re-simulated on the full horizon and audited like a
     plan's.
     """
@@ -331,9 +328,8 @@ def receding_horizon(
     n = scn.n_steps
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
     executed = np.empty(n)
-    th, kept = scn.theta0, None
-    starts = range(0, n, apply_steps)
-    for t in starts:
+    th, kept, solves, iterations = scn.theta0, None, 0, 0
+    for t in range(0, n, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
         # snap solver-tolerance grazes back inside sample t's band, where the
@@ -351,16 +347,12 @@ def receding_horizon(
             if not np.all((lo_w[j] < theta[j]) & (theta[j] < hi_w[j])):
                 p = None
         if p is None:
-            step_plan = plan(win, Trajectory(scn.dt, r, unit=ref.unit), norm=norm, tol=tol)
+            step_plan = plan(win, Trajectory(scn.dt, r, unit=ref.unit), norm=norm)
             p, theta = step_plan.p.values, step_plan.theta.values
+            solves, iterations = solves + 1, iterations + step_plan.iterations
         executed[t : t + k] = p[:k]
         th, kept = float(theta[k]), p[k:]
     p = Trajectory(scn.dt, executed, unit="kW")
-    return RollingResult(
-        norm=norm,
-        window_steps=window_steps,
-        p=p,
-        theta=require_member(p, scn, 10.0 * tol, "planned temperature"),
-        tracking_error=tracking_error(p.values, ref.values, scn.dt, norm),
-        n_solves=len(starts),
-    )
+    theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
+    err = tracking_error(p.values, ref.values, scn.dt, norm)
+    return PlanResult(norm, p, theta, err, None, iterations, solves)

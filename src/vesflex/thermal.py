@@ -159,6 +159,15 @@ class Trajectory:
         return np.arange(len(self)) * self.dt
 
 
+def grid_steps(horizon_h: float, dt: float) -> int:
+    """Number of dt steps spanning horizon_h, which must be a positive multiple of dt."""
+    steps = horizon_h / dt if dt > 0 else math.nan
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(n * dt - horizon_h) > TIME_GRID_TOL_H:
+        raise InputError(f"horizon {horizon_h:.6g} h is not a positive multiple of {dt:.6g} h")
+    return n
+
+
 @dataclass(frozen=True)
 class DisturbanceSeries:
     """Ambient temperature and internal heat gain on a shared grid.

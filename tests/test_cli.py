@@ -205,6 +205,38 @@ def test_plan_rejects_bad_step_time(tmp_path, short_config, step_at):
     assert not (out / "plan.csv").exists()
 
 
+def test_plan_step_past_the_horizon_is_no_step(tmp_path, short_config):
+    # however late, a step time past the horizon leaves the reference at baseline
+    out = tmp_path / "plan"
+    rc = _run(
+        "plan", "--config", short_config, "--step-kw", "0.2", "--step-at", "1e308",
+        "--out-dir", str(out),
+    )
+    assert rc == 0
+    data = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1)
+    scn = cli.scenario_from_config(cli.load_config(short_config))
+    assert np.array_equal(data[:, 1], scn.baseline().power.values)
+
+
+def test_plan_window_writes_the_receding_horizon_plan(tmp_path, short_config, capsys):
+    out = tmp_path / "plan"
+    rc = _run(
+        "plan", "--config", short_config, "--step-kw", "0.2", "--step-at", "0.25",
+        "--window", "10", "--out-dir", str(out),
+    )
+    assert rc == 0
+    data = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1)
+    scn = cli.scenario_from_config(cli.load_config(short_config))
+    result = vf.receding_horizon(scn, vf.Trajectory(scn.dt, data[:, 1], unit="kW"), 10)
+    assert np.array_equal(data[:, 2], result.p.values)
+    assert f"norm: two  solves: {result.solves}\n" in capsys.readouterr().out
+    # the step is feasible, so most windows keep the last plan unsolved
+    assert 1 <= result.solves < scn.n_steps
+    assert _run("plan", "--config", short_config, "--window", "0",
+                "--out-dir", str(tmp_path / "zero")) == 2
+    assert not (tmp_path / "zero").exists()
+
+
 def test_plan_reads_reference_csv(tmp_path, short_config):
     scn = cli.scenario_from_config(cli.load_config(short_config))
     ref = scn.baseline().power.values + 0.05
@@ -402,6 +434,21 @@ MALFORMED_INPUTS = {
     "config-nan-step": lambda d: [
         "capacity", "--config",
         _put(d / "n.toml", _SHORT.replace("dt_h = 0.016666666666666666", "dt_h = nan")),
+    ],
+    "config-huge-horizon": lambda d: [
+        "capacity", "--config",
+        _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e308")),
+    ],
+    "deferrable-huge-window": lambda d: [
+        "deferrable", "--config", _put(d / "s.toml", _SHORT), "--window", "1e308",
+    ],
+    "deferrable-arrival-past-grid": lambda d: [
+        "deferrable", "--config", _put(d / "s.toml", _SHORT),
+        "--window", "0.25", "--arrival", "1e308",
+    ],
+    "deferrable-huge-energy": lambda d: [
+        "deferrable", "--config", _put(d / "s.toml", _SHORT),
+        "--window", "1e308", "--energy", "1e308", "--p-max", "1",
     ],
     "config-key-outside-section": lambda d: [
         "capacity", "--config",

@@ -45,8 +45,9 @@ def test_plan_projects_feasible_reference_exactly(hot_day):
     ref = base.copy()
     ref[:60] += 0.2
     res = vf.plan(hot_day, _ref(hot_day, ref), norm="two")
-    assert res.report.status == "optimal"
     assert res.tracking_error == pytest.approx(0.0, abs=1e-6)
+    assert res.solves == 1 and res.iterations > 0
+    assert 0.0 <= res.bound <= res.tracking_error
     # one hour of +0.2 kW pushes theta down the first-order step response
     rc = hot_day.params.time_constant_h
     want = 24.0 - hot_day.params.dc_gain * 0.2 * (1.0 - math.exp(-1.0 / rc))
@@ -144,7 +145,7 @@ def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
     scn = hot_day_scenario(horizon_h=0.5)
     ref = _ref(scn, scn.baseline().power.values + 0.2)
     vf.plan(scn, ref, norm="two")
-    assert vf.receding_horizon(scn, ref, 10, norm="two").n_solves == scn.n_steps
+    assert vf.receding_horizon(scn, ref, 10, norm="two").solves >= 1
     assert calls == []
     vf.plan(scn, ref, norm="one")
     assert calls == ["_band"]
@@ -193,7 +194,7 @@ def test_receding_horizon_full_window_equals_one_shot(hot_day_2h):
     rolled = vf.receding_horizon(
         hot_day_2h, _ref(hot_day_2h, ref), window_steps=n, norm="two", apply_steps=n
     )
-    assert rolled.n_solves == 1
+    assert (rolled.solves, rolled.iterations, rolled.bound) == (1, one_shot.iterations, None)
     assert np.array_equal(rolled.p.values, one_shot.p.values)
 
 
@@ -203,7 +204,8 @@ def test_receding_horizon_one_step_matches_one_shot_on_feasible_ref(hot_day_2h):
     ref[:30] += 0.2
     one_shot = vf.plan(hot_day_2h, _ref(hot_day_2h, ref), norm="two")
     rolled = vf.receding_horizon(hot_day_2h, _ref(hot_day_2h, ref), window_steps=60)
-    assert rolled.n_solves == hot_day_2h.n_steps
+    # the first window's plan stays optimal in every later window
+    assert rolled.solves == 1
     assert np.max(np.abs(rolled.p.values - one_shot.p.values)) < 1e-6
     assert rolled.tracking_error == pytest.approx(0.0, abs=1e-6)
     assert vf.is_member(rolled.p, hot_day_2h, atol=1e-6).ok
@@ -235,7 +237,7 @@ def test_receding_horizon_per_sample_bounds():
     assert not vf.satisfies(vf.QoSSignal(theta=free), scn.bounds).ok
     one_shot = vf.plan(scn, ref)
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
-    assert rolled.n_solves == scn.n_steps
+    assert 1 < rolled.solves < scn.n_steps
     assert vf.is_member(rolled.p, scn, atol=1e-6).ok
     assert rolled.tracking_error >= one_shot.tracking_error - 1e-9
 
@@ -280,7 +282,7 @@ def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
         vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20)
 
 
-def test_audit_tolerance_is_ten_solver_tolerances(monkeypatch, hot_day_2h):
+def test_every_plan_audit_allows_1e_6_degrees(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
     seen = []
@@ -292,8 +294,11 @@ def test_audit_tolerance_is_ten_solver_tolerances(monkeypatch, hot_day_2h):
 
     monkeypatch.setattr(flexset, "satisfies", spy)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
-    vf.plan(hot_day_2h, ref, tol=1e-8)
-    assert seen == [1e-7]
+    for norm in vf.NORMS:
+        vf.plan(hot_day_2h, ref, norm=norm)
+    # six windows' plans, then the stitched horizon
+    vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20, norm="one")
+    assert seen == [1e-6] * (3 + 6 + 1)
 
 
 def _replan_every_window(scn, ref, window_steps, norm, apply_steps):
@@ -341,13 +346,15 @@ def test_receding_horizon_matches_replanning_every_window(case):
     scn, ref, window = _random_rolling_case(np.random.default_rng([2024, case]))
     apply_steps = (1, 3, window)[case % 3]
     rolled = vf.receding_horizon(scn, ref, window, norm="two", apply_steps=apply_steps)
-    assert rolled.n_solves == len(range(0, scn.n_steps, apply_steps))
+    windows = len(range(0, scn.n_steps, apply_steps))
+    assert 1 <= rolled.solves <= windows
     oracle = _replan_every_window(scn, ref, window, "two", apply_steps)
     assert np.max(np.abs(rolled.p.values - oracle)) <= 1e-7
     err = vf.tracking_error(oracle, ref.values, scn.dt, "two")
     assert rolled.tracking_error == pytest.approx(err, rel=1e-8)
     for norm in ("one", "inf"):
         rolled = vf.receding_horizon(scn, ref, window, norm=norm, apply_steps=apply_steps)
+        assert rolled.solves == windows
         oracle = _replan_every_window(scn, ref, window, norm, apply_steps)
         assert np.array_equal(rolled.p.values, oracle)
         assert rolled.tracking_error == vf.tracking_error(oracle, ref.values, scn.dt, norm)
@@ -362,9 +369,9 @@ def test_rolling_two_norm_keeps_plans_that_stay_optimal(monkeypatch, hot_day_2h)
     ref = hot_day_2h.baseline().power.values.copy()
     ref[:30] += 0.2
     rolled = vf.receding_horizon(hot_day_2h, _ref(hot_day_2h, ref), window_steps=60)
-    assert (len(solves), rolled.n_solves) == (1, hot_day_2h.n_steps)
+    assert (len(solves), rolled.solves) == (1, 1)
     # the rising floor turns kept plans down, but not all of them
     solves.clear()
     scn, ref = _late_warm_floor()
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
-    assert 1 < len(solves) < scn.n_steps == rolled.n_solves
+    assert 1 < len(solves) == rolled.solves < scn.n_steps

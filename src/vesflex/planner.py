@@ -26,30 +26,39 @@ On e*'s band the ride is the inf-norm argmin chosen: among the plans with
 worst residual e*, the one closest to the reference in the one-norm.
 
 A plan reports a lower bound on the optimal error (the interior point's
-Lagrangian bound, or the bisection's largest infeasible e) and the number
-of windows it solved, which a rolling two-norm plan can keep below its
-window count, as follows.
+Lagrangian bound, or the bisection's largest infeasible e) and its
+solves, the windows that ran plan, which a rolling two-norm plan keeps
+below its window count by continuing each window from the last plan's
+active set.
 
-A rolling two-norm plan skips a window's solve when the last window's
-plan is provably still optimal there.  The candidate is that plan's
-unexecuted tail, then clip(r_j, 0, p_rated) at each sample j the window
-appends; it is kept when snapping theta_t into sample t's band moved
-nothing and every appended sample lands strictly inside its band.  The
-objective is strictly convex in p, so a point meeting the KKT conditions
-is the unique optimum, and the candidate meets them:
+That set holds the samples the last plan left on a temperature bound and
+the steps it left at 0 or p_rated.  The window's candidate set shifts it
+by the executed steps; over the samples the window appends it rides
+clip(r, 0, p_rated) forward and holds the band edge wherever that ride
+would leave the band.  Held as equalities, a held theta cuts the path and
+a held p ties theta_{k+1} affinely to theta_k, so the free states form a
+chain and one _riccati sweep solves the equality-constrained QP in O(w).
+One backward costate pass, mu = gain * lambda in kW, gives the multipliers:
 
-* the shifted tail starts from the state the last plan reached, so it
-  keeps that plan's stationarity and multipliers;
-* at an appended sample the residual gradient 2(p - r) is cancelled by
-  the p-bound multiplier 2|r - clip r| >= 0, and the state multiplier there
-  is 0 because the state is strictly inside the band, so nothing flows back
-  into the tail's costate;
-* a window that shrinks at the horizon end appends nothing: its candidate
-  is the tail alone, optimal by Bellman's principle.
+    free p_k:      mu_{k+1} = 2 (r_k - p_k)
+    held p_k:      mu_{k+1} = a mu_{k+2},  pi_k = 2 (r_k - p_k) - mu_{k+1}
+    held theta_j:  eta_j = a mu_{j+1} - mu_j
 
-The check costs one re-simulation of the window with thermal.simulate,
-the one the audits use.  One- and inf-norm windows are planned afresh:
-their argmin is not unique, so a kept plan could differ from a fresh one.
+with pi_k >= 0 at p_rated and <= 0 at 0, eta_j >= 0 on the upper bound
+and <= 0 on the lower.  The objective is strictly convex in p, so a
+candidate whose re-simulation (thermal.simulate, the one the audits use)
+keeps every bound and whose multipliers all have their signs meets the
+KKT conditions: it is the window's unique optimum, whatever set produced
+it.  Otherwise one constraint is exchanged, holding the worst violation or
+freeing the worst wrong-signed multiplier, and the QP is solved again.  No
+step holds both p_k and theta_{k+1}, which would over-determine theta_k:
+holding one frees the other.  A degenerate window whose optimum needs both
+therefore cycles, and after _TRIES sets falls back to plan, the interior
+point, as does any window the exchanges do not settle.  A still-optimal
+tail whose appended samples land strictly inside the band, Bellman's
+case, needs no exchange.  One- and inf-norm windows are planned afresh:
+their argmin is not unique, so a continued plan could differ from a fresh
+one.
 
 An infeasible planning window is a hard error, not a best-effort answer:
 the caller must know the comfort contract cannot be met.  Every norm first
@@ -120,8 +129,10 @@ class PlanResult:
     the bisection's largest infeasible e in the inf-norm.  It is None for
     the one-norm ride, exact by proof, and for a stitched rolling plan.
     iterations sums interior-point steps or bisection halvings over every
-    solve (0 in the one-norm); solves counts the windows actually planned,
-    1 for a one-shot plan.
+    solve (0 in the one-norm).  solves counts the windows planned by plan:
+    1 for a one-shot plan, every window of a rolling one- or inf-norm plan,
+    and in a rolling two-norm plan the interior-point solves, the first
+    window's and those of the windows the continuation could not certify.
     """
 
     norm: str
@@ -153,17 +164,21 @@ def tracking_error(
 _IPM_EPS, _IPM_MAX_ITER = 1e-13, 100
 
 
-def _riccati(a: float, rho: np.ndarray, w: np.ndarray):
-    """Solver for diag(w) + D^T diag(rho gain^2) D, the tridiagonal Newton matrix.
+def _riccati(a: np.ndarray, rho: np.ndarray, w: np.ndarray):
+    """Solver for diag(w) + sum_k rho_k v_k v_k^T, v_k = a_k e_{k-1} - e_k.
 
-    A Thomas sweep run backward in scalar Riccati form: each pivot is a sum
-    of positive terms, so none cancels to zero as barrier weights grow.
+    The matrix is tridiagonal; a_k is step k's decay, and a_0 is unused.
+    The two-norm Newton matrix diag(w) + D^T diag(rho gain^2) D has a_k = a
+    throughout; a chain of free states (_hold) has varying decays, 0 where
+    a fixed temperature cuts it.  A Thomas sweep run backward in scalar
+    Riccati form: each pivot is a sum of positive terms, so none cancels to
+    zero as barrier weights grow.
     """
     decay, inv, tail = [], [], 0.0
-    for rk, wk in zip(reversed(rho.tolist()), reversed(w.tolist())):
+    for ak, rk, wk in zip(reversed(a.tolist()), reversed(rho.tolist()), reversed(w.tolist())):
         inv.append(1.0 / (rk + wk + tail))
-        decay.append(a * rk * inv[-1])
-        tail = a * decay[-1] * (wk + tail)
+        decay.append(ak * rk * inv[-1])
+        tail = ak * decay[-1] * (wk + tail)
 
     def solve(b: np.ndarray) -> np.ndarray:
         q, acc = [], 0.0
@@ -197,6 +212,7 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
     h = np.stack([hi_t[1:], -lo_t[1:], scn.params.p_rated - c, c])
     tol_p = _IPM_EPS * (1.0 + float(np.abs(h).max()))
     x = 0.5 * (lo_t[1:] + hi_t[1:])
+    decays = np.full(x.size, a)
     s = np.maximum(h - gmul(x), 1.0)
     z = np.ones_like(s)
     for it in range(_IPM_MAX_ITER + 1):
@@ -219,7 +235,7 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
         if it == _IPM_MAX_ITER:
             raise SolverError(f"two-norm plan: no convergence in {it} iterations")
         w = z / s
-        solve = _riccati(a, (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1])
+        solve = _riccati(decays, (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1])
 
         def newton(rc):  # the step, and how far s and z stay non-negative along it
             v = w * rp - rc / s
@@ -298,6 +314,123 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     return PlanResult(norm, p, theta, err, bound, iterations, solves=1)
 
 
+# the rolling two-norm continuation: slack, in degC and kW, of its bound and
+# sign tests, and the active sets it tries before a window falls back to plan
+_ACTIVE_TOL, _TRIES = 1e-9, 4
+
+
+def _hold(
+    scn: Scenario, r: list, lo: list, hi: list, t_side: list, p_side: list
+) -> np.ndarray:
+    """Demand minimizing sum((p - r)^2) with an active set held as equalities.
+
+    t_side[j] holds theta_j (j = 1..N) on lo[j] (-1) or hi[j] (+1),
+    p_side[k] holds p_k at 0 (-1) or p_rated (+1), and 0 frees it; no step
+    holds both p_k and theta_{k+1}.  Every state is al*y + beta in the last
+    free state y, and a free step's residual couples one free state to the
+    next, or loads one alone where it lands on a held theta: the normal
+    equations are one _riccati chain.
+    """
+    a, gain, forcing = scn.dynamics()
+    f = forcing.tolist()
+    p_held = [scn.params.p_rated if side > 0 else 0.0 for side in p_side]
+    edge = [up if side > 0 else down for down, up, side in zip(lo, hi, t_side)]
+    decay, load, rhs = [], [], []  # per free state
+    al, beta = 0.0, scn.theta0  # theta_k = al * y + beta, y the last free state
+    for k, rk in enumerate(r):
+        c = a * beta + f[k]
+        if p_side[k]:
+            al, beta = a * al, c - gain * p_held[k]
+            continue
+        c -= gain * rk
+        if t_side[k + 1]:
+            if al:
+                load[-1] += a * al * a * al
+                rhs[-1] -= a * al * (c - edge[k + 1])
+            al, beta = 0.0, edge[k + 1]
+            continue
+        if al:
+            rhs[-1] -= a * al * c
+        decay.append(a * al)
+        load.append(0.0)
+        rhs.append(c)
+        al, beta = 1.0, 0.0
+    solve = _riccati(np.array(decay), np.ones(len(decay)), np.array(load))
+    y = iter(solve(np.array(rhs)).tolist())
+    theta = [scn.theta0]
+    for k in range(len(r)):
+        if p_side[k]:
+            theta.append(a * theta[k] + f[k] - gain * p_held[k])
+        else:
+            theta.append(edge[k + 1] if t_side[k + 1] else next(y))
+    p = scn.step_demand(np.array(theta[:-1]), np.array(theta[1:]))
+    return np.where(np.array(p_side) != 0, p_held, p)
+
+
+def _continue(
+    scn: Scenario, r: np.ndarray, p_tail: np.ndarray, theta_tail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The window's two-norm optimum from the last plan's active set, or None.
+
+    p_tail and theta_tail are the last plan's unexecuted demand and its
+    temperature from the window's start on.  Returns the demand and its
+    re-simulated temperature once an active set passes the KKT check of
+    the module docstring, or None after _TRIES sets.
+    """
+    a, gain, forcing = scn.dynamics()
+    lo_t, hi_t = scn.theta_limits()
+    lo, hi = lo_t.tolist(), hi_t.tolist()
+    p_rated, n, tol = scn.params.p_rated, scn.n_steps, _ACTIVE_TOL
+    r = r.tolist()
+    t_side, p_side = [0] * (n + 1), [0] * n
+    for k, (pk, tk) in enumerate(zip(p_tail.tolist(), theta_tail[1:].tolist())):
+        if tk <= lo[k + 1] + tol or tk >= hi[k + 1] - tol:
+            t_side[k + 1] = 1 if tk >= hi[k + 1] - tol else -1
+        elif pk <= tol or pk >= p_rated - tol:
+            p_side[k] = 1 if pk >= p_rated - tol else -1
+    x, f = float(theta_tail[-1]), forcing.tolist()
+    for k in range(p_tail.size, n):  # ride clip(r), holding the edges it leaves by
+        u = min(max(r[k], 0.0), p_rated)
+        x = a * x + f[k] - gain * u
+        if not lo[k + 1] <= x <= hi[k + 1]:
+            t_side[k + 1] = 1 if x > hi[k + 1] else -1
+            x = min(max(x, lo[k + 1]), hi[k + 1])
+        elif u != r[k]:
+            p_side[k] = 1 if u > 0.0 else -1
+    for _ in range(_TRIES):
+        p = _hold(scn, r, lo, hi, t_side, p_side)
+        p_in = np.clip(p, 0.0, p_rated)
+        theta = simulate(scn.params, scn.dist, Trajectory(scn.dt, p_in), scn.theta0).values
+        # primal excess in degC: a demand's scaled by the gain of one step
+        excess = np.concatenate(
+            [np.maximum(theta[1:] - hi_t[1:], lo_t[1:] - theta[1:]),
+             gain * np.maximum(p - p_rated, -p)]
+        )
+        j = int(np.argmax(excess))
+        if excess[j] > tol:  # hold the worst violation, freeing its partner
+            if j < n:
+                t_side[j + 1], p_side[j] = 1 if theta[j + 1] > hi[j + 1] else -1, 0
+            else:
+                p_side[j - n], t_side[j - n + 1] = 1 if p[j - n] > p_rated else -1, 0
+            continue
+        # costate mu = gain * lambda, backward: every multiplier in kW
+        mu, worst, drop = 0.0, tol, None
+        for k in range(n - 1, -1, -1):
+            if p_side[k]:
+                mu *= a
+                wrong, sides, i = -p_side[k] * (2.0 * (r[k] - p[k]) - mu), p_side, k
+            else:
+                mu, nxt = 2.0 * (r[k] - p[k]), a * mu
+                wrong, sides, i = -t_side[k + 1] * (nxt - mu), t_side, k + 1
+            if wrong > worst:
+                worst, drop = wrong, (sides, i)
+        if drop is None:
+            return p_in, theta
+        sides, i = drop
+        sides[i] = 0
+    return None
+
+
 def receding_horizon(
     scn: Scenario,
     ref: Trajectory,
@@ -311,14 +444,13 @@ def receding_horizon(
     so model and plan cannot drift apart.  The window shrinks near the end
     of the horizon rather than padding the disturbance record.  With
     apply_steps == window_steps == scn.n_steps this is exactly one plan.
-    In the two-norm a window keeps the previous plan, shifted by the
-    executed samples and extended by clip(r, 0, p_rated), when the KKT
-    check in the module docstring shows it is still the window's unique
-    optimum: theta_t needed no snap and every appended sample lands
-    strictly inside its band.  Every other window calls plan; solves counts
-    those calls and iterations sums theirs, and bound is None.  The stitched
-    temperature is re-simulated on the full horizon and audited like a
-    plan's.
+    In the two-norm every window after the first is continued from the
+    previous plan's active set, shifted by the executed samples, and kept
+    when the KKT check in the module docstring certifies it as the window's
+    unique optimum.  Every other window calls plan, the interior point in
+    the two-norm; solves counts those calls and iterations sums theirs, and
+    bound is None.  The stitched temperature is re-simulated on the full
+    horizon and audited like a plan's.
     """
     _check_ref(scn, ref)
     if window_steps < 1:
@@ -328,30 +460,23 @@ def receding_horizon(
     n = scn.n_steps
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
     executed = np.empty(n)
-    th, kept, solves, iterations = scn.theta0, None, 0, 0
+    th, tail, solves, iterations = scn.theta0, None, 0, 0
     for t in range(0, n, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
         # snap solver-tolerance grazes back inside sample t's band, where the
         # window starts; genuine violations cannot occur because each
         # executed sample came from a feasible plan
-        snapped = min(max(th, lo_t[t]), hi_t[t])
-        win, r = scn.window(t, w, snapped), ref.values[t : t + w]
-        p = None
-        if norm == "two" and kept is not None and snapped == th:
-            # the last plan's unexecuted tail, then the nearest rated demand
-            p = np.append(kept, np.clip(r[kept.size :], 0.0, scn.params.p_rated))
-            theta = simulate(win.params, win.dist, Trajectory(scn.dt, p), th).values
-            lo_w, hi_w = win.theta_limits()
-            j = slice(kept.size + 1, w + 1)  # the samples appended demand lands on
-            if not np.all((lo_w[j] < theta[j]) & (theta[j] < hi_w[j])):
-                p = None
-        if p is None:
+        win = scn.window(t, w, min(max(th, lo_t[t]), hi_t[t]))
+        r = ref.values[t : t + w]
+        found = _continue(win, r, *tail) if norm == "two" and tail else None
+        if found is None:
             step_plan = plan(win, Trajectory(scn.dt, r, unit=ref.unit), norm=norm)
-            p, theta = step_plan.p.values, step_plan.theta.values
+            found = step_plan.p.values, step_plan.theta.values
             solves, iterations = solves + 1, iterations + step_plan.iterations
+        p, theta = found
         executed[t : t + k] = p[:k]
-        th, kept = float(theta[k]), p[k:]
+        th, tail = float(theta[k]), (p[k:], theta[k:])
     p = Trajectory(scn.dt, executed, unit="kW")
     theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
     err = tracking_error(p.values, ref.values, scn.dt, norm)

@@ -72,6 +72,29 @@ def discrete_ride_energy(
     return e
 
 
+def box_qp_plan(scn: vf.Scenario, ref: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The two-norm plan by the dense box QP over p alone, the plan's oracle.
+
+    The temperature rows come from the triangular input-to-state map, so
+    nothing here shares the planner's temperature-path formulation.
+    """
+    from vesflex.planner import input_to_state_map
+
+    n = scn.n_steps
+    lmat, free = input_to_state_map(scn)
+    lo_t, hi_t = scn.theta_limits()
+    report = vf.solve_box_qp(vf.BoxQP(
+        h=np.full(n, 2.0),
+        g=-2.0 * ref,
+        lo=np.zeros(n),
+        hi=np.full(n, scn.params.p_rated),
+        a_ub=np.vstack([lmat, -lmat]),
+        b_ub=np.concatenate([free - lo_t[1:], hi_t[1:] - free]),
+    ), tol=tol)
+    assert report.status == "optimal"
+    return report.x
+
+
 def enumerate_row_words(n_slots: int) -> np.ndarray:
     """Every non-idle per-load action row: disjoint (+1, -1) or (-1, +1) pairs.
 

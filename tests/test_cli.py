@@ -237,6 +237,20 @@ def test_plan_window_writes_the_receding_horizon_plan(tmp_path, short_config, ca
     assert not (tmp_path / "zero").exists()
 
 
+def test_plan_paper_window_60_solves_one_window(tmp_path, capsys, monkeypatch):
+    # the 0.2 kW step rides the cold edge; every window after the first is
+    # continued from the last plan's active set without an interior point
+    from vesflex import planner
+
+    solves, real = [], planner._plan_two
+    monkeypatch.setattr(planner, "_plan_two", lambda *a: solves.append(1) or real(*a))
+    rc = _run("plan", "--config", "paper", "--step-kw", "0.2", "--window", "60",
+              "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert "norm: two  solves: 1\n" in capsys.readouterr().out
+    assert len(solves) == 1
+
+
 def test_plan_reads_reference_csv(tmp_path, short_config):
     scn = cli.scenario_from_config(cli.load_config(short_config))
     ref = scn.baseline().power.values + 0.05

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vesflex as vf
-from conftest import DT, discrete_ride_energy, hot_day_scenario, make_params
+from conftest import DT, box_qp_plan, discrete_ride_energy, hot_day_scenario, make_params
 
 
 def _ref(scn, values):
@@ -237,7 +237,7 @@ def test_receding_horizon_per_sample_bounds():
     assert not vf.satisfies(vf.QoSSignal(theta=free), scn.bounds).ok
     one_shot = vf.plan(scn, ref)
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
-    assert 1 < rolled.solves < scn.n_steps
+    assert rolled.solves == 1
     assert vf.is_member(rolled.p, scn, atol=1e-6).ok
     assert rolled.tracking_error >= one_shot.tracking_error - 1e-9
 
@@ -341,11 +341,45 @@ def _random_rolling_case(rng):
     return scn, _ref(scn, ref), int(rng.integers(10, 30))
 
 
-@pytest.mark.parametrize("case", range(24))
-def test_receding_horizon_matches_replanning_every_window(case):
-    scn, ref, window = _random_rolling_case(np.random.default_rng([2024, case]))
+def _edge_riding_case(rng):
+    # per-sample bounds; a step that drives theta onto an edge and holds it
+    # there, then a stretch that saturates at 0 or at p_rated
+    scn, _, window = _random_rolling_case(rng)
+    n = scn.n_steps
+    k = np.arange(n + 1)
+
+    def ramp():  # from 0 to 1 over at least a third of the horizon, slow
+        # enough that every norm's myopic plan can follow the moving edge
+        return np.clip((k - rng.integers(n // 2)) / rng.integers(n // 3, n // 2), 0.0, 1.0)
+
+    lo_t, hi_t = 23.5 + 0.2 * ramp(), 24.5 - 0.2 * ramp()
+    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=hi_t)
+    scn = dataclasses.replace(scn, bounds=bounds)
+    ref = scn.baseline().power.values.copy()
+    ref[int(rng.integers(1, n // 4)) :] += rng.choice([-0.8, 0.8])
+    ref[int(rng.integers(n // 2, n)) :] = rng.choice([-0.5, scn.params.p_rated + 0.5])
+    return scn, _ref(scn, ref), window
+
+
+@pytest.mark.parametrize("case", range(36))
+def test_receding_horizon_matches_replanning_every_window(case, monkeypatch):
+    from vesflex import planner
+
+    make = _random_rolling_case if case < 24 else _edge_riding_case
+    scn, ref, window = make(np.random.default_rng([2024, case]))
     apply_steps = (1, 3, window)[case % 3]
+    kept, real = [], planner._continue
+
+    def spy(win, r, *tail):
+        kept.append((win, r, real(win, r, *tail)))
+        return kept[-1][2]
+
+    monkeypatch.setattr(planner, "_continue", spy)
     rolled = vf.receding_horizon(scn, ref, window, norm="two", apply_steps=apply_steps)
+    # every kept candidate is its window's optimum by the dense box QP too
+    for win, r, found in kept:
+        if found is not None:
+            assert np.max(np.abs(found[0] - box_qp_plan(win, r, tol=1e-11))) <= 1e-7
     windows = len(range(0, scn.n_steps, apply_steps))
     assert 1 <= rolled.solves <= windows
     oracle = _replan_every_window(scn, ref, window, "two", apply_steps)
@@ -370,8 +404,49 @@ def test_rolling_two_norm_keeps_plans_that_stay_optimal(monkeypatch, hot_day_2h)
     ref[:30] += 0.2
     rolled = vf.receding_horizon(hot_day_2h, _ref(hot_day_2h, ref), window_steps=60)
     assert (len(solves), rolled.solves) == (1, 1)
-    # the rising floor turns kept plans down, but not all of them
+    # the rising floor: each window holds it from the last plan's active set
     solves.clear()
     scn, ref = _late_warm_floor()
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
-    assert 1 < len(solves) == rolled.solves < scn.n_steps
+    assert len(solves) == rolled.solves == 1
+
+
+def test_refused_candidates_fall_back_to_the_interior_point(monkeypatch):
+    from vesflex import planner
+
+    refused, solves = [], []
+    real_continue, real_two = planner._continue, planner._plan_two
+
+    def spy(*args):
+        found = real_continue(*args)
+        refused.append(found is None)
+        return found
+
+    monkeypatch.setattr(planner, "_continue", spy)
+    monkeypatch.setattr(planner, "_plan_two", lambda *a: solves.append(1) or real_two(*a))
+    scn, ref, window = _random_rolling_case(np.random.default_rng([2024, 18]))
+    rolled = vf.receding_horizon(scn, ref, window)
+    # the first window, then one interior point per refused candidate
+    assert len(solves) == rolled.solves == 1 + sum(refused) > 2
+    oracle = _replan_every_window(scn, ref, window, "two", 1)
+    assert np.max(np.abs(rolled.p.values - oracle)) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_riccati_per_step_decays_match_dense_solve(seed):
+    from vesflex.planner import _riccati
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)  # zeros split the chain
+    rho, w = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 1.0, n)
+    b = rng.normal(size=n)
+    dense = np.diag(w)
+    for k in range(n):
+        v = np.zeros(n)
+        v[k] = -1.0
+        if k:
+            v[k - 1] = a[k]
+        dense += rho[k] * np.outer(v, v)
+    want = np.linalg.solve(dense, b)
+    assert np.max(np.abs(_riccati(a, rho, w)(b) - want)) <= 1e-10 * (1 + np.abs(want).max())

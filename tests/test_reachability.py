@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vesflex as vf
-from conftest import DT, hot_day_scenario, make_params
+from conftest import DT, box_qp_plan, hot_day_scenario, make_params
 
 TOL = 1e-9
 
@@ -198,21 +198,7 @@ def test_one_and_inf_norm_plans_match_epigraph_lp(seed):
 
 def box_qp_objective(scn: vf.Scenario, ref: np.ndarray) -> float:
     """dt * |r - p|^2 at the dense box QP's optimum over p alone."""
-    from vesflex.planner import input_to_state_map
-
-    n = scn.n_steps
-    lmat, free = input_to_state_map(scn)
-    lo_t, hi_t = scn.theta_limits()
-    report = vf.solve_box_qp(vf.BoxQP(
-        h=np.full(n, 2.0),
-        g=-2.0 * ref,
-        lo=np.zeros(n),
-        hi=np.full(n, scn.params.p_rated),
-        a_ub=np.vstack([lmat, -lmat]),
-        b_ub=np.concatenate([free - lo_t[1:], hi_t[1:] - free]),
-    ), tol=1e-9)
-    assert report.status == "optimal"
-    res = ref - report.x
+    res = ref - box_qp_plan(scn, ref)
     return float(res @ res) * scn.dt
 
 

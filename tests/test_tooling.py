@@ -45,3 +45,20 @@ def test_planner_imports_no_solve_function_from_solver():
         for a in node.names
     }
     assert taken == set()
+
+
+def test_planner_references_no_linalg():
+    # every plan runs on O(n) kernels; dense solves stay the tests' oracles
+    tree = ast.parse((PACKAGE / "planner.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert [name for name in names if "linalg" in name] == []

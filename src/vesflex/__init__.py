@@ -6,102 +6,56 @@ This package models that equivalence end to end: the zone thermal response,
 comfort contracts, conservative power envelopes and their frequency-domain
 cost, demand planners, moist-air corrections, the deferrable-load contrast,
 pulse-pair ensembles, and virtual-battery capacity numbers.
+
+Every public name is loaded on first access (PEP 562), so `import vesflex`
+imports no submodule and a process pays only for the modules it uses.
 """
 
-from .battery import (
-    VirtualBatteryCaps,
-    bangbang_energy_oracle,
-    characterize,
-    energy_capacities,
-    energy_state,
-    extremal_profiles,
-    rate_capacities,
-)
-from .deferrable import (
-    ContractVerdict,
-    CounterexampleResult,
-    DeferrableSpec,
-    baseline_energy,
-    counterexample_check,
-    front_loaded_profile,
-    spec_feasible,
-    trajectory_satisfies,
-)
-from .ensemble import (
-    EnsembleSchedule,
-    PulseLoadSpec,
-    amplitude_at_timescale,
-    amplitude_timescale_curve,
-    min_loads,
-    pair_counts,
-    schedule_tracking,
-    square_reference,
-    staircase_triangle,
-    validate_schedule,
-)
-from .errors import (
-    ChannelMissingError,
-    InfeasibleError,
-    InputError,
-    PowerRangeError,
-    ShapeError,
-    SolverError,
-    VesflexError,
-)
-from .flexset import (
-    ConservativenessPoint,
-    FlexEnvelope,
-    Scenario,
-    conservativeness_curve,
-    envelope,
-    feasible_band,
-    feasible_window,
-    is_member,
-    sample_interior_trajectories,
-)
-from .humidity import (
-    DESIGN_RETURN_AIR,
-    DESIGN_SUPPLY_AIR,
-    MoistAirState,
-    PsychroConstants,
-    coil_thermal_power,
-    dry_model_demand_error,
-    electric_demand,
-    latent_fraction,
-    latent_sensible_split,
-    mix_air,
-    specific_enthalpy,
-)
-from .planner import (
-    NORMS,
-    PlanResult,
-    plan,
-    receding_horizon,
-    tracking_error,
-)
-from .qos import QoSBounds, QoSSignal, Verdict, lockout_count, satisfies
-from .solver import (
-    BoxQP,
-    LinearProgram,
-    SolveReport,
-    solve_box_qp,
-    solve_lp,
-)
-from .thermal import (
-    BaselineResult,
-    DisturbanceSeries,
-    ThermalParams,
-    Trajectory,
-    baseline_trajectory,
-    decay_factor,
-    equilibrium_power,
-    fahrenheit_to_celsius,
-    max_sine_amplitude,
-    simulate,
-    steady_sine_amplitude,
-    tf_magnitude,
-)
+import importlib
+
+# each public name, by the module that defines it
+_EXPORTS = {
+    "battery": ("VirtualBatteryCaps", "bangbang_energy_oracle", "characterize",
+                "energy_capacities", "energy_state", "extremal_profiles", "rate_capacities"),
+    "deferrable": ("ContractVerdict", "CounterexampleResult", "DeferrableSpec",
+                   "baseline_energy", "counterexample_check", "front_loaded_profile",
+                   "spec_feasible", "trajectory_satisfies"),
+    "ensemble": ("EnsembleSchedule", "PulseLoadSpec", "amplitude_at_timescale",
+                 "amplitude_timescale_curve", "min_loads", "pair_counts",
+                 "schedule_tracking", "square_reference", "staircase_triangle",
+                 "validate_schedule"),
+    "errors": ("ChannelMissingError", "InfeasibleError", "InputError", "PowerRangeError",
+               "ShapeError", "SolverError", "VesflexError"),
+    "flexset": ("ConservativenessPoint", "FlexEnvelope", "Scenario", "conservativeness_curve",
+                "envelope", "feasible_band", "feasible_window", "is_member",
+                "sample_interior_trajectories"),
+    "humidity": ("DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "MoistAirState", "PsychroConstants",
+                 "coil_thermal_power", "dry_model_demand_error", "electric_demand",
+                 "latent_fraction", "latent_sensible_split", "mix_air", "specific_enthalpy"),
+    "planner": ("NORMS", "PlanResult", "plan", "receding_horizon", "tracking_error"),
+    "qos": ("QoSBounds", "QoSSignal", "Verdict", "lockout_count", "satisfies"),
+    "solver": ("BoxQP", "LinearProgram", "SolveReport", "solve_box_qp", "solve_lp"),
+    "thermal": ("BaselineResult", "DisturbanceSeries", "ThermalParams", "Trajectory",
+                "baseline_trajectory", "decay_factor", "equilibrium_power",
+                "fahrenheit_to_celsius", "max_sine_amplitude", "simulate",
+                "steady_sine_amplitude", "tf_magnitude"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

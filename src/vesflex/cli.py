@@ -3,9 +3,15 @@
 One subcommand per analysis; all of them read the same sectioned TOML
 config (parsed by the standard library's tomllib and checked against
 CONFIG_KEYS, so every value is a number), read and write CSV through
-thermal.read_csv and thermal.write_csv, and print a short summary to
-stdout.  Numeric CSV fields use repr-faithful %.17g so outputs are
-byte-identical across runs and round-trip through float exactly.
+csvio.read_csv and csvio.write_csv, and print a short summary to stdout.
+Numeric CSV fields use repr-faithful %.17g so outputs are byte-identical
+across runs and round-trip through float exactly.
+
+At load time this module imports only the standard library and the
+numpy-free modules errors, csvio and humidity; each subcommand imports the
+analysis modules it runs.  So --help, a usage error and `humidity` never
+import numpy, and `plan` never loads solver, battery, deferrable or
+ensemble.
 
 Exit codes:
     0  success
@@ -17,20 +23,21 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
-import pathlib
 import sys
-import tomllib
-from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import battery, deferrable, ensemble, flexset, humidity, planner
+from . import humidity
+from .csvio import read_csv, write_csv
 from .errors import InfeasibleError, InputError, VesflexError
-from .qos import QoSBounds, Verdict
-from .thermal import (
-    DisturbanceSeries, ThermalParams, Trajectory, grid_steps, read_csv, write_csv,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .flexset import Scenario
+    from .qos import Verdict
+    from .thermal import Trajectory
 
 # The config schema: every key a config may hold, by section, and the field
 # it fills in ThermalParams ([thermal]), QoSBounds ([comfort]) or the Scenario
@@ -58,6 +65,10 @@ CONFIG_KEYS = {
 
 def load_config(name_or_path: str) -> dict:
     """A config is either a TOML file path or the name of a bundled preset."""
+    import pathlib
+    import tomllib
+    from importlib import resources
+
     preset = resources.files(__package__) / "presets" / f"{name_or_path}.toml"
     if os.path.exists(name_or_path):
         origin, source = name_or_path, pathlib.Path(name_or_path)
@@ -71,7 +82,11 @@ def load_config(name_or_path: str) -> dict:
         raise InputError(f"{origin}: {exc}") from None
 
 
-def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scenario:
+def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> Scenario:
+    from .flexset import Scenario
+    from .qos import QoSBounds
+    from .thermal import DisturbanceSeries, ThermalParams, grid_steps
+
     if loose := [key for key, table in cfg.items() if not isinstance(table, dict)]:
         raise InputError(f"config keys outside any [section]: {', '.join(loose)}")
     unknown = [f"[{sec}]" for sec in cfg if sec not in CONFIG_KEYS] + [
@@ -108,7 +123,7 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> flexset.Scen
         dist = DisturbanceSeries.constant(
             dt, grid_steps(scn_cfg["horizon"], dt), scn_cfg["theta_a"], scn_cfg["q_d"]
         )
-    return flexset.Scenario(
+    return Scenario(
         params=params, bounds=bounds, dist=dist, theta_sp=theta_sp, theta0=theta0
     )
 
@@ -125,6 +140,10 @@ def _write(args, name: str, header: list[str], columns: list) -> None:
 
 def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     """Two columns t_hours,ref_kw on exactly the scenario grid."""
+    import numpy as np
+
+    from .thermal import Trajectory
+
     t, ref = read_csv(path, ["t_hours", "ref_kw"]).T
     if t.size != n_steps:
         raise InputError(f"{path}: {t.size} rows but the scenario has {n_steps} steps")
@@ -145,11 +164,16 @@ def _verdict_line(label: str, v: Verdict) -> str:
     )
 
 
-def _scenario(args) -> flexset.Scenario:
+def _scenario(args) -> Scenario:
     return scenario_from_config(load_config(args.config), args.dist)
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import flexset
+    from .thermal import Trajectory
+
     scn = _scenario(args)
     base = scn.baseline()
     if args.power is not None:
@@ -170,6 +194,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    import numpy as np
+
+    from . import flexset
+
     scn = _scenario(args)
     env = flexset.envelope(scn)
     _write(
@@ -190,6 +218,10 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    import numpy as np
+
+    from . import flexset
+
     scn = _scenario(args)
     omegas = (args.omega or []) + [2.0 * np.pi * f for f in args.omega_cycles or []]
     if omegas:
@@ -217,6 +249,11 @@ def cmd_freq(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    import numpy as np
+
+    from . import planner
+    from .thermal import Trajectory
+
     scn = _scenario(args)
     if args.ref is not None:
         ref = read_reference_csv(args.ref, scn.dt, scn.n_steps)
@@ -281,6 +318,8 @@ def cmd_humidity(args) -> int:
 
 
 def cmd_deferrable(args) -> int:
+    from . import deferrable
+
     scn = _scenario(args)
     if args.energy is not None:
         energy = args.energy
@@ -315,6 +354,10 @@ def cmd_deferrable(args) -> int:
 
 
 def _ensemble_reference(args) -> np.ndarray:
+    import numpy as np
+
+    from . import ensemble
+
     given = [
         args.ref is not None,
         args.triangle is not None,
@@ -341,6 +384,10 @@ def _ensemble_reference(args) -> np.ndarray:
 
 
 def cmd_ensemble(args) -> int:
+    import numpy as np
+
+    from . import ensemble
+
     ref = _ensemble_reference(args)
     spec = ensemble.PulseLoadSpec(unit_kw=args.unit_kw, slot_h=args.slot_h)
     need = ensemble.min_loads(ref)
@@ -360,6 +407,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from . import battery
+
     scn = _scenario(args)
     caps = battery.characterize(scn)
     header = ["p_c_kW", "p_dc_kW", "e_c_kWh", "e_dc_kWh", "horizon_h"]
@@ -378,6 +427,11 @@ def cmd_capacity(args) -> int:
 
 # ----------------------------------------------------------------- main --
 
+# planner.NORMS and deferrable.KINDS, written out so that building the parser
+# imports neither module (a test pins them equal)
+NORMS = ("two", "one", "inf")
+KINDS = ("battery", "bucket", "bakery")
+
 
 def _two_ints(text: str) -> tuple[int, int]:
     try:
@@ -392,7 +446,7 @@ def _two_ints(text: str) -> tuple[int, int]:
 def finite(text: str) -> float:
     """Float option type: NaN or inf is a usage error ("invalid finite value")."""
     val = float(text)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ValueError(text)
     return val
 
@@ -468,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", default=None, help="reference CSV t_hours,ref_kw")
     p.add_argument("--step-kw", type=finite, default=0.2, help="synthetic step height")
     p.add_argument("--step-at", type=finite, default=0.0, help="synthetic step time, h")
-    p.add_argument("--norm", choices=planner.NORMS, default="two")
+    p.add_argument("--norm", choices=NORMS, default="two")
     p.add_argument("--window", type=int, default=None, help="receding-horizon window, steps")
     p.set_defaults(func=cmd_plan)
 
@@ -506,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="internal gains of the sizing day when --energy is absent",
     )
     p.add_argument("--p-max", type=finite, default=None, help="contract power ceiling, kW")
-    p.add_argument("--kind", choices=deferrable.KINDS, default="battery")
+    p.add_argument("--kind", choices=KINDS, default="battery")
     p.set_defaults(func=cmd_deferrable)
 
     p = sub.add_parser("ensemble", help="pulse-pair fleet tracking a slotted reference")

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .errors import InputError, ShapeError
 
 # Default sampling step, hours.  One minute resolves the paper-scale RC time
@@ -41,60 +42,15 @@ DEFAULT_DT_H = 1.0 / 60.0
 # Uniform-grid tolerance for time stamps read from CSV, hours.
 TIME_GRID_TOL_H = 1e-9
 
+# Most steps a horizon may span: 19 years of one-minute steps, 80 MB per
+# float64 channel.  A longer horizon is refused before any array is made.
+MAX_GRID_STEPS = 10_000_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.setflags(write=False)
     return out
-
-
-def read_csv(path: str, header: list[str]) -> np.ndarray:
-    """Rows x columns of finite floats under exactly `header`.
-
-    LF and CRLF line ends are accepted and blank lines are skipped; a byte
-    that is not UTF-8, a wrong header, a row of another width or a
-    non-finite field is an InputError naming the path.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1] != ",".join(header):
-        raise InputError(f"{path}: expected header {','.join(header)!r}")
-    rows = []
-    for no, line in lines[1:]:
-        try:
-            row = [float(f) for f in line.split(",")]
-        except ValueError as exc:
-            raise InputError(f"{path}:{no}: {exc}") from None
-        if len(row) != len(header) or not all(map(math.isfinite, row)):
-            raise InputError(f"{path}:{no}: expected {len(header)} finite numbers")
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(len(rows), len(header))
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
-def write_csv(path: str, header: list[str], columns: list) -> None:
-    """One header line, then one LF-ended row per index of the equal-length columns."""
-    rows = len(columns[0])
-    for col in columns:
-        if len(col) != rows:
-            raise InputError("internal: ragged CSV columns")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
 
 
 @dataclass(frozen=True)
@@ -160,11 +116,18 @@ class Trajectory:
 
 
 def grid_steps(horizon_h: float, dt: float) -> int:
-    """Number of dt steps spanning horizon_h, which must be a positive multiple of dt."""
+    """Number of dt steps spanning horizon_h, which must be a positive multiple of dt.
+
+    At most MAX_GRID_STEPS: a longer horizon is an InputError, not an allocation.
+    """
     steps = horizon_h / dt if dt > 0 else math.nan
     n = round(steps) if math.isfinite(steps) else 0
     if n < 1 or abs(n * dt - horizon_h) > TIME_GRID_TOL_H:
         raise InputError(f"horizon {horizon_h:.6g} h is not a positive multiple of {dt:.6g} h")
+    if n > MAX_GRID_STEPS:
+        raise InputError(
+            f"horizon {horizon_h:.6g} h at {dt:.6g} h steps is more than {MAX_GRID_STEPS} steps"
+        )
     return n
 
 

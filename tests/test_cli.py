@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, subcommands, exit codes, CSV output."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -115,7 +116,10 @@ def test_simulate_reports_first_violation(tmp_path, short_config, capsys):
 
 def test_simulate_paper_simulates_once(tmp_path, monkeypatch):
     # the CSV's temperature and the comfort verdict share one re-simulation;
-    # count it in every vesflex namespace that imports simulate
+    # count it in every vesflex namespace that imports simulate.  The cli
+    # imports flexset only when a subcommand runs; load it first, or it would
+    # bind the spy from thermal and keep it once the test has ended
+    importlib.import_module("vesflex.flexset")
     real = vf.simulate
     calls = []
 
@@ -452,6 +456,14 @@ MALFORMED_INPUTS = {
     "config-huge-horizon": lambda d: [
         "capacity", "--config",
         _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e308")),
+    ],
+    "config-horizon-1e13": lambda d: [
+        "capacity", "--config",
+        _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e13")),
+    ],
+    "config-horizon-1e200": lambda d: [
+        "capacity", "--config",
+        _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e200")),
     ],
     "deferrable-huge-window": lambda d: [
         "deferrable", "--config", _put(d / "s.toml", _SHORT), "--window", "1e308",

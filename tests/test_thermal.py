@@ -170,3 +170,13 @@ def test_trajectory_validation():
         vf.Trajectory(0.5, np.zeros((2, 2)), unit="kW")
     tr = vf.Trajectory(0.5, np.arange(4, dtype=float), unit="kW")
     assert np.allclose(tr.times(), [0.0, 0.5, 1.0, 1.5])
+
+
+def test_grid_steps_refuses_a_horizon_past_the_cap():
+    # counts only: no grid near the cap is ever allocated
+    from vesflex.thermal import MAX_GRID_STEPS, grid_steps
+
+    assert grid_steps(float(MAX_GRID_STEPS), 1.0) == MAX_GRID_STEPS
+    msg = r"horizon 1e\+07 h at 1 h steps is more than 10000000 steps"
+    with pytest.raises(vf.InputError, match=msg):
+        grid_steps(float(MAX_GRID_STEPS + 1), 1.0)

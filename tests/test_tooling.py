@@ -1,9 +1,17 @@
-"""Source hygiene checks over the package modules."""
+"""Source hygiene checks over the package modules, and what each entry point imports."""
 
+import argparse
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import types
 
 import vesflex
+from vesflex import cli
 
 PACKAGE = pathlib.Path(vesflex.__file__).parent
 
@@ -24,11 +32,9 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_imported_name_is_read():
-    # __init__.py imports names to re-export them, so it is exempt
     unread = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
         for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unread == []
@@ -62,3 +68,94 @@ def test_planner_references_no_linalg():
         elif isinstance(node, ast.Import):
             names.update(a.name for a in node.names)
     assert [name for name in names if "linalg" in name] == []
+
+
+# vesflex.__all__ as it was when the package imported every module eagerly
+PUBLIC_NAMES = [
+    "BaselineResult", "BoxQP", "ChannelMissingError", "ConservativenessPoint",
+    "ContractVerdict", "CounterexampleResult", "DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR",
+    "DeferrableSpec", "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope",
+    "InfeasibleError", "InputError", "LinearProgram", "MoistAirState", "NORMS",
+    "PlanResult", "PowerRangeError", "PsychroConstants", "PulseLoadSpec", "QoSBounds",
+    "QoSSignal", "Scenario", "ShapeError", "SolveReport", "SolverError", "ThermalParams",
+    "Trajectory", "Verdict", "VesflexError", "VirtualBatteryCaps",
+    "amplitude_at_timescale", "amplitude_timescale_curve", "bangbang_energy_oracle",
+    "baseline_energy", "baseline_trajectory", "battery", "characterize",
+    "coil_thermal_power", "conservativeness_curve", "counterexample_check",
+    "decay_factor", "deferrable", "dry_model_demand_error", "electric_demand",
+    "energy_capacities", "energy_state", "ensemble", "envelope", "equilibrium_power",
+    "errors", "extremal_profiles", "fahrenheit_to_celsius", "feasible_band",
+    "feasible_window", "flexset", "front_loaded_profile", "humidity", "is_member",
+    "latent_fraction", "latent_sensible_split", "lockout_count", "max_sine_amplitude",
+    "min_loads", "mix_air", "pair_counts", "plan", "planner", "qos", "rate_capacities",
+    "receding_horizon", "sample_interior_trajectories", "satisfies", "schedule_tracking",
+    "simulate", "solve_box_qp", "solve_lp", "solver", "spec_feasible",
+    "specific_enthalpy", "square_reference", "staircase_triangle",
+    "steady_sine_amplitude", "tf_magnitude", "thermal", "tracking_error",
+    "trajectory_satisfies", "validate_schedule",
+]
+
+
+def test_public_names_are_unchanged():
+    assert vesflex.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(vesflex))
+    assert not hasattr(vesflex, "no_such_name")
+
+
+def test_each_public_name_is_its_defining_modules_attribute():
+    for name in PUBLIC_NAMES:
+        obj = getattr(vesflex, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is importlib.import_module(f"vesflex.{name}")
+            continue
+        owner = importlib.import_module(f"vesflex.{vesflex._OWNER[name]}")
+        assert obj is getattr(owner, name)
+        if isinstance(obj, (type, types.FunctionType)):
+            assert obj.__module__ == owner.__name__
+
+
+def _choices(command: str, dest: str) -> tuple:
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return next(tuple(a.choices) for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_parser_choices_are_the_analysis_modules_values():
+    from vesflex import deferrable, planner
+
+    assert _choices("plan", "norm") == planner.NORMS
+    assert _choices("deferrable", "kind") == deferrable.KINDS
+
+
+# runs cli.main in a fresh interpreter and reports what each job loaded
+_STARTUP_CHILD = """
+import contextlib, io, json, sys
+import vesflex
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("vesflex."))
+seen = {"import vesflex": [0, "numpy" in sys.modules, loaded()]}
+from vesflex import cli
+for argv in (["--help"], ["plan", "--norm", "bogus"], ["humidity"], ["plan"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--out-dir", sys.argv[1], *argv])
+    seen[" ".join(argv)] = [code, "numpy" in sys.modules, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_each_job_imports_only_what_it_runs(tmp_path):
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["import vesflex"] == [0, False, []]
+    for job, code in (("--help", 0), ("plan --norm bogus", 2), ("humidity", 0)):
+        assert seen[job][:2] == [code, False], job
+    code, _, modules = seen["plan"]
+    assert code == 0
+    assert {"vesflex.planner", "vesflex.flexset"} <= set(modules)
+    unused = {f"vesflex.{m}" for m in ("solver", "battery", "deferrable", "ensemble")}
+    assert unused.isdisjoint(modules)

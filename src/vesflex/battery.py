@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import require_nonnegative, require_positive
 from .flexset import Scenario, feasible_band, require_member
-from .thermal import ThermalParams, Trajectory
+from .thermal import ThermalParams, Trajectory, _check_grid
 
 
 def energy_state(p: Trajectory, baseline: Trajectory) -> Trajectory:
@@ -39,8 +39,7 @@ def energy_state(p: Trajectory, baseline: Trajectory) -> Trajectory:
     Left-Riemann integral of p - baseline, N+1 samples starting at zero so
     sample k is the energy banked before step k begins.
     """
-    if len(p) != len(baseline) or abs(p.dt - baseline.dt) > 1e-9:
-        raise ShapeError("demand and baseline must share one grid")
+    _check_grid("baseline", baseline, len(p), p.dt)
     dev = p.values - baseline.values
     vals = np.concatenate([[0.0], np.cumsum(dev) * p.dt])
     return Trajectory(p.dt, vals, unit="kWh")
@@ -138,12 +137,9 @@ def bangbang_energy_oracle(
     formula gives the discharge cap with that direction's delta_theta and
     deviation ceiling.
     """
-    if horizon_h < 0:
-        raise InputError("horizon cannot be negative")
-    if p_tilde_max <= 0:
-        raise InputError("deviation ceiling must be positive")
-    if delta_theta < 0:
-        raise InputError("temperature margin cannot be negative")
+    require_nonnegative("horizon_h", horizon_h)
+    require_positive("p_tilde_max", p_tilde_max)
+    require_nonnegative("delta_theta", delta_theta)
     k_gain = params.dc_gain * p_tilde_max
     if delta_theta >= k_gain:
         return p_tilde_max * horizon_h

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import humidity
 from .csvio import read_csv, write_csv
-from .errors import InfeasibleError, InputError, VesflexError
+from .errors import InfeasibleError, InputError, VesflexError, require_nonnegative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,12 +142,12 @@ def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     """Two columns t_hours,ref_kw on exactly the scenario grid."""
     import numpy as np
 
-    from .thermal import Trajectory
+    from .thermal import TIME_GRID_TOL_H, Trajectory
 
     t, ref = read_csv(path, ["t_hours", "ref_kw"]).T
     if t.size != n_steps:
         raise InputError(f"{path}: {t.size} rows but the scenario has {n_steps} steps")
-    if np.max(np.abs(t - np.arange(n_steps) * dt)) > 1e-9:
+    if np.max(np.abs(t - np.arange(n_steps) * dt)) > TIME_GRID_TOL_H:
         raise InputError(f"{path}: time stamps do not match the scenario grid")
     return Trajectory(dt, ref, unit="kW")
 
@@ -258,8 +258,7 @@ def cmd_plan(args) -> int:
     if args.ref is not None:
         ref = read_reference_csv(args.ref, scn.dt, scn.n_steps)
     else:
-        if not 0.0 <= args.step_at < np.inf:
-            raise InputError(f"--step-at must be a finite time >= 0 h, got {args.step_at}")
+        require_nonnegative("--step-at", args.step_at)
         base = scn.baseline().power.values
         step = np.zeros(scn.n_steps)
         k0 = round(min(args.step_at / scn.dt, scn.n_steps))

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_nonnegative, require_positive
 from .flexset import Scenario, is_member
 from .qos import Verdict
 from .thermal import (
-    DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory, grid_steps,
+    TIME_GRID_TOL_H, DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory,
+    grid_steps,
 )
 
 KINDS = ("battery", "bucket", "bakery")
@@ -51,15 +52,14 @@ class DeferrableSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InputError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.arrival_h < 0:
-            raise InputError("arrival time cannot be negative")
+        require_nonnegative("arrival_h", self.arrival_h)
         if self.energy_kwh is None:
             if self.kind != "bucket":
                 raise InputError(f"kind {self.kind!r} requires a fixed energy_kwh")
-        elif self.energy_kwh < 0:
-            raise InputError("energy requirement cannot be negative")
-        if self.window_h <= 0 or self.p_max <= 0:
-            raise InputError("window and power ceiling must be positive")
+        else:
+            require_nonnegative("energy_kwh", self.energy_kwh)
+        require_positive("window_h", self.window_h)
+        require_positive("p_max", self.p_max)
 
     @property
     def deadline_h(self) -> float:
@@ -107,7 +107,7 @@ def trajectory_satisfies(
     """
     pv = p.values
     horizon = len(p) * p.dt
-    if spec.deadline_h > horizon + 1e-9:
+    if spec.deadline_h > horizon + TIME_GRID_TOL_H:
         raise InputError(
             f"profile covers {horizon:.6g} h but the window closes at "
             f"{spec.deadline_h:.6g} h"

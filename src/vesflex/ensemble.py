@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ShapeError
+from .errors import InfeasibleError, InputError, ShapeError, require_positive
 
 
 def _as_units(ref_units) -> np.ndarray:
@@ -59,8 +59,8 @@ class PulseLoadSpec:
     slot_h: float
 
     def __post_init__(self) -> None:
-        if self.unit_kw <= 0 or self.slot_h <= 0:
-            raise InputError("unit pulse and slot length must be positive")
+        require_positive("unit_kw", self.unit_kw)
+        require_positive("slot_h", self.slot_h)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class EnsembleSchedule:
     actions: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.actions, dtype=np.int8)
+        a = np.array(self.actions, dtype=np.int8)  # a copy: the caller's stays writable
         if a.ndim != 2:
             raise ShapeError("actions must be a (loads, slots) array")
         a.setflags(write=False)

@@ -2,8 +2,12 @@
 
 The CLI maps these onto exit codes: bad or inconsistent input data is an
 InputError (exit 2), while a well-posed problem with no feasible answer is
-an InfeasibleError (exit 1).
+an InfeasibleError (exit 1).  require_positive and require_nonnegative
+are the one check every scalar input passes.
 """
+
+import math
+from numbers import Real
 
 
 class VesflexError(Exception):
@@ -32,3 +36,19 @@ class InfeasibleError(VesflexError):
 
 class SolverError(VesflexError):
     """Internal optimizer failure (iteration limit, numerical breakdown)."""
+
+
+def _finite(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def require_positive(name: str, value) -> None:
+    """InputError naming the field unless value is a finite number above zero."""
+    if not (_finite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """InputError naming the field unless value is a finite number, zero or above."""
+    if not (_finite(value) and value >= 0):
+        raise InputError(f"{name} must be finite and non-negative, got {value!r}")

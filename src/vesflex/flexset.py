@@ -25,18 +25,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError
+from .errors import (
+    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_nonnegative,
+)
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
     DisturbanceSeries,
     ThermalParams,
     Trajectory,
+    _check_grid,
+    _readonly,
     baseline_trajectory,
     decay_factor,
     equilibrium_power,
     max_sine_amplitude,
     simulate,
 )
+
+# the farthest, in degrees C, theta0 may miss the start a plan can hold
+_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,11 +184,8 @@ def _reach(scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray) -> tuple[list, lis
     return lo, hi
 
 
-def _band(
-    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]]."""
-    lo, hi = _reach(scn, p_lo, p_hi)
+def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarray):
+    """Backward pass: cut [lo[k], hi[k]] to where the box's demand reaches k+1's cut."""
     a, gain, forcing = scn.dynamics()
     f = forcing.tolist()
     rise_lo, rise_hi = (gain * p_lo).tolist(), (gain * p_hi).tolist()
@@ -193,7 +197,31 @@ def _band(
         pre_hi = (hi[k + 1] - f[k] + rise_hi[k]) / a if a > 0.0 else math.inf
         lo[k] = min(max(lo[k], pre_lo), hi[k])
         hi[k] = max(min(hi[k], pre_hi), lo[k])
+    return lo, hi
+
+
+def _band(
+    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]]."""
+    lo, hi = _viable(scn, *_reach(scn, p_lo, p_hi), p_lo, p_hi)
     return np.array(lo), np.array(hi)
+
+
+def _reachable(scn: Scenario) -> Scenario:
+    """scn, or, when its forward pass fails by rounding (theta0 within _SNAP_TOL
+    of the viable start), scn from the nearest start 0, 1, 4, ... ulps clear of
+    the viable edges that the pass holds; InfeasibleError when none does."""
+    if not feasible_window(scn)[0]:
+        lo, hi = _viable(scn, *(b.tolist() for b in scn.theta_limits()), *_rated_box(scn))
+        for pad in [0.0] + [math.ulp(lo[0]) * 4**i for i in range(8)]:
+            start = min(max(scn.theta0, lo[0] + pad), hi[0] - pad)
+            if abs(start - scn.theta0) > _SNAP_TOL:
+                break
+            if feasible_window(moved := replace(scn, theta0=start))[0]:
+                return moved
+        _reach(scn, *_rated_box(scn))
+    return scn
 
 
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +250,9 @@ class FlexEnvelope:
     p_hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.p_lo, dtype=float)
-        hi = np.asarray(self.p_hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
+        lo, hi = _readonly("p_lo", self.p_lo), _readonly("p_hi", self.p_hi)
+        if lo.size != hi.size:
             raise ShapeError("p_lo and p_hi must be 1-D arrays of equal length")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "p_lo", lo)
         object.__setattr__(self, "p_hi", hi)
 
@@ -246,8 +271,7 @@ class FlexEnvelope:
         return np.arange(len(self)) * self.dt
 
     def contains(self, p: Trajectory, atol: float = 0.0) -> bool:
-        if len(p) != len(self):
-            raise ShapeError(f"{len(p)} power samples vs {len(self)} envelope samples")
+        _check_grid("demand", p, len(self), self.dt)
         return bool(
             np.all(p.values >= self.p_lo - atol)
             and np.all(p.values <= self.p_hi + atol)
@@ -263,12 +287,8 @@ def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory,
     slack granted to optimizer output on both the power range and the
     comfort bounds; a negative or non-finite atol is an InputError.
     """
-    if not 0.0 <= atol < math.inf:
-        raise InputError(f"atol must be finite and >= 0, got {atol}")
-    if len(p) != scn.n_steps:
-        raise ShapeError(
-            f"demand has {len(p)} samples but scenario has {scn.n_steps}"
-        )
+    require_nonnegative("atol", atol)
+    _check_grid("demand", p, scn.n_steps, scn.dt)
     pv = p.values
     if np.any(pv < -atol) or np.any(pv > scn.params.p_rated + atol):
         bad = int(np.argmax((pv < -atol) | (pv > scn.params.p_rated + atol)))
@@ -342,14 +362,15 @@ def conservativeness_curve(
 ) -> list[ConservativenessPoint]:
     """How much sinusoidal flexibility the quasi-steady envelope gives away.
 
-    Only defined for a time-invariant scenario (constant disturbances) with
-    the setpoint strictly inside the comfort band.  For each omega (rad/h)
-    the largest comfort-feasible amplitude delta_theta/|G(j omega)| is
-    reported next to the envelope half-width: ratio >= 1 everywhere and is
+    Only defined for constant disturbances and comfort bounds, with the
+    setpoint strictly inside the comfort band.  For each omega (rad/h) the
+    largest comfort-feasible amplitude delta_theta/|G(j omega)| is reported
+    next to the envelope half-width: ratio >= 1 everywhere and is
     non-decreasing in omega until the rated-range clamp binds.
     """
-    if not scn.dist.is_constant(tol=1e-12):
-        raise InputError("conservativeness curve requires constant disturbances")
+    lo_t, hi_t = scn.theta_limits()
+    if not scn.dist.is_constant(tol=1e-12) or max(np.ptp(lo_t), np.ptp(hi_t)) > 1e-12:
+        raise InputError("conservativeness curve requires constant disturbances and bounds")
     par = scn.params
     p_eq = equilibrium_power(
         par, float(scn.dist.theta_a[0]), scn.theta_sp, float(scn.dist.q_d[0])
@@ -359,9 +380,7 @@ def conservativeness_curve(
             f"baseline demand {p_eq:.4g} kW must lie strictly inside "
             f"(0, {par.p_rated}) kW"
         )
-    delta_dn = scn.theta_sp - scn.bounds.theta_min
-    delta_up = scn.bounds.theta_max - scn.theta_sp
-    delta = min(delta_dn, delta_up)
+    delta = min(scn.theta_sp - lo_t[0], hi_t[0] - scn.theta_sp)
     if delta <= 0:
         raise InputError("setpoint must be strictly inside the comfort band")
     headroom = min(par.p_rated - p_eq, p_eq)

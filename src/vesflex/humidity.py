@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, require_nonnegative, require_positive
 
 # design states, SI: 75 degF return/mixed air at W = 0.009 supplied as
 # 55 degF conditioned air at W = 0.004
@@ -44,8 +44,8 @@ class PsychroConstants:
     h_fg: float = 2256.0
 
     def __post_init__(self) -> None:
-        if min(self.cp_dry, self.cp_water, self.h_fg) <= 0:
-            raise InputError("psychrometric constants must be positive")
+        for name in ("cp_dry", "cp_water", "h_fg"):
+            require_positive(name, getattr(self, name))
 
 
 DEFAULT_CONSTANTS = PsychroConstants()
@@ -61,8 +61,7 @@ class MoistAirState:
     def __post_init__(self) -> None:
         if not -50.0 <= self.t_c <= 60.0:
             raise InputError(f"dry-bulb {self.t_c} degC outside [-50, 60]")
-        if self.w < 0.0:
-            raise InputError("humidity ratio cannot be negative")
+        require_nonnegative("w", self.w)
 
 
 DESIGN_RETURN_AIR = MoistAirState(DESIGN_T_RETURN_C, DESIGN_W_RETURN)
@@ -103,8 +102,7 @@ def coil_thermal_power(
     const: PsychroConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Heat removed by the coil, kW, for a dry-air mass flow in kg/s."""
-    if m_dot_kg_s < 0:
-        raise InputError("mass flow cannot be negative")
+    require_nonnegative("m_dot_kg_s", m_dot_kg_s)
     return m_dot_kg_s * (
         specific_enthalpy(state_in, const) - specific_enthalpy(state_out, const)
     )
@@ -118,8 +116,7 @@ def electric_demand(
     const: PsychroConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Chiller electric input, kW: coil thermal power over the chiller COP."""
-    if eta_chiller <= 0:
-        raise InputError("chiller COP must be positive")
+    require_positive("eta_chiller", eta_chiller)
     return coil_thermal_power(m_dot_kg_s, state_in, state_out, const) / eta_chiller
 
 

@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError
-from .flexset import Scenario, _band, _forward_reach, _rated_box, _reach, require_member
-from .thermal import Trajectory, simulate
+from .flexset import Scenario, _band, _forward_reach, _rated_box, _reachable, require_member
+from .thermal import Trajectory, _check_grid, simulate
 
 NORMS = ("two", "one", "inf")
 
@@ -89,15 +89,6 @@ _Solved = tuple[np.ndarray, int, float]
 def _check_norm(norm: str) -> None:
     if norm not in NORMS:
         raise InputError(f"norm must be one of {NORMS}, got {norm!r}")
-
-
-def _check_ref(scn: Scenario, ref: Trajectory) -> None:
-    if len(ref) != scn.n_steps:
-        raise ShapeError(
-            f"reference has {len(ref)} samples but scenario has {scn.n_steps}"
-        )
-    if abs(ref.dt - scn.dt) > 1e-9:
-        raise ShapeError(f"reference dt {ref.dt} does not match scenario {scn.dt}")
 
 
 def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -237,21 +228,21 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
         w = z / s
         solve = _riccati(decays, (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1])
 
-        def newton(rc):  # the step, and how far s and z stay non-negative along it
+        def newton(rc, frac):  # the step, and frac of how far s and z each stay >= 0
             v = w * rp - rc / s
             dx = solve(v[1] - v[0] - dtmul(v[2] - v[3]) - rd)
             ds = -rp - gmul(dx)
             dz = -(rc + z * ds) / s
-            sz, dsz = np.stack([s, z]), np.stack([ds, dz])
-            return dx, ds, dz, float(np.min(-sz[dsz < 0] / dsz[dsz < 0], initial=np.inf))
+            ls, lz = (min(1.0, frac * float(np.min(-u[du < 0] / du[du < 0], initial=np.inf)))
+                      for u, du in ((s, ds), (z, dz)))
+            return dx, ds, dz, ls, lz
 
         gap = float(np.sum(s * z))
-        dx, ds, dz, reach = newton(s * z)
-        step = min(1.0, reach)
-        sigma = (float(np.sum((s + step * ds) * (z + step * dz))) / gap) ** 3
-        dx, ds, dz, reach = newton(s * z + ds * dz - sigma * gap / s.size)
-        step = min(1.0, 0.99 * reach)
-        x, s, z = x + step * dx, s + step * ds, z + step * dz
+        dx, ds, dz, ls, lz = newton(s * z, 1.0)
+        sigma = (float(np.sum((s + ls * ds) * (z + lz * dz))) / gap) ** 3
+        # primal and dual lengths apart: one shared length can cycle
+        dx, ds, dz, ls, lz = newton(s * z + ds * dz - sigma * gap / s.size, 0.99)
+        x, s, z = x + ls * dx, s + ls * ds, z + lz * dz
     p = scn.step_demand(np.append(scn.theta0, x[:-1]), x)
     return p, it, math.sqrt(max(dual * scn.dt, 0.0))
 
@@ -298,19 +289,21 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     plan's re-simulated temperature leaves the band by more than 1e-6 C.
     """
     _check_norm(norm)
-    _check_ref(scn, ref)
+    _check_grid("reference", ref, scn.n_steps, scn.dt)
     r = ref.values
     # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
     target = np.clip(r, 0.0, scn.params.p_rated)
+    run = _reachable(scn)
     if norm == "one":
-        solved = _ride(scn, target, *_band(scn, *_rated_box(scn))), 0, None
+        solved = _ride(run, target, *_band(run, *_rated_box(run))), 0, None
     else:
-        _reach(scn, *_rated_box(scn))
-        solved = _plan_inf(scn, r, target) if norm == "inf" else _plan_two(scn, r)
+        solved = _plan_inf(run, r, target) if norm == "inf" else _plan_two(run, r)
     p, iterations, bound = solved
     p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
     theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)
+    if bound is not None:  # a bound above the plan's own error is rounding
+        bound = min(bound, err)
     return PlanResult(norm, p, theta, err, bound, iterations, solves=1)
 
 
@@ -452,7 +445,7 @@ def receding_horizon(
     bound is None.  The stitched temperature is re-simulated on the full
     horizon and audited like a plan's.
     """
-    _check_ref(scn, ref)
+    _check_grid("reference", ref, scn.n_steps, scn.dt)
     if window_steps < 1:
         raise InputError("window_steps must be at least 1")
     if apply_steps < 1 or apply_steps > window_steps:

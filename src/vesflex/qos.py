@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelMissingError, InputError, ShapeError
-from .thermal import Trajectory
+from .errors import (
+    ChannelMissingError, InputError, ShapeError, require_nonnegative, require_positive,
+)
+from .thermal import Trajectory, _check_grid, _readonly
 
 # Channel names, in the order ties at the same sample index are reported.
 CHANNELS = ("theta", "humidity", "lockout")
@@ -52,21 +54,14 @@ class QoSBounds:
         if (self.w_min is None) != (self.w_max is None):
             raise InputError("w_min and w_max must be given together")
         if self.w_min is not None:
-            if self.w_min < 0 or not self.w_min < self.w_max:
-                raise InputError(
-                    f"need 0 <= w_min < w_max, got [{self.w_min}, {self.w_max}]"
-                )
-        if self.tau_lock is not None and not (
-            math.isfinite(self.tau_lock) and self.tau_lock > 0
-        ):
-            raise InputError(f"tau_lock must be positive, got {self.tau_lock!r}")
+            require_nonnegative("w_min", self.w_min)
+            if not self.w_min < self.w_max:
+                raise InputError(f"need w_min < w_max, got [{self.w_min}, {self.w_max}]")
+        if self.tau_lock is not None:
+            require_positive("tau_lock", self.tau_lock)
         for name in ("theta_min_t", "theta_max_t"):
-            arr = getattr(self, name)
-            if arr is not None:
-                # a copy, so that freezing it leaves the caller's array writable
-                arr = np.array(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(name, getattr(self, name)))
 
     def theta_limits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits for an n-sample signal."""
@@ -103,11 +98,7 @@ class QoSSignal:
             tr = getattr(self, name)
             if tr is None:
                 continue
-            if abs(tr.dt - self.theta.dt) > 1e-12 or len(tr) != len(self.theta):
-                raise ShapeError(
-                    f"{name} channel grid ({tr.dt} h x {len(tr)}) does not match "
-                    f"theta ({self.theta.dt} h x {len(self.theta)})"
-                )
+            _check_grid(f"{name} channel", tr, len(self.theta), self.theta.dt)
 
 
 @dataclass(frozen=True)
@@ -141,8 +132,7 @@ def lockout_count(
     tau_lock old are excluded, so switches spaced exactly tau_lock apart
     never overlap in one window.
     """
-    if tau_lock <= 0:
-        raise InputError("tau_lock must be positive")
+    require_positive("tau_lock", tau_lock)
     u = on_off.values
     events = np.zeros(len(on_off), dtype=int)
     events[1:] = u[1:] != u[:-1]
@@ -169,8 +159,7 @@ def satisfies(signal: QoSSignal, bounds: QoSBounds, atol: float = 0.0) -> Verdic
     optimizer output feasible to solver tolerance is not rejected for a
     1e-9 grazing of a bound.
     """
-    if atol < 0:
-        raise InputError("atol must be non-negative")
+    require_nonnegative("atol", atol)
     n = len(signal.theta)
     lo, hi = bounds.theta_limits(n)
 

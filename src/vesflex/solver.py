@@ -53,7 +53,7 @@ class SolveReport:
 
     def __post_init__(self) -> None:
         if self.x is not None:
-            xs = np.asarray(self.x, dtype=float)
+            xs = np.array(self.x, dtype=float)  # a copy: the caller's stays writable
             xs.setflags(write=False)
             object.__setattr__(self, "x", xs)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, require_nonnegative, require_positive
 
 # Default sampling step, hours.  One minute resolves the paper-scale RC time
 # constant (about 3.5 h) by more than two orders of magnitude.
@@ -47,10 +47,22 @@ TIME_GRID_TOL_H = 1e-9
 MAX_GRID_STEPS = 10_000_000
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _readonly(name: str, a, dtype: type = float) -> np.ndarray:
+    """A frozen copy of a, a non-empty 1-D array of finite values; a stays writable."""
+    out = np.array(a, dtype=dtype)
+    if out.ndim != 1 or out.size == 0:
+        raise ShapeError(f"{name} must be a non-empty 1-D array")
+    if not np.isfinite(out).all():
+        raise InputError(f"{name} must be finite")
     out.setflags(write=False)
     return out
+
+
+def _check_grid(name: str, signal, n: int, dt: float) -> None:
+    """ShapeError unless signal has n samples dt apart, within TIME_GRID_TOL_H."""
+    if len(signal) != n or abs(signal.dt - dt) > TIME_GRID_TOL_H:
+        raise ShapeError(f"{name} has {len(signal)} samples {signal.dt:.6g} h apart, "
+                         f"not {n} samples {dt:.6g} h apart")
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,7 @@ class ThermalParams:
 
     def __post_init__(self) -> None:
         for name in ("r_thermal", "c_thermal", "eta_cop", "p_rated"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InputError(f"{name} must be finite and positive, got {v!r}")
+            require_positive(name, getattr(self, name))
 
     @property
     def time_constant_h(self) -> float:
@@ -98,14 +108,8 @@ class Trajectory:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InputError(f"dt must be positive, got {self.dt!r}")
-        v = _readonly(self.values)
-        if v.ndim != 1 or v.size == 0:
-            raise InputError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise InputError("values must be finite")
-        object.__setattr__(self, "values", v)
+        require_positive("dt", self.dt)
+        object.__setattr__(self, "values", _readonly("values", self.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -144,18 +148,10 @@ class DisturbanceSeries:
     q_d: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InputError(f"dt must be positive, got {self.dt!r}")
-        ta = _readonly(self.theta_a)
-        qd = _readonly(self.q_d)
-        if ta.ndim != 1 or qd.ndim != 1 or ta.size == 0:
-            raise InputError("theta_a and q_d must be non-empty 1-D arrays")
+        require_positive("dt", self.dt)
+        ta, qd = _readonly("theta_a", self.theta_a), _readonly("q_d", self.q_d)
         if ta.size != qd.size:
-            raise ShapeError(
-                f"theta_a has {ta.size} samples but q_d has {qd.size}"
-            )
-        if not (np.all(np.isfinite(ta)) and np.all(np.isfinite(qd))):
-            raise InputError("disturbance samples must be finite")
+            raise ShapeError(f"theta_a has {ta.size} samples but q_d has {qd.size}")
         object.__setattr__(self, "theta_a", ta)
         object.__setattr__(self, "q_d", qd)
 
@@ -258,12 +254,7 @@ def simulate(
         N+1 temperature samples (degC): theta0 followed by the state after
         each step.  Exact for piecewise-constant inputs.
     """
-    if abs(p.dt - dist.dt) > TIME_GRID_TOL_H:
-        raise ShapeError(f"p.dt {p.dt} does not match disturbance dt {dist.dt}")
-    if len(p) != len(dist):
-        raise ShapeError(
-            f"demand has {len(p)} samples but disturbance has {len(dist)}"
-        )
+    _check_grid("demand", p, len(dist), dist.dt)
     a = decay_factor(params, dist.dt)
     # quasi-steady temperature for each step's frozen inputs
     theta_qs = dist.theta_a + params.r_thermal * (
@@ -283,8 +274,7 @@ def tf_magnitude(params: ThermalParams, omega: float) -> float:
 
     omega is in rad/h.  At omega = 0 this is the DC gain R*eta_cop.
     """
-    if omega < 0:
-        raise InputError("omega must be non-negative")
+    require_nonnegative("omega", omega)
     rc = params.time_constant_h
     return (params.eta_cop / params.c_thermal) / math.hypot(omega, 1.0 / rc)
 
@@ -298,8 +288,7 @@ def max_sine_amplitude(
     bound as omega increases, which is what makes a fixed quasi-steady power
     envelope conservative at short time scales.
     """
-    if delta_theta <= 0:
-        raise InputError("delta_theta must be positive")
+    require_positive("delta_theta", delta_theta)
     return delta_theta / tf_magnitude(params, omega)
 
 
@@ -317,12 +306,8 @@ class BaselineResult:
     clamped_high: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "clamped_low", np.asarray(self.clamped_low, dtype=bool)
-        )
-        object.__setattr__(
-            self, "clamped_high", np.asarray(self.clamped_high, dtype=bool)
-        )
+        for name in ("clamped_low", "clamped_high"):
+            object.__setattr__(self, name, _readonly(name, getattr(self, name), bool))
 
     @property
     def saturated(self) -> bool:
@@ -368,8 +353,7 @@ def steady_sine_amplitude(
     from the RMS of an integer number of periods (exact for a sampled
     sinusoid).  Used to cross-check tf_magnitude at stated tolerances.
     """
-    if omega <= 0:
-        raise InputError("omega must be positive for an amplitude measurement")
+    require_positive("omega", omega)
     if samples_per_period < 4:
         raise InputError("need at least 4 samples per period")
     period_h = 2.0 * math.pi / omega

@@ -1,0 +1,177 @@
+"""The input contract: one check each for numbers, held arrays and sampling grids.
+
+Every scalar field is a finite number of the right sign, every array a
+frozen value holds is its own read-only copy, and every signal that must
+share a grid is held to the one tolerance thermal.TIME_GRID_TOL_H.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import vesflex as vf
+from conftest import DT, hot_day_scenario, make_params
+
+_PAR = make_params()
+_SCN = hot_day_scenario(horizon_h=0.5)
+_STATE = vf.MoistAirState(24.0, 0.009)
+_SUPPLY = vf.MoistAirState(13.0, 0.004)
+_THETA = vf.Trajectory(DT, np.full(4, 24.0))
+_ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
+
+# check -> (field the error names, must it be above zero, the call it guards)
+NUMBER_CHECKS = {
+    "ThermalParams.r_thermal": ("r_thermal", True, lambda v: vf.ThermalParams(v, 1.0, 3.0, 2.0)),
+    "ThermalParams.c_thermal": ("c_thermal", True, lambda v: vf.ThermalParams(1.0, v, 3.0, 2.0)),
+    "ThermalParams.eta_cop": ("eta_cop", True, lambda v: vf.ThermalParams(1.0, 1.0, v, 2.0)),
+    "ThermalParams.p_rated": ("p_rated", True, lambda v: vf.ThermalParams(1.0, 1.0, 3.0, v)),
+    "Trajectory.dt": ("dt", True, lambda v: vf.Trajectory(v, [1.0])),
+    "DisturbanceSeries.dt": ("dt", True, lambda v: vf.DisturbanceSeries(v, [30.0], [1.0])),
+    "tf_magnitude": ("omega", False, lambda v: vf.tf_magnitude(_PAR, v)),
+    "max_sine_amplitude": ("delta_theta", True, lambda v: vf.max_sine_amplitude(_PAR, v, 1.0)),
+    "steady_sine_amplitude": ("omega", True, lambda v: vf.steady_sine_amplitude(_PAR, 0.1, v)),
+    "QoSBounds.tau_lock": ("tau_lock", True, lambda v: vf.QoSBounds(23.0, 25.0, tau_lock=v)),
+    "QoSBounds.w_min": ("w_min", False, lambda v: vf.QoSBounds(23.0, 25.0, w_min=v, w_max=2.0)),
+    "lockout_count": ("tau_lock", True, lambda v: vf.lockout_count(_THETA, v)),
+    "satisfies": (
+        "atol", False, lambda v: vf.satisfies(vf.QoSSignal(theta=_THETA), _SCN.bounds, atol=v)
+    ),
+    "flexset.audit": ("atol", False, lambda v: vf.flexset.audit(_ZERO, _SCN, atol=v)),
+    "bangbang_energy_oracle.delta_theta": (
+        "delta_theta", False, lambda v: vf.bangbang_energy_oracle(_PAR, v, 1.0, 1.0)
+    ),
+    "bangbang_energy_oracle.p_tilde_max": (
+        "p_tilde_max", True, lambda v: vf.bangbang_energy_oracle(_PAR, 1.0, v, 1.0)
+    ),
+    "bangbang_energy_oracle.horizon_h": (
+        "horizon_h", False, lambda v: vf.bangbang_energy_oracle(_PAR, 1.0, 1.0, v)
+    ),
+    "DeferrableSpec.arrival_h": ("arrival_h", False, lambda v: vf.DeferrableSpec(v, 1.0, 2.0, 1.0)),
+    "DeferrableSpec.energy_kwh": (
+        "energy_kwh", False, lambda v: vf.DeferrableSpec(0.0, v, 2.0, 1.0)
+    ),
+    "DeferrableSpec.window_h": ("window_h", True, lambda v: vf.DeferrableSpec(0.0, 1.0, v, 1.0)),
+    "DeferrableSpec.p_max": ("p_max", True, lambda v: vf.DeferrableSpec(0.0, 1.0, 2.0, v)),
+    "PulseLoadSpec.unit_kw": ("unit_kw", True, lambda v: vf.PulseLoadSpec(v, 1.0)),
+    "PulseLoadSpec.slot_h": ("slot_h", True, lambda v: vf.PulseLoadSpec(1.0, v)),
+    "PsychroConstants.cp_dry": ("cp_dry", True, lambda v: vf.PsychroConstants(cp_dry=v)),
+    "PsychroConstants.cp_water": ("cp_water", True, lambda v: vf.PsychroConstants(cp_water=v)),
+    "PsychroConstants.h_fg": ("h_fg", True, lambda v: vf.PsychroConstants(h_fg=v)),
+    "MoistAirState.w": ("w", False, lambda v: vf.MoistAirState(24.0, v)),
+    "coil_thermal_power": (
+        "m_dot_kg_s", False, lambda v: vf.coil_thermal_power(v, _STATE, _SUPPLY)
+    ),
+    "electric_demand": (
+        "eta_chiller", True, lambda v: vf.electric_demand(1.0, _STATE, _SUPPLY, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "1.0", -1.0])
+@pytest.mark.parametrize("check", NUMBER_CHECKS)
+def test_every_number_check_refuses_what_is_not_a_finite_number_of_its_sign(check, bad):
+    field, _, call = NUMBER_CHECKS[check]
+    with pytest.raises(vf.InputError, match=f"^{field} must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("check", NUMBER_CHECKS)
+def test_every_number_check_takes_a_finite_number_and_zero_only_when_non_negative(check):
+    field, positive, call = NUMBER_CHECKS[check]
+    call(1.0)
+    call(np.float64(1.0))
+    if positive:
+        with pytest.raises(vf.InputError, match=f"^{field} must be finite and positive"):
+            call(0.0)
+    else:
+        call(0)
+
+
+_SPEC = vf.PulseLoadSpec(1.0, 1.0)
+_SHORT = vf.Trajectory(DT, [1.0, 1.0, 1.0])
+
+# kind -> (the caller's two arrays, the value built from them, the fields holding them)
+HOLDERS = {
+    "Trajectory": ([0.0, 1.0, 0.0], None, lambda x, y: vf.Trajectory(DT, x), ["values"]),
+    "DisturbanceSeries": (
+        [30.0, 31.0, 32.0], [1.0, 1.5, 2.0],
+        lambda x, y: vf.DisturbanceSeries(DT, x, y), ["theta_a", "q_d"],
+    ),
+    "QoSBounds": (
+        [23.0, 23.5, 23.0], [25.0, 24.5, 25.0],
+        lambda x, y: vf.QoSBounds(23.0, 25.0, theta_min_t=x, theta_max_t=y),
+        ["theta_min_t", "theta_max_t"],
+    ),
+    "FlexEnvelope": (
+        [0.5, 0.6, 0.7], [1.5, 1.6, 1.7],
+        lambda x, y: vf.FlexEnvelope(DT, x, y), ["p_lo", "p_hi"],
+    ),
+    "BaselineResult": (
+        [True, False, False], [False, False, True],
+        lambda x, y: vf.BaselineResult(_SHORT, x, y), ["clamped_low", "clamped_high"],
+    ),
+    "SolveReport": (
+        [0.0, 1.0, 2.0], None, lambda x, y: vf.SolveReport("optimal", 0.0, x, 1), ["x"],
+    ),
+    "EnsembleSchedule": (
+        [[1, -1, 0]], None, lambda x, y: vf.EnsembleSchedule(_SPEC, x), ["actions"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", HOLDERS)
+def test_a_frozen_value_holds_a_read_only_copy_and_leaves_the_callers_array_writable(kind):
+    first, second, build, fields = HOLDERS[kind]
+    dtype = np.int8 if kind == "EnsembleSchedule" else None
+    mine = [np.array(a, dtype=dtype) for a in (first, second) if a is not None]
+    value = build(*mine, *[None] * (2 - len(mine)))
+    held = [getattr(value, name) for name in fields]
+    before = [h.copy() for h in held]
+    for h in held:
+        assert not h.flags.writeable
+        assert not any(np.shares_memory(h, m) for m in mine)
+        with pytest.raises(ValueError, match="read-only"):
+            h[0] = h[-1]
+    for m in mine:  # the caller's arrays stay writable, and theirs alone
+        assert m.flags.writeable
+        m[0] = m[-1] if m.dtype == bool else m[0] + 1
+    assert all(np.array_equal(h, b) for h, b in zip(held, before))
+
+
+@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
+def test_per_sample_bounds_refuse_nan(name):
+    # a NaN floor from sample 5 of a 60-step paper day once read as no floor:
+    # characterize gave 1.000 kWh of charge energy and an hour at p_rated passed
+    bounds = {"theta_min_t": np.full(61, 23.0), "theta_max_t": np.full(61, 25.0)}
+    bounds[name][5:] = math.nan
+    with pytest.raises(vf.InputError, match=name):
+        vf.QoSBounds(23.0, 25.0, **bounds)
+
+
+def _grid_sites(n, dt):
+    """Each check that a signal sits on another's grid, fed n samples dt apart."""
+    scn = _SCN
+    p = vf.Trajectory(dt, np.full(n, 1.0), unit="kW")
+    env = vf.envelope(scn)
+    base = vf.Trajectory(scn.dt, np.full(scn.n_steps, 1.0))
+    return {
+        "simulate": lambda: vf.simulate(scn.params, scn.dist, p, scn.theta0),
+        "plan": lambda: vf.plan(scn, p, norm="one"),
+        "receding_horizon": lambda: vf.receding_horizon(scn, p, 10, norm="one"),
+        "energy_state": lambda: vf.energy_state(base, p),
+        "QoSSignal": lambda: vf.QoSSignal(
+            theta=vf.Trajectory(scn.dt, np.full(scn.n_steps, 24.0)), w=p
+        ),
+        "audit": lambda: vf.flexset.audit(p, scn),
+        "FlexEnvelope.contains": lambda: env.contains(p),
+    }
+
+
+@pytest.mark.parametrize("site", list(_grid_sites(1, DT)))
+def test_every_grid_check_uses_one_tolerance(site):
+    n, tol = _SCN.n_steps, vf.thermal.TIME_GRID_TOL_H
+    _grid_sites(n, DT + 0.1 * tol)[site]()
+    for n_bad, dt_bad in ((n, DT + 10 * tol), (n - 1, DT), (n + 1, DT)):
+        with pytest.raises(vf.ShapeError, match="samples"):
+            _grid_sites(n_bad, dt_bad)[site]()

@@ -209,6 +209,31 @@ def test_conservativeness_curve_requires_constant_weather(params, bounds):
         vf.conservativeness_curve(scn, [0.0])
 
 
+def test_conservativeness_curve_reads_per_sample_bounds(hot_day):
+    # constant per-sample bounds inside the scalar band: the curve is the one
+    # of the equal scalar band, and a_max(0) is the envelope's half width
+    n = hot_day.n_steps + 1
+    narrow = vf.QoSBounds(23.5, 24.5)
+    per_sample = vf.QoSBounds(
+        23.0, 25.0, theta_min_t=np.full(n, 23.5), theta_max_t=np.full(n, 24.5)
+    )
+    omegas = [0.0, 0.5, 2.0 * math.pi]
+    got = vf.conservativeness_curve(dataclasses.replace(hot_day, bounds=per_sample), omegas)
+    assert got == vf.conservativeness_curve(dataclasses.replace(hot_day, bounds=narrow), omegas)
+    half = vf.envelope(dataclasses.replace(hot_day, bounds=per_sample)).half_width
+    assert got[0].a_max == pytest.approx(half[0], rel=1e-12)
+    assert got[0].a_max == pytest.approx(0.0527732334160114, rel=1e-9)
+
+
+def test_conservativeness_curve_refuses_varying_bounds(hot_day):
+    n = hot_day.n_steps + 1
+    lo_t = np.full(n, 23.0)
+    lo_t[n // 2 :] = 23.5
+    scn = dataclasses.replace(hot_day, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t))
+    with pytest.raises(vf.InputError, match="constant"):
+        vf.conservativeness_curve(scn, [0.0])
+
+
 def test_sine_within_envelope_amplitude_is_member(hot_day):
     a0 = 0.10554646683202273
     t = np.arange(hot_day.n_steps) * hot_day.dt

@@ -432,6 +432,59 @@ def test_refused_candidates_fall_back_to_the_interior_point(monkeypatch):
     assert np.max(np.abs(rolled.p.values - oracle)) <= 1e-7
 
 
+def test_two_norm_converges_where_one_shared_step_length_cycled():
+    # with one step length for primal and dual the iterates cycled among
+    # three points, every step cut to about 0.56, for 100 iterations
+    dist = vf.DisturbanceSeries.constant(DT, 2, 28.906198505381113, 1.221253895127179)
+    scn = vf.Scenario(
+        params=make_params(), bounds=vf.QoSBounds(23.7, 24.5), dist=dist,
+        theta_sp=24.0, theta0=23.81947622508936,
+    )
+    ref = np.full(2, scn.params.p_rated + 0.5)
+    got = vf.plan(scn, _ref(scn, ref), norm="two")
+    assert np.max(np.abs(got.p.values - box_qp_plan(scn, ref, tol=1e-12))) <= 1e-7
+    assert got.p.values == pytest.approx([2.20739, 2.20467], abs=1e-5)
+    # only theta_2 sits on the floor, and neither step on p_rated
+    assert got.theta.values[1] > 23.7 + 1e-3
+    assert got.theta.values[2] == pytest.approx(23.7, abs=1e-9)
+    assert got.iterations < 20
+
+
+def _floor_step_case():
+    # the floor steps from 23.5 to 23.7 C at sample 41; the one-norm ride
+    # left a window's theta0 3.6e-15 C short of what that window can hold
+    scn, ref, _ = _random_rolling_case(np.random.default_rng([2024, 1]))
+    n = scn.n_steps
+    lo_t = np.where(np.arange(n + 1) <= 40, 23.5, 23.7)
+    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 24.5))
+    return dataclasses.replace(scn, bounds=bounds), ref
+
+
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_rolling_plan_starts_a_window_missed_by_rounding(norm):
+    scn, ref = _floor_step_case()
+    rolled = vf.receding_horizon(scn, ref, 11, norm=norm, apply_steps=1)
+    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    oracle = _replan_every_window(scn, ref, 11, norm, 1)
+    assert np.max(np.abs(rolled.p.values - oracle)) <= (1e-7 if norm == "two" else 0.0)
+
+
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_plan_moves_only_a_rounding_miss_into_the_viable_start(norm, hot_day_2h):
+    # one step whose floor is exactly where zero demand lands from 24 C
+    scn = dataclasses.replace(hot_day_2h, dist=hot_day_2h.dist.slice(0, 1))
+    a, _, forcing = scn.dynamics()
+    floor = np.array([23.0, a * 24.0 + forcing[0]])
+    scn = dataclasses.replace(scn, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=floor))
+    ref = _ref(scn, [0.5])
+    for miss in (0.0, 1e-15, 1e-14, 1e-12, 9e-10):
+        got = vf.plan(dataclasses.replace(scn, theta0=24.0 - miss), ref, norm=norm)
+        assert got.p.values[0] == pytest.approx(0.0, abs=1e-9)
+        assert got.theta.values[0] == 24.0 - miss
+    with pytest.raises(vf.InfeasibleError):
+        vf.plan(dataclasses.replace(scn, theta0=24.0 - 1e-6), ref, norm=norm)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_riccati_per_step_decays_match_dense_solve(seed):
     from vesflex.planner import _riccati

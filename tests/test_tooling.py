@@ -159,3 +159,32 @@ def test_each_job_imports_only_what_it_runs(tmp_path):
     assert {"vesflex.planner", "vesflex.flexset"} <= set(modules)
     unused = {f"vesflex.{m}" for m in ("solver", "battery", "deferrable", "ensemble")}
     assert unused.isdisjoint(modules)
+
+
+def test_readme_python_example_runs_as_printed():
+    # the example builds Trajectorys, the caps and a rolling plan, so any
+    # drift in those calls shows here
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.split() == ["True", "1"]
+
+
+def test_only_the_array_helper_freezes_arrays():
+    # thermal._readonly copies, converts, checks and freezes; no other
+    # function in the modules that import it calls setflags
+    for name in ("thermal", "qos", "flexset"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        callers = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "setflags"
+        }
+        assert callers == ({"_readonly"} if name == "thermal" else set()), name

@@ -357,12 +357,7 @@ def _ensemble_reference(args) -> np.ndarray:
 
     from . import ensemble
 
-    given = [
-        args.ref is not None,
-        args.triangle is not None,
-        args.square is not None,
-    ]
-    if sum(given) != 1:
+    if sum(arg is not None for arg in (args.ref, args.triangle, args.square)) != 1:
         raise InputError("give exactly one of --ref, --triangle, --square")
     if args.ref is not None:
         if os.path.exists(args.ref):
@@ -388,7 +383,8 @@ def cmd_ensemble(args) -> int:
     from . import ensemble
 
     ref = _ensemble_reference(args)
-    spec = ensemble.PulseLoadSpec(unit_kw=args.unit_kw, slot_h=args.slot_h)
+    # ensemble.csv and stdout count whole pulses in whole slots
+    spec = ensemble.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
     need = ensemble.min_loads(ref)
     print(f"slots: {ref.size}  min loads: {need}")
     sched = ensemble.schedule_tracking(ref, spec, n_loads=args.n_loads)
@@ -573,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--square", type=_two_ints, default=None, metavar="AMPLITUDE,TAU",
         help="square wave amplitude and half-period in slots",
     )
-    p.add_argument("--unit-kw", type=finite, default=1.0, help="pulse height, kW")
-    p.add_argument("--slot-h", type=finite, default=1.0, help="slot length, h")
     p.add_argument("--n-loads", type=count, default=None, help="fleet size (default: minimum)")
     p.set_defaults(func=cmd_ensemble)
 

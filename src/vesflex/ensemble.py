@@ -172,14 +172,11 @@ def schedule_tracking(
     extra rows idle.
     """
     s = pair_counts(ref_units)
-    _require_zero_sum(s)
-    need = min_loads(ref_units)
+    need = min_loads(ref_units)  # refuses a reference that does not sum to zero
     if n_loads is None:
         n_loads = need
     elif n_loads < need:
-        raise InfeasibleError(
-            f"reference needs {need} loads, fleet has only {n_loads}"
-        )
+        raise InfeasibleError(f"reference needs {need} loads, fleet has only {n_loads}")
     n_slots = s.size
     actions = np.zeros((n_loads, n_slots), dtype=np.int8)
     free: list[int] = list(range(n_loads))
@@ -219,12 +216,7 @@ def square_reference(amplitude_units: int, tau_slots: int) -> np.ndarray:
     """One period of the +A/-A square wave used by the trade-off analysis."""
     if amplitude_units < 0 or tau_slots < 1:
         raise InputError("need amplitude >= 0 and tau_slots >= 1")
-    return np.concatenate(
-        [
-            np.full(tau_slots, amplitude_units, dtype=np.int64),
-            np.full(tau_slots, -amplitude_units, dtype=np.int64),
-        ]
-    )
+    return np.repeat(np.array([amplitude_units, -amplitude_units], dtype=np.int64), tau_slots)
 
 
 def staircase_triangle(peak_units: int) -> np.ndarray:

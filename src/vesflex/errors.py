@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: bad or inconsistent input data is an
 InputError (exit 2), while a well-posed problem with no feasible answer is
-an InfeasibleError (exit 1).  require_positive and require_nonnegative
-are the one check every scalar input passes.
+an InfeasibleError (exit 1).  require_finite, require_positive and
+require_nonnegative are the one check every scalar input passes.
 """
 
 import math
@@ -40,6 +40,12 @@ class SolverError(VesflexError):
 
 def _finite(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def require_finite(name: str, value) -> None:
+    """InputError naming the field unless value is a finite number of either sign."""
+    if not _finite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
 
 
 def require_positive(name: str, value) -> None:

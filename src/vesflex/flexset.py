@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_nonnegative,
+    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_finite,
+    require_nonnegative,
 )
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
@@ -71,6 +72,7 @@ class Scenario:
             )
         lo, hi = self.bounds.theta_min, self.bounds.theta_max
         for name in ("theta_sp", "theta0"):
+            require_finite(name, getattr(self, name))
             if not lo <= getattr(self, name) <= hi:
                 raise InputError(
                     f"{name} {getattr(self, name)} outside comfort band [{lo}, {hi}]"
@@ -168,22 +170,6 @@ def feasible_window(scn: Scenario) -> tuple[bool, int]:
     return bad < 0, bad
 
 
-def _reach(scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray) -> tuple[list, list]:
-    """_forward_reach that raises InfeasibleError where the interval empties.
-
-    The error names the rated range: other boxes come from the planner,
-    which passes only boxes its forward pass has already found feasible.
-    """
-    lo, hi, bad = _forward_reach(scn, p_lo, p_hi)
-    if bad >= 0:
-        raise InfeasibleError(
-            f"comfort band cannot be held at sample {bad} "
-            f"(t = {bad * scn.dt:.6g} h) under any demand in "
-            f"[0, {scn.params.p_rated}] kW"
-        )
-    return lo, hi
-
-
 def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarray):
     """Backward pass: cut [lo[k], hi[k]] to where the box's demand reaches k+1's cut."""
     a, gain, forcing = scn.dynamics()
@@ -201,27 +187,39 @@ def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarra
 
 
 def _band(
-    scn: Scenario, p_lo: np.ndarray, p_hi: np.ndarray
+    scn: Scenario, reach: tuple[list, list], p_lo: np.ndarray, p_hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]]."""
-    lo, hi = _viable(scn, *_reach(scn, p_lo, p_hi), p_lo, p_hi)
+    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]], read off
+    reach, the box's feasible forward pass (lo, hi): _viable cuts it in place."""
+    lo, hi = _viable(scn, *reach, p_lo, p_hi)
     return np.array(lo), np.array(hi)
 
 
-def _reachable(scn: Scenario) -> Scenario:
-    """scn, or, when its forward pass fails by rounding (theta0 within _SNAP_TOL
-    of the viable start), scn from the nearest start 0, 1, 4, ... ulps clear of
-    the viable edges that the pass holds; InfeasibleError when none does."""
-    if not feasible_window(scn)[0]:
-        lo, hi = _viable(scn, *(b.tolist() for b in scn.theta_limits()), *_rated_box(scn))
-        for pad in [0.0] + [math.ulp(lo[0]) * 4**i for i in range(8)]:
-            start = min(max(scn.theta0, lo[0] + pad), hi[0] - pad)
-            if abs(start - scn.theta0) > _SNAP_TOL:
-                break
-            if feasible_window(moved := replace(scn, theta0=start))[0]:
-                return moved
-        _reach(scn, *_rated_box(scn))
-    return scn
+def _unholdable(scn: Scenario, bad: int) -> InfeasibleError:
+    """The error of a rated forward pass that empties at sample bad."""
+    return InfeasibleError(
+        f"comfort band cannot be held at sample {bad} (t = {bad * scn.dt:.6g} h) "
+        f"under any demand in [0, {scn.params.p_rated}] kW"
+    )
+
+
+def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
+    """scn and its rated forward pass (lo, hi), or, when that pass fails by rounding
+    (theta0 within _SNAP_TOL of the viable start), scn from the nearest start 0, 1,
+    4, ... ulps clear of the viable edges that the pass holds, and that start's pass;
+    InfeasibleError when none holds."""
+    lo, hi, bad = _forward_reach(scn, *(box := _rated_box(scn)))
+    if bad < 0:
+        return scn, (lo, hi)
+    v_lo, v_hi = _viable(scn, *(b.tolist() for b in scn.theta_limits()), *box)
+    for pad in [0.0] + [math.ulp(v_lo[0]) * 4**i for i in range(8)]:
+        start = min(max(scn.theta0, v_lo[0] + pad), v_hi[0] - pad)
+        if abs(start - scn.theta0) > _SNAP_TOL:
+            break
+        lo, hi, miss = _forward_reach(moved := replace(scn, theta0=start), *box)
+        if miss < 0:
+            return moved, (lo, hi)
+    raise _unholdable(scn, bad)
 
 
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +231,10 @@ def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     pointwise-lowest and pointwise-highest feasible trajectories.  Returns
     N+1 samples; raises InfeasibleError when no trajectory exists.
     """
-    return _band(scn, *_rated_box(scn))
+    lo, hi, bad = _forward_reach(scn, *(box := _rated_box(scn)))
+    if bad >= 0:
+        raise _unholdable(scn, bad)
+    return _band(scn, (lo, hi), *box)
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,8 @@ one.
 
 An infeasible planning window is a hard error, not a best-effort answer:
 the caller must know the comfort contract cannot be met.  Every norm first
-runs the forward pass of feasible_band, exact and cheap for a scalar monotone
-system; only the one-norm ride, which reads the band, runs the backward pass.
+runs the rated forward pass, exact and cheap for a scalar monotone system;
+only the rides run the backward pass, each on a forward pass already run.
 """
 
 from __future__ import annotations
@@ -258,26 +258,27 @@ def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return scn.step_demand(th[:-1], th[1:])
 
 
-def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray) -> _Solved:
+def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray, reach: tuple) -> _Solved:
     """Bisection on e, stopped when the midpoint rounds onto an end."""
     p_rated = scn.params.p_rated
 
     def box(e: float) -> tuple[np.ndarray, np.ndarray]:
         return np.maximum(r - e, 0.0), np.minimum(r + e, p_rated)
 
-    # below e_lo some box is empty; at e_hi every box is [0, p_rated]
+    # below e_lo some box is empty; at e_hi every box is [0, p_rated], bit for
+    # bit the rated box of reach, the pass each feasible probe then replaces
     e_lo = max(0.0, float(np.max(r - p_rated)), float(np.max(-r)))
     e_hi = p_rated + float(np.max(np.abs(r)))
     halvings = 0
-    if _forward_reach(scn, *box(e_lo))[2] < 0:
-        e_hi = e_lo
+    if (probe := _forward_reach(scn, *box(e_lo)))[2] < 0:
+        e_hi, reach = e_lo, probe[:2]
     while e_lo < (mid := 0.5 * (e_lo + e_hi)) < e_hi:
         halvings += 1
-        if _forward_reach(scn, *box(mid))[2] < 0:
-            e_hi = mid
+        if (probe := _forward_reach(scn, *box(mid)))[2] < 0:
+            e_hi, reach = mid, probe[:2]
         else:
             e_lo = mid
-    return _ride(scn, target, *_band(scn, *box(e_hi))), halvings, e_lo
+    return _ride(scn, target, *_band(scn, reach, *box(e_hi))), halvings, e_lo
 
 
 def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
@@ -293,11 +294,11 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     r = ref.values
     # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
     target = np.clip(r, 0.0, scn.params.p_rated)
-    run = _reachable(scn)
+    run, reach = _reachable(scn)
     if norm == "one":
-        solved = _ride(run, target, *_band(run, *_rated_box(run))), 0, None
+        solved = _ride(run, target, *_band(run, reach, *_rated_box(run))), 0, None
     else:
-        solved = _plan_inf(run, r, target) if norm == "inf" else _plan_two(run, r)
+        solved = _plan_inf(run, r, target, reach) if norm == "inf" else _plan_two(run, r)
     p, iterations, bound = solved
     p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
     theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChannelMissingError, InputError, ShapeError, require_nonnegative, require_positive,
+    ChannelMissingError, InputError, ShapeError, require_finite, require_nonnegative,
+    require_positive,
 )
 from .thermal import Trajectory, _check_grid, _readonly
 
@@ -30,12 +31,13 @@ CHANNELS = ("theta", "humidity", "lockout")
 class QoSBounds:
     """Closed-interval comfort bounds, with optional per-sample overrides.
 
-    theta_min/theta_max are scalars (degC); theta_min_t/theta_max_t, when
-    given, override them sample-by-sample and must match the checked signal
-    length: for a flexset.Scenario of N steps that is the N+1 temperature
-    samples, checked when the Scenario is built.  Humidity-ratio bounds (kg water per kg dry air) and the lockout
-    window tau_lock (hours) are optional; leaving a channel's bounds unset
-    leaves that channel unconstrained.
+    theta_min/theta_max are finite scalars (degC); theta_min_t/theta_max_t,
+    when given, override them sample-by-sample and must match the checked
+    signal length: for a flexset.Scenario of N steps that is the N+1
+    temperature samples, checked when the Scenario is built.  Humidity-ratio
+    bounds (kg water per kg dry air) and the lockout window tau_lock (hours)
+    are optional; leaving a channel's bounds unset leaves that channel
+    unconstrained.
     """
 
     theta_min: float
@@ -47,6 +49,8 @@ class QoSBounds:
     theta_max_t: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        require_finite("theta_min", self.theta_min)
+        require_finite("theta_max", self.theta_max)
         if not self.theta_min < self.theta_max:
             raise InputError(
                 f"theta_min {self.theta_min} must be below theta_max {self.theta_max}"
@@ -55,6 +59,7 @@ class QoSBounds:
             raise InputError("w_min and w_max must be given together")
         if self.w_min is not None:
             require_nonnegative("w_min", self.w_min)
+            require_positive("w_max", self.w_max)
             if not self.w_min < self.w_max:
                 raise InputError(f"need w_min < w_max, got [{self.w_min}, {self.w_max}]")
         if self.tau_lock is not None:

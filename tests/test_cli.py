@@ -134,6 +134,17 @@ def test_simulate_paper_simulates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_reads_power_csv(tmp_path, short_config):
+    # the demand file is simulated as given: its column comes back as p_kw
+    power = np.linspace(0.5, 2.0, 30)
+    rows = "".join(f"{k / 60!r},{v!r}\n" for k, v in enumerate(power.tolist()))
+    path = _put(tmp_path / "power.csv", "t_hours,ref_kw\n" + rows)
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", short_config, "--power", path, "--out-dir", out) == 0
+    data = np.loadtxt(out / "simulate.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 1], power)
+
+
 def test_simulate_rejects_out_of_range_power(tmp_path, short_config):
     rc = _run(
         "simulate", "--config", short_config, "--power-const", "9.0",
@@ -402,6 +413,7 @@ def _put(path, data):
 
 
 _REF_ROWS = "".join(f"{k / 60!r},1.0\n" for k in range(30))
+_OFF_GRID_ROWS = "".join(f"{k / 30!r},1.0\n" for k in range(30))  # 2 min apart, not 1
 _SHORT = SHORT_CONFIG.format(horizon="0.5")
 
 # each builds its inputs in a directory and returns the argv that reads them
@@ -480,11 +492,23 @@ MALFORMED_INPUTS = {
         "capacity", "--config",
         _put(d / "o.toml", "thermal = 1\n" + _SHORT[_SHORT.index("[comfort]"):]),
     ],
+    "config-missing-key": lambda d: [
+        "capacity", "--config", _put(d / "m.toml", _SHORT.replace("eta_cop = 3.5\n", "")),
+    ],
+    "power-off-grid": lambda d: [
+        "simulate", "--config", _put(d / "s.toml", _SHORT),
+        "--power", _put(d / "power.csv", "t_hours,ref_kw\n" + _OFF_GRID_ROWS),
+    ],
+    "ensemble-two-references": lambda d: ["ensemble", "--triangle", "3", "--square", "2,3"],
+    "ensemble-ref-not-integers": lambda d: ["ensemble", "--ref", "1,a"],
 }
 
-# the file each undecodable input is read from, which its error must name
-UNDECODABLE_FILES = {
-    "config-not-utf8": "c.toml", "dist-not-utf8": "dist.csv", "ref-not-utf8": "ref.csv",
+# the file each of these inputs is read from, which its error must name, and the fault
+FILE_ERRORS = {
+    "config-not-utf8": ("c.toml", "'utf-8' codec"),
+    "dist-not-utf8": ("dist.csv", "'utf-8' codec"),
+    "ref-not-utf8": ("ref.csv", "'utf-8' codec"),
+    "power-off-grid": ("power.csv", "time stamps do not match the scenario grid"),
 }
 
 
@@ -499,8 +523,9 @@ def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert set(tmp_path.rglob("*")) == before
-    if case in UNDECODABLE_FILES:
-        assert f"error: {tmp_path / UNDECODABLE_FILES[case]}: 'utf-8' codec" in err
+    if case in FILE_ERRORS:
+        name, fault = FILE_ERRORS[case]
+        assert f"error: {tmp_path / name}: {fault}" in err
 
 
 NON_FINITE_OPTIONS = {
@@ -533,6 +558,27 @@ def test_negative_count_option_is_usage_error(tmp_path, case, capsys):
     assert _run(*NEGATIVE_COUNT_OPTIONS[case], "--out-dir", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "invalid count value: '-1'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# options argparse refuses, and what its usage error says
+MALFORMED_OPTIONS = {
+    "ensemble-square-one-int": (["ensemble", "--square", "3"], "expected AMPLITUDE,TAU"),
+    "humidity-outdoor-two-floats": (["humidity", "--outdoor", "1,2"], "expected T,W,FRACTION"),
+    # removed: ensemble.csv and stdout are in whole units and slots
+    "ensemble-unit-kw": (["ensemble", "--triangle", "3", "--unit-kw", "2"], "--unit-kw"),
+    "ensemble-slot-h": (["ensemble", "--triangle", "3", "--slot-h", "2"], "--slot-h"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_OPTIONS)
+def test_malformed_option_is_usage_error(tmp_path, case, capsys):
+    argv, says = MALFORMED_OPTIONS[case]
+    out = tmp_path / "out"
+    assert _run(*argv, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and says in err.splitlines()[-1]
     assert "Traceback" not in err
     assert not out.exists()
 

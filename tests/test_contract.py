@@ -5,6 +5,7 @@ frozen value holds is its own read-only copy, and every signal that must
 share a grid is held to the one tolerance thermal.TIME_GRID_TOL_H.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ _STATE = vf.MoistAirState(24.0, 0.009)
 _SUPPLY = vf.MoistAirState(13.0, 0.004)
 _THETA = vf.Trajectory(DT, np.full(4, 24.0))
 _ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
+_WIDE = dataclasses.replace(_SCN, bounds=vf.QoSBounds(-25.0, 25.0), theta_sp=0.0, theta0=0.0)
 
-# check -> (field the error names, must it be above zero, the call it guards)
+# check -> (field the error names, its sign: True above zero, False zero or
+# above, None either sign; the call it guards)
 NUMBER_CHECKS = {
     "ThermalParams.r_thermal": ("r_thermal", True, lambda v: vf.ThermalParams(v, 1.0, 3.0, 2.0)),
     "ThermalParams.c_thermal": ("c_thermal", True, lambda v: vf.ThermalParams(1.0, v, 3.0, 2.0)),
@@ -33,6 +36,15 @@ NUMBER_CHECKS = {
     "steady_sine_amplitude": ("omega", True, lambda v: vf.steady_sine_amplitude(_PAR, 0.1, v)),
     "QoSBounds.tau_lock": ("tau_lock", True, lambda v: vf.QoSBounds(23.0, 25.0, tau_lock=v)),
     "QoSBounds.w_min": ("w_min", False, lambda v: vf.QoSBounds(23.0, 25.0, w_min=v, w_max=2.0)),
+    "QoSBounds.w_max": ("w_max", True, lambda v: vf.QoSBounds(23.0, 25.0, w_min=0.0, w_max=v)),
+    "QoSBounds.theta_min": ("theta_min", None, lambda v: vf.QoSBounds(v, 25.0)),
+    "QoSBounds.theta_max": ("theta_max", None, lambda v: vf.QoSBounds(-25.0, v)),
+    "Scenario.theta_sp": (
+        "theta_sp", None, lambda v: dataclasses.replace(_WIDE, theta_sp=v, theta0=0.0)
+    ),
+    "Scenario.theta0": (
+        "theta0", None, lambda v: dataclasses.replace(_WIDE, theta_sp=0.0, theta0=v)
+    ),
     "lockout_count": ("tau_lock", True, lambda v: vf.lockout_count(_THETA, v)),
     "satisfies": (
         "atol", False, lambda v: vf.satisfies(vf.QoSSignal(theta=_THETA), _SCN.bounds, atol=v)
@@ -71,7 +83,10 @@ NUMBER_CHECKS = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "1.0", -1.0])
 @pytest.mark.parametrize("check", NUMBER_CHECKS)
 def test_every_number_check_refuses_what_is_not_a_finite_number_of_its_sign(check, bad):
-    field, _, call = NUMBER_CHECKS[check]
+    field, positive, call = NUMBER_CHECKS[check]
+    if positive is None and bad == -1.0:  # a number of either sign
+        call(bad)
+        return
     with pytest.raises(vf.InputError, match=f"^{field} must be finite"):
         call(bad)
 

@@ -151,6 +151,28 @@ def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
     assert calls == ["_band"]
 
 
+def test_each_plan_runs_the_rated_forward_pass_once(monkeypatch):
+    # the band reads the forward pass its caller ran: every plan runs the
+    # rated pass once, and the inf-norm one more pass per bisection probe
+    from vesflex import flexset, planner
+
+    calls, real = [], flexset._forward_reach
+    monkeypatch.setattr(flexset, "_forward_reach", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(planner, "_forward_reach", flexset._forward_reach)
+    scn = hot_day_scenario()
+    ref = _ref(scn, scn.baseline().power.values + 0.2)
+    for norm in ("one", "two"):
+        calls.clear()
+        vf.plan(scn, ref, norm=norm)
+        assert len(calls) == 1, norm
+    calls.clear()
+    halvings = vf.plan(scn, ref, norm="inf").iterations
+    assert len(calls) == halvings + 2
+    calls.clear()
+    vf.receding_horizon(scn, ref, 60, norm="one")
+    assert len(calls) == scn.n_steps == 600
+
+
 def test_plan_small_instance_beats_lattice():
     # five steps, 0.01 kW lattice over [0, 0.1] kW: exhaustive search cannot
     # find a better feasible two-norm objective than the solver's

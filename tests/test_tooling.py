@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import types
@@ -173,6 +174,21 @@ def test_readme_python_example_runs_as_printed():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.split() == ["True", "1"]
+
+
+def test_readme_cli_block_runs_as_printed(tmp_path, monkeypatch):
+    # every `vesflex ...` line of the CLI section, so an option the CLI
+    # drops or renames cannot linger in the README
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("vesflex ")]
+    assert lines
+    for i, argv in enumerate(lines):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        assert cli.main(argv) == 0, argv
+        args = cli.build_parser().parse_args(argv)
+        assert (pathlib.Path(args.out_dir) / f"{args.command}.csv").is_file(), argv
 
 
 def test_only_the_array_helper_freezes_arrays():

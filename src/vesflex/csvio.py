@@ -1,9 +1,10 @@
 """The CSV format every subcommand reads and writes.
 
 One header line, then one row of comma-separated fields per sample.  Read
-fields are finite floats; written fields are a str as-is, a bool as 1/0,
-an int as a decimal and anything else as the repr-faithful %.17g of its
-float, so outputs are byte-identical across runs and round-trip exactly.
+fields are finite floats.  Each written column holds cells of one type: a
+str as-is, a bool as 1/0, an int as a decimal and a float as its
+repr-faithful %.17g, so outputs are byte-identical across runs and
+round-trip exactly.
 numpy is imported only when a file is read, which keeps a process that
 never reads a CSV (the CLI front end, `humidity`) free of it.
 """
@@ -15,7 +16,8 @@ from itertools import repeat
 
 from .errors import InputError
 
-# row format of a column whose cells are all of one Python type
+# row format of a column whose cells are all of one Python type (bool and
+# int share theirs)
 _SPEC = {float: "%.17g", int: "%d", bool: "%d", str: "%s"}
 
 
@@ -65,26 +67,15 @@ def _scalar(v):
     return v.tolist() if hasattr(v, "tolist") else v
 
 
-def _cell(v) -> str:
-    v = _scalar(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
 def _column(col) -> tuple[str, list]:
     """A column's row-format spec and its cells as Python scalars."""
     # tolist() turns numpy arrays and scalars (np.bool_, np.integer, np.float64)
     # into bool, int and float, which the specs then format exactly
     cells = col.tolist() if hasattr(col, "tolist") else list(map(_scalar, col))
     specs = {_SPEC.get(kind) for kind in set(map(type, cells))}
-    if len(specs) == 1 and None not in specs:
-        return specs.pop(), cells
-    return "%s", list(map(_cell, cells))
+    if len(specs) > 1 or None in specs:
+        raise InputError("internal: a CSV column must be all str, all float or all int/bool")
+    return (specs.pop() if specs else "%s"), cells  # an empty column has no rows to format
 
 
 def write_csv(path: str, header: list[str], columns: list) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_nonnegative, require_positive
+from .errors import InputError, require_count, require_nonnegative, require_positive
 from .flexset import Scenario, is_member
 from .qos import Verdict
 from .thermal import (
@@ -153,6 +153,7 @@ def front_loaded_profile(
     final sample trims the total to exactly E.  Raises InputError when the
     grid is too short or the contract infeasible.
     """
+    require_count("n_steps", n_steps, 1)
     if spec.energy_kwh is None:
         raise InputError("cannot front-load a contract with no fixed energy")
     if not spec_feasible(spec):

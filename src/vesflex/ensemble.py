@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ShapeError, require_positive
+from .errors import InfeasibleError, InputError, ShapeError, require_count, require_positive
 
 
 def _as_units(ref_units) -> np.ndarray:
@@ -173,9 +173,9 @@ def schedule_tracking(
     """
     s = pair_counts(ref_units)
     need = min_loads(ref_units)  # refuses a reference that does not sum to zero
-    if n_loads is None:
-        n_loads = need
-    elif n_loads < need:
+    n_loads = need if n_loads is None else n_loads
+    require_count("n_loads", n_loads)
+    if n_loads < need:
         raise InfeasibleError(f"reference needs {need} loads, fleet has only {n_loads}")
     n_slots = s.size
     actions = np.zeros((n_loads, n_slots), dtype=np.int8)
@@ -200,8 +200,8 @@ def amplitude_at_timescale(n_loads: int, tau_slots: int) -> int:
     The reference +A for tau slots then -A for tau slots costs A*(2*tau - 1)
     loads at the boundary where ramp-up pairs stack on ramp-down pairs.
     """
-    if n_loads < 0 or tau_slots < 1:
-        raise InputError("need n_loads >= 0 and tau_slots >= 1")
+    require_count("n_loads", n_loads)
+    require_count("tau_slots", tau_slots, 1)
     return n_loads // (2 * tau_slots - 1)
 
 
@@ -209,13 +209,14 @@ def amplitude_timescale_curve(
     n_loads: int, taus: "list[int] | np.ndarray"
 ) -> list[tuple[int, int]]:
     """(tau, max amplitude) pairs showing the fleet's flexibility trade-off."""
-    return [(int(t), amplitude_at_timescale(n_loads, int(t))) for t in taus]
+    require_count("n_loads", n_loads)
+    return [(int(t), int(amplitude_at_timescale(n_loads, t))) for t in taus]
 
 
 def square_reference(amplitude_units: int, tau_slots: int) -> np.ndarray:
     """One period of the +A/-A square wave used by the trade-off analysis."""
-    if amplitude_units < 0 or tau_slots < 1:
-        raise InputError("need amplitude >= 0 and tau_slots >= 1")
+    require_count("amplitude_units", amplitude_units)
+    require_count("tau_slots", tau_slots, 1)
     return np.repeat(np.array([amplitude_units, -amplitude_units], dtype=np.int64), tau_slots)
 
 
@@ -227,8 +228,7 @@ def staircase_triangle(peak_units: int) -> np.ndarray:
     is 2*peak^2: a useful stress case precisely because the reference
     looks mild and the cost is quadratic anyway.
     """
-    if peak_units < 1:
-        raise InputError("peak must be at least 1 unit")
+    require_count("peak_units", peak_units, 1)
     p = peak_units
     return np.concatenate(
         [

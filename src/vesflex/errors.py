@@ -2,12 +2,12 @@
 
 The CLI maps these onto exit codes: bad or inconsistent input data is an
 InputError (exit 2), while a well-posed problem with no feasible answer is
-an InfeasibleError (exit 1).  require_finite, require_positive and
-require_nonnegative are the one check every scalar input passes.
+an InfeasibleError (exit 1).  Every scalar input passes one of four checks:
+require_finite, require_positive, require_nonnegative or require_count.
 """
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class VesflexError(Exception):
@@ -58,3 +58,10 @@ def require_nonnegative(name: str, value) -> None:
     """InputError naming the field unless value is a finite number, zero or above."""
     if not (_finite(value) and value >= 0):
         raise InputError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def require_count(name: str, value, least: int = 0) -> None:
+    """InputError naming the field unless value is an integer (not a bool) at or above least."""
+    # int first: a plain int then skips the slower Integral ABC check
+    if not (isinstance(value, (int, Integral)) and not isinstance(value, bool) and value >= least):
+        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")

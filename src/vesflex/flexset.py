@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_finite,
-    require_nonnegative,
+    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_count,
+    require_finite, require_nonnegative, require_positive,
 )
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
@@ -99,6 +99,8 @@ class Scenario:
 
         Per-sample temperature bounds keep their n_steps + 1 samples.
         """
+        require_count("start", start)
+        require_count("n_steps", n_steps, 1)
         b = self.bounds
         keep = slice(start, start + n_steps + 1)
         bounds = replace(
@@ -251,6 +253,7 @@ class FlexEnvelope:
     p_hi: np.ndarray
 
     def __post_init__(self) -> None:
+        require_positive("dt", self.dt)
         lo, hi = _readonly("p_lo", self.p_lo), _readonly("p_hi", self.p_hi)
         if lo.size != hi.size:
             raise ShapeError("p_lo and p_hi must be 1-D arrays of equal length")
@@ -411,6 +414,7 @@ def sample_interior_trajectories(
     tests.  An envelope that is empty somewhere has no interior to draw
     from; that is an InputError, not an infeasibility verdict.
     """
+    require_count("n_draws", n_draws)
     if env.empty_mask.any():
         raise InputError("envelope is empty at some samples; nothing to draw")
     out = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, require_nonnegative, require_positive
+from .errors import InputError, require_finite, require_nonnegative, require_positive
 
 # design states, SI: 75 degF return/mixed air at W = 0.009 supplied as
 # 55 degF conditioned air at W = 0.004
@@ -59,6 +59,7 @@ class MoistAirState:
     w: float
 
     def __post_init__(self) -> None:
+        require_finite("t_c", self.t_c)
         if not -50.0 <= self.t_c <= 60.0:
             raise InputError(f"dry-bulb {self.t_c} degC outside [-50, 60]")
         require_nonnegative("w", self.w)
@@ -86,7 +87,8 @@ def mix_air(
     fraction (enthalpy is then linear too, up to the tiny W*T cross term
     the balance itself carries).
     """
-    if not 0.0 <= outdoor_fraction <= 1.0:
+    require_nonnegative("outdoor_fraction", outdoor_fraction)
+    if outdoor_fraction > 1.0:
         raise InputError("outdoor_fraction must be within [0, 1]")
     f = outdoor_fraction
     return MoistAirState(

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError, SolverError
+from .errors import InputError, ShapeError, SolverError, require_count
 from .flexset import Scenario, _band, _forward_reach, _rated_box, _reachable, require_member
 from .thermal import Trajectory, _check_grid, simulate
 
@@ -447,9 +447,9 @@ def receding_horizon(
     horizon and audited like a plan's.
     """
     _check_grid("reference", ref, scn.n_steps, scn.dt)
-    if window_steps < 1:
-        raise InputError("window_steps must be at least 1")
-    if apply_steps < 1 or apply_steps > window_steps:
+    require_count("window_steps", window_steps, 1)
+    require_count("apply_steps", apply_steps, 1)
+    if apply_steps > window_steps:
         raise InputError("apply_steps must be in [1, window_steps]")
     n = scn.n_steps
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChannelMissingError, InputError, ShapeError, require_finite, require_nonnegative,
-    require_positive,
+    ChannelMissingError, InputError, ShapeError, require_count, require_finite,
+    require_nonnegative, require_positive,
 )
 from .thermal import Trajectory, _check_grid, _readonly
 
@@ -70,6 +70,7 @@ class QoSBounds:
 
     def theta_limits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits for an n-sample signal."""
+        require_count("n", n, 1)
         lo = np.full(n, self.theta_min) if self.theta_min_t is None else self.theta_min_t
         hi = np.full(n, self.theta_max) if self.theta_max_t is None else self.theta_max_t
         if lo.size != n or hi.size != n:

@@ -204,9 +204,7 @@ def _iterate(A, b, c, lo, hi, basis, status, x, Binv, tol, iter_budget):
     return "iter", used
 
 
-def solve_lp(
-    lp: LinearProgram, tol: float = 1e-9, max_iter: int | None = None
-) -> SolveReport:
+def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> SolveReport:
     """Two-phase bounded-variable primal simplex.
 
     Returns a SolveReport whose dual_bound is computed from the final basis
@@ -218,9 +216,7 @@ def solve_lp(
     m_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
     m_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
     m = m_ub + m_eq
-
-    if max_iter is None:
-        max_iter = 200 * (m + n + m_ub) + 2000
+    max_iter = 200 * (m + n + m_ub) + 2000
 
     # computational form: A x = b with slack columns for the <= rows
     n_tot = n + m_ub
@@ -404,9 +400,7 @@ def _spectral_norm_sq(m_scaled: np.ndarray) -> float:
     return 1.05 * lam
 
 
-def solve_box_qp(
-    qp: BoxQP, tol: float = 1e-6, max_iter: int = 200000
-) -> SolveReport:
+def solve_box_qp(qp: BoxQP, tol: float = 1e-6) -> SolveReport:
     """Accelerated dual projected gradient with a fixed Lipschitz step.
 
     Terminates when the worst inequality violation and the complementarity
@@ -440,6 +434,7 @@ def solve_box_qp(
     lam = np.zeros(m_rows)
     lam_prev = lam
     t_acc = 1.0
+    max_iter = 200000
     x = x_of(lam)
     for k in range(1, max_iter + 1):
         beta = (t_acc - 1.0) / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .errors import InputError, ShapeError, require_nonnegative, require_positive
+from .errors import InputError, ShapeError, require_count, require_nonnegative, require_positive
 
 # Default sampling step, hours.  One minute resolves the paper-scale RC time
 # constant (about 3.5 h) by more than two orders of magnitude.
@@ -45,6 +45,12 @@ TIME_GRID_TOL_H = 1e-9
 # Most steps a horizon may span: 19 years of one-minute steps, 80 MB per
 # float64 channel.  A longer horizon is refused before any array is made.
 MAX_GRID_STEPS = 10_000_000
+
+# steady_sine_amplitude: steps per period, periods measured, RC time
+# constants of transient discarded first (remnants below 1e-2 of the swing)
+_SINE_SAMPLES_PER_PERIOD = 24
+_SINE_PERIODS = 4
+_SINE_SETTLE_TIME_CONSTANTS = 5.0
 
 
 def _readonly(name: str, a, dtype: type = float) -> np.ndarray:
@@ -175,12 +181,13 @@ class DisturbanceSeries:
     def constant(
         cls, dt: float, n_steps: int, theta_a: float, q_d: float
     ) -> "DisturbanceSeries":
-        if n_steps < 1:
-            raise InputError("n_steps must be at least 1")
+        require_count("n_steps", n_steps, 1)
         return cls(dt, np.full(n_steps, theta_a), np.full(n_steps, q_d))
 
     def slice(self, start: int, n_steps: int) -> "DisturbanceSeries":
-        if start < 0 or start + n_steps > len(self):
+        require_count("start", start)
+        require_count("n_steps", n_steps, 1)
+        if start + n_steps > len(self):
             raise ShapeError(
                 f"slice [{start}, {start + n_steps}) exceeds {len(self)} samples"
             )
@@ -192,10 +199,12 @@ class DisturbanceSeries:
 
     @classmethod
     def from_csv(cls, path: str) -> "DisturbanceSeries":
-        """Read `t_hours,theta_a_C,q_d_kW` rows with a uniform time grid."""
+        """Read `t_hours,theta_a_C,q_d_kW` rows on a uniform time grid from t = 0."""
         t, ta, qd = read_csv(path, ["t_hours", "theta_a_C", "q_d_kW"]).T
         if t.size < 2:
             raise InputError(f"{path}: need at least 2 samples")
+        if abs(t[0]) > TIME_GRID_TOL_H:
+            raise InputError(f"{path}: time stamps must start at 0 h, got {t[0]:.6g} h")
         dt = t[1] - t[0]
         if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > TIME_GRID_TOL_H:
             raise InputError(
@@ -337,30 +346,21 @@ def fahrenheit_to_celsius(t_f: float) -> float:
     return (t_f - 32.0) * 5.0 / 9.0
 
 
-def steady_sine_amplitude(
-    params: ThermalParams,
-    amplitude_kw: float,
-    omega: float,
-    samples_per_period: int = 24,
-    n_periods: int = 4,
-    discard_time_constants: float = 5.0,
-) -> float:
+def steady_sine_amplitude(params: ThermalParams, amplitude_kw: float, omega: float) -> float:
     """Measured steady-state temperature swing under a sinusoidal demand deviation.
 
     Simulates theta for a demand deviation amplitude_kw*sin(omega*t) around
     an arbitrary operating point, discards the first
-    discard_time_constants*RC hours of transient, and recovers the amplitude
-    from the RMS of an integer number of periods (exact for a sampled
-    sinusoid).  Used to cross-check tf_magnitude at stated tolerances.
+    _SINE_SETTLE_TIME_CONSTANTS*RC hours of transient, and recovers the
+    amplitude from the RMS of an integer number of periods (exact for a
+    sampled sinusoid).  Used to cross-check tf_magnitude at stated tolerances.
     """
     require_positive("omega", omega)
-    if samples_per_period < 4:
-        raise InputError("need at least 4 samples per period")
-    period_h = 2.0 * math.pi / omega
-    dt = period_h / samples_per_period
-    settle_h = discard_time_constants * params.time_constant_h
-    n_settle = int(math.ceil(settle_h / dt / samples_per_period)) * samples_per_period
-    n = n_settle + n_periods * samples_per_period
+    per = _SINE_SAMPLES_PER_PERIOD
+    dt = 2.0 * math.pi / omega / per
+    settle_h = _SINE_SETTLE_TIME_CONSTANTS * params.time_constant_h
+    n_settle = int(math.ceil(settle_h / dt / per)) * per
+    n = n_settle + _SINE_PERIODS * per
     t = np.arange(n) * dt
     # operating point: theta_a = theta0 = 25, q_d = 0, so the baseline demand
     # is zero and theta - 25 is exactly the deviation response (linear model;
@@ -369,7 +369,5 @@ def steady_sine_amplitude(
     dist = DisturbanceSeries.constant(dt, n, 25.0, 0.0)
     theta = simulate(params, dist, Trajectory(dt, p_dev, unit="kW"), 25.0)
     tail = theta.values[1 + n_settle :] - 25.0
-    # transient remnants decay as exp(-t/RC); with the default discard they
-    # are below 1e-2 of the steady swing
     tail = tail - tail.mean()
     return float(math.sqrt(2.0) * np.sqrt(np.mean(tail**2)))

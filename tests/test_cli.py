@@ -349,6 +349,13 @@ def test_ensemble_square(tmp_path, capsys):
     assert "min loads: 10" in capsys.readouterr().out
 
 
+def test_ensemble_zero_reference_writes_only_the_header(tmp_path, capsys):
+    # no load is needed, so every column of ensemble.csv is empty
+    assert _run("ensemble", "--ref", "0,0,0", "--out-dir", str(tmp_path / "e")) == 0
+    assert "loads used: 0 of 0" in capsys.readouterr().out
+    assert (tmp_path / "e" / "ensemble.csv").read_bytes() == b"load,slot_0,slot_1,slot_2\n"
+
+
 def test_ensemble_unbalanced_reference_fails(tmp_path, capsys):
     rc = _run("ensemble", "--ref", "1,1", "--out-dir", str(tmp_path / "e"))
     assert rc == 1
@@ -436,6 +443,10 @@ MALFORMED_INPUTS = {
         "plan", "--config", _put(d / "s.toml", _SHORT),
         "--ref", _put(d / "ref.csv", "time,kw\n" + _REF_ROWS),
     ],
+    "dist-late-start": lambda d: [
+        "simulate", "--dist",
+        _put(d / "dist.csv", "t_hours,theta_a_C,q_d_kW\n5,32,1.5\n5.5,32,1.5\n6,32,1.5\n"),
+    ],
     "dist-ragged-row": lambda d: [
         "simulate", "--dist",
         _put(d / "dist.csv", "t_hours,theta_a_C,q_d_kW\n0,32,1.5\n0.5,32,1.5,9\n1,32,1.5\n"),
@@ -509,6 +520,7 @@ FILE_ERRORS = {
     "dist-not-utf8": ("dist.csv", "'utf-8' codec"),
     "ref-not-utf8": ("ref.csv", "'utf-8' codec"),
     "power-off-grid": ("power.csv", "time stamps do not match the scenario grid"),
+    "dist-late-start": ("dist.csv", "time stamps must start at 0 h, got 5 h"),
 }
 
 

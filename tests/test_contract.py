@@ -1,8 +1,9 @@
-"""The input contract: one check each for numbers, held arrays and sampling grids.
+"""The input contract: one check each for numbers, counts, held arrays and sampling grids.
 
-Every scalar field is a finite number of the right sign, every array a
-frozen value holds is its own read-only copy, and every signal that must
-share a grid is held to the one tolerance thermal.TIME_GRID_TOL_H.
+Every scalar field is a finite number of the right sign, every count an
+integer of at least its least value, every array a frozen value holds is
+its own read-only copy, and every signal that must share a grid is held to
+the one tolerance thermal.TIME_GRID_TOL_H.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ NUMBER_CHECKS = {
     "ThermalParams.eta_cop": ("eta_cop", True, lambda v: vf.ThermalParams(1.0, 1.0, v, 2.0)),
     "ThermalParams.p_rated": ("p_rated", True, lambda v: vf.ThermalParams(1.0, 1.0, 3.0, v)),
     "Trajectory.dt": ("dt", True, lambda v: vf.Trajectory(v, [1.0])),
+    "FlexEnvelope.dt": ("dt", True, lambda v: vf.FlexEnvelope(v, [0.5], [1.5])),
     "DisturbanceSeries.dt": ("dt", True, lambda v: vf.DisturbanceSeries(v, [30.0], [1.0])),
     "tf_magnitude": ("omega", False, lambda v: vf.tf_magnitude(_PAR, v)),
     "max_sine_amplitude": ("delta_theta", True, lambda v: vf.max_sine_amplitude(_PAR, v, 1.0)),
@@ -70,7 +72,9 @@ NUMBER_CHECKS = {
     "PsychroConstants.cp_dry": ("cp_dry", True, lambda v: vf.PsychroConstants(cp_dry=v)),
     "PsychroConstants.cp_water": ("cp_water", True, lambda v: vf.PsychroConstants(cp_water=v)),
     "PsychroConstants.h_fg": ("h_fg", True, lambda v: vf.PsychroConstants(h_fg=v)),
+    "MoistAirState.t_c": ("t_c", None, lambda v: vf.MoistAirState(v, 0.009)),
     "MoistAirState.w": ("w", False, lambda v: vf.MoistAirState(24.0, v)),
+    "mix_air": ("outdoor_fraction", False, lambda v: vf.mix_air(_STATE, _SUPPLY, v)),
     "coil_thermal_power": (
         "m_dot_kg_s", False, lambda v: vf.coil_thermal_power(v, _STATE, _SUPPLY)
     ),
@@ -105,6 +109,67 @@ def test_every_number_check_takes_a_finite_number_and_zero_only_when_non_negativ
 
 _SPEC = vf.PulseLoadSpec(1.0, 1.0)
 _SHORT = vf.Trajectory(DT, [1.0, 1.0, 1.0])
+_BANDED = dataclasses.replace(_SCN, bounds=vf.QoSBounds(
+    23.0, 25.0, theta_min_t=np.full(_SCN.n_steps + 1, 23.0),
+    theta_max_t=np.full(_SCN.n_steps + 1, 25.0),
+))
+_REF = _SCN.baseline().power
+_ENV = vf.envelope(_SCN)
+_ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
+
+# "function(parameter)" -> (its least value, the call it guards); every
+# int-annotated public parameter is a row (test_tooling checks that)
+COUNT_CHECKS = {
+    "DisturbanceSeries.constant(n_steps)": (
+        1, lambda v: vf.DisturbanceSeries.constant(DT, v, 30.0, 1.0)
+    ),
+    "DisturbanceSeries.slice(start)": (0, lambda v: _SCN.dist.slice(v, 1)),
+    "DisturbanceSeries.slice(n_steps)": (1, lambda v: _SCN.dist.slice(0, v)),
+    "Scenario.window(start)": (0, lambda v: _BANDED.window(v, 1, 24.0)),
+    "Scenario.window(n_steps)": (1, lambda v: _BANDED.window(0, v, 24.0)),
+    "QoSBounds.theta_limits(n)": (1, lambda v: _SCN.bounds.theta_limits(v)),
+    "receding_horizon(window_steps)": (1, lambda v: vf.receding_horizon(_SCN, _REF, v, "one")),
+    "receding_horizon(apply_steps)": (
+        1, lambda v: vf.receding_horizon(_SCN, _REF, 1, "one", apply_steps=v)
+    ),
+    "sample_interior_trajectories(n_draws)": (
+        0, lambda v: vf.sample_interior_trajectories(_ENV, v, np.random.default_rng(0))
+    ),
+    "front_loaded_profile(n_steps)": (
+        1, lambda v: vf.front_loaded_profile(_ONE_SAMPLE_JOB, DT, v)
+    ),
+    "schedule_tracking(n_loads)": (0, lambda v: vf.schedule_tracking([0, 0, 0], _SPEC, v)),
+    "amplitude_at_timescale(n_loads)": (0, lambda v: vf.amplitude_at_timescale(v, 1)),
+    "amplitude_at_timescale(tau_slots)": (1, lambda v: vf.amplitude_at_timescale(7, v)),
+    "amplitude_timescale_curve(n_loads)": (0, lambda v: vf.amplitude_timescale_curve(v, [1, 2])),
+    "square_reference(amplitude_units)": (0, lambda v: vf.square_reference(v, 2)),
+    "square_reference(tau_slots)": (1, lambda v: vf.square_reference(2, v)),
+    "staircase_triangle(peak_units)": (1, lambda v: vf.staircase_triangle(v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None], ids=["2.5", "True", "'3'", "least-1"])
+@pytest.mark.parametrize("check", COUNT_CHECKS)
+def test_every_count_check_refuses_what_is_not_an_integer_of_its_least(check, bad):
+    least, call = COUNT_CHECKS[check]
+    field = check[check.index("(") + 1 : -1]
+    bad = least - 1 if bad is None else bad
+    with pytest.raises(vf.InputError, match=rf"^{field} must be an integer of at least {least}, "):
+        call(bad)
+
+
+@pytest.mark.parametrize("check", COUNT_CHECKS)
+def test_every_count_check_takes_an_integer_at_its_least(check):
+    least, call = COUNT_CHECKS[check]
+    call(least)
+    call(np.int64(least))
+
+
+def test_a_fractional_time_scale_is_refused_not_truncated():
+    # 1.5 slots once ran as 1: a square wave of tau 1 and an amplitude of 7 // 1
+    with pytest.raises(vf.InputError, match="tau_slots must be an integer of at least 1, got 1.5"):
+        vf.amplitude_timescale_curve(7, [1.5])
+
 
 # kind -> (the caller's two arrays, the value built from them, the fields holding them)
 HOLDERS = {

@@ -70,10 +70,8 @@ def _random_columns(rng, n):
         f, i, b, i.astype(np.int8), f32,
         list(f), list(i), list(b), list(f32),
         f.tolist(), i.tolist(), b.tolist(), words,
-        # mixed kinds in one column
-        [float(v) if k % 2 else int(v) for k, v in enumerate(i.tolist())],
+        # bools and ints share one column: both are written as %d
         [bool(v) if k % 2 else int(v) for k, v in enumerate(i.tolist())],
-        [w if k % 2 else float(v) for k, (w, v) in enumerate(zip(words, f))],
         [np.bool_(v) if k % 2 else np.int64(w) for k, (v, w) in enumerate(zip(b, i))],
     ]
 
@@ -105,6 +103,13 @@ def test_writer_refuses_ragged_columns(tmp_path):
     with pytest.raises(vf.InputError, match="ragged"):
         write_csv(str(tmp_path / "r.csv"), ["a", "b"], [[1.0, 2.0], [1.0]])
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("column", [[1.0, 2], ["a", 1.0], [np.float64(1.0), np.int64(2)], [None]])
+def test_writer_refuses_a_column_of_mixed_or_unknown_cell_types(tmp_path, column):
+    with pytest.raises(vf.InputError, match="CSV column must be all str"):
+        write_csv(str(tmp_path / "m.csv"), ["a", "b"], [[1.0] * len(column), column])
+    assert not (tmp_path / "m.csv").exists()
 
 
 def _field(rng, v):

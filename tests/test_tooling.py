@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import types
 
 import vesflex
 from vesflex import cli
+from test_contract import COUNT_CHECKS
 
 PACKAGE = pathlib.Path(vesflex.__file__).parent
 
@@ -204,3 +206,34 @@ def test_only_the_array_helper_freezes_arrays():
             if isinstance(node, ast.Attribute) and node.attr == "setflags"
         }
         assert callers == ({"_readonly"} if name == "thermal" else set()), name
+
+
+def _public_callables():
+    """Each public function and public method of the modules in vesflex.__all__."""
+    for name in vesflex.__all__:
+        module = getattr(vesflex, name)
+        if not isinstance(module, types.ModuleType):
+            continue  # each other public name is defined in one of these modules
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                # dataclass fields reach only the private __init__, so the
+                # int fields of results (iterations, solves) are not counts
+                for member, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)  # classmethod and staticmethod
+                    if not member.startswith("_") and inspect.isfunction(fn):
+                        yield fn
+
+
+def test_every_count_parameter_is_a_row_of_the_count_table():
+    # a count parameter added later cannot skip errors.require_count
+    counts = {
+        f"{fn.__qualname__}({p.name})"
+        for fn in _public_callables()
+        for p in inspect.signature(fn).parameters.values()
+        if p.annotation in ("int", "int | None")
+    }
+    assert counts == set(COUNT_CHECKS)

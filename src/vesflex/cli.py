@@ -140,15 +140,12 @@ def _write(args, name: str, header: list[str], columns: list) -> None:
 
 def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     """Two columns t_hours,ref_kw on exactly the scenario grid."""
-    import numpy as np
-
-    from .thermal import TIME_GRID_TOL_H, Trajectory
+    from .thermal import Trajectory, _check_stamps
 
     t, ref = read_csv(path, ["t_hours", "ref_kw"]).T
     if t.size != n_steps:
         raise InputError(f"{path}: {t.size} rows but the scenario has {n_steps} steps")
-    if np.max(np.abs(t - np.arange(n_steps) * dt)) > TIME_GRID_TOL_H:
-        raise InputError(f"{path}: time stamps do not match the scenario grid")
+    _check_stamps(path, t, dt)
     return Trajectory(dt, ref, unit="kW")
 
 

@@ -153,6 +153,7 @@ def front_loaded_profile(
     final sample trims the total to exactly E.  Raises InputError when the
     grid is too short or the contract infeasible.
     """
+    require_positive("dt", dt)
     require_count("n_steps", n_steps, 1)
     if spec.energy_kwh is None:
         raise InputError("cannot front-load a contract with no fixed energy")

@@ -53,9 +53,39 @@ class SolveReport:
 
     def __post_init__(self) -> None:
         if self.x is not None:
-            xs = np.array(self.x, dtype=float)  # a copy: the caller's stays writable
-            xs.setflags(write=False)
-            object.__setattr__(self, "x", xs)
+            _hold(self, "x", finite=False)
+
+
+def _hold(holder, *names: str, finite: bool = True) -> None:
+    """Hold each named field as its own frozen float copy: no NaN, and no inf when finite."""
+    for name in names:
+        a = np.array(getattr(holder, name), dtype=float)  # a copy: the caller's stays writable
+        if (~np.isfinite(a) if finite else np.isnan(a)).any():
+            raise InputError(f"{name} must be {'finite' if finite else 'free of NaN'}")
+        a.setflags(write=False)
+        object.__setattr__(holder, name, a)
+
+
+def _hold_problem(p, vectors: tuple[str, ...], blocks: tuple[str, ...]) -> None:
+    """The checks LinearProgram and BoxQP share, after their vectors are held.
+
+    The vectors are 1-D of one length n with lo <= hi, and each row block
+    a_x is absent or (m, n) over an m-long b_x, both held finite.
+    """
+    n = getattr(p, vectors[0]).size
+    if any(getattr(p, name).shape != (n,) for name in vectors):
+        raise InputError(f"{', '.join(vectors)} must be 1-D arrays of one length")
+    if np.any(p.lo > p.hi):
+        raise InputError("lo must not exceed hi")
+    for a_name in blocks:
+        b_name = "b" + a_name[1:]
+        if (getattr(p, a_name) is None) != (getattr(p, b_name) is None):
+            raise InputError(f"{a_name} and {b_name} must be given together")
+        if getattr(p, a_name) is not None:
+            _hold(p, a_name, b_name)
+            a, b = getattr(p, a_name), getattr(p, b_name)
+            if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
+                raise InputError(f"{a_name} must be (m, {n}) over {b_name} of length m")
 
 
 @dataclass(frozen=True)
@@ -76,36 +106,11 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        n = c.size
-        if lo.size != n or hi.size != n:
-            raise InputError("c, lo, hi must share one length")
-        if not np.all(np.isfinite(c)):
-            raise InputError("objective coefficients must be finite")
-        if np.any(lo > hi):
-            raise InputError("need lo <= hi elementwise")
-        if np.any(np.isinf(lo) & np.isinf(hi)):
-            raise InputError("every variable needs at least one finite bound")
-        for name in ("a_ub", "a_eq"):
-            a = getattr(self, name)
-            bname = "b" + name[1:]
-            b = getattr(self, bname)
-            if (a is None) != (b is None):
-                raise InputError(f"{name} and {bname} must be given together")
-            if a is not None:
-                a = np.asarray(a, dtype=float)
-                b = np.asarray(b, dtype=float)
-                if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
-                    raise InputError(f"{name} must be (m, {n}) with matching rhs")
-                if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                    raise InputError(f"{name} entries must be finite")
-                object.__setattr__(self, name, a)
-                object.__setattr__(self, bname, b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _hold(self, "c")
+        _hold(self, "lo", "hi", finite=False)
+        _hold_problem(self, ("c", "lo", "hi"), ("a_ub", "a_eq"))
+        if np.any(np.isinf(self.lo) & np.isinf(self.hi)):
+            raise InputError("lo or hi must be finite for every variable")
 
     @property
     def n_vars(self) -> int:
@@ -353,32 +358,10 @@ class BoxQP:
     b_ub: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        n = h.size
-        if g.size != n or lo.size != n or hi.size != n:
-            raise InputError("h, g, lo, hi must share one length")
-        if not np.all(np.isfinite(h)) or np.any(h <= 0):
-            raise InputError("quadratic diagonal must be strictly positive")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise InputError("box bounds must be finite")
-        if np.any(lo > hi):
-            raise InputError("need lo <= hi elementwise")
-        if (self.a_ub is None) != (self.b_ub is None):
-            raise InputError("a_ub and b_ub must be given together")
-        if self.a_ub is not None:
-            a = np.asarray(self.a_ub, dtype=float)
-            bb = np.asarray(self.b_ub, dtype=float)
-            if a.ndim != 2 or a.shape[1] != n or bb.shape != (a.shape[0],):
-                raise InputError(f"a_ub must be (m, {n}) with matching rhs")
-            object.__setattr__(self, "a_ub", a)
-            object.__setattr__(self, "b_ub", bb)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _hold(self, "h", "g", "lo", "hi")
+        _hold_problem(self, ("h", "g", "lo", "hi"), ("a_ub",))
+        if np.any(self.h <= 0):
+            raise InputError("h must be strictly positive")
 
     @property
     def n_vars(self) -> int:

@@ -71,6 +71,16 @@ def _check_grid(name: str, signal, n: int, dt: float) -> None:
                          f"not {n} samples {dt:.6g} h apart")
 
 
+def _check_stamps(path: str, t: np.ndarray, dt: float) -> None:
+    """InputError naming path unless each time stamp t[k] sits at k*dt, within TIME_GRID_TOL_H."""
+    off = np.flatnonzero(np.abs(t - np.arange(t.size) * dt) > TIME_GRID_TOL_H)
+    if off.size:
+        k = int(off[0])
+        raise InputError(
+            f"{path}: time stamp {k} is {t[k]:.12g} h, off the grid's {k * dt:.12g} h"
+        )
+
+
 @dataclass(frozen=True)
 class ThermalParams:
     """Lumped RC parameters of one cooling load.
@@ -199,18 +209,15 @@ class DisturbanceSeries:
 
     @classmethod
     def from_csv(cls, path: str) -> "DisturbanceSeries":
-        """Read `t_hours,theta_a_C,q_d_kW` rows on a uniform time grid from t = 0."""
+        """Read `t_hours,theta_a_C,q_d_kW` rows stamped k*dt from t = 0, dt = t_1 - t_0."""
         t, ta, qd = read_csv(path, ["t_hours", "theta_a_C", "q_d_kW"]).T
         if t.size < 2:
             raise InputError(f"{path}: need at least 2 samples")
-        if abs(t[0]) > TIME_GRID_TOL_H:
-            raise InputError(f"{path}: time stamps must start at 0 h, got {t[0]:.6g} h")
-        dt = t[1] - t[0]
-        if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > TIME_GRID_TOL_H:
-            raise InputError(
-                f"{path}: time stamps must be uniform within {TIME_GRID_TOL_H} h"
-            )
-        return cls(float(dt), ta, qd)
+        dt = float(t[1] - t[0])
+        if dt <= 0:
+            raise InputError(f"{path}: time stamps must increase")
+        _check_stamps(path, t, dt)
+        return cls(dt, ta, qd)
 
     def to_csv(self, path: str) -> None:
         write_csv(

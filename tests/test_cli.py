@@ -421,6 +421,13 @@ def _put(path, data):
 
 _REF_ROWS = "".join(f"{k / 60!r},1.0\n" for k in range(30))
 _OFF_GRID_ROWS = "".join(f"{k / 30!r},1.0\n" for k in range(30))  # 2 min apart, not 1
+_DIST = "t_hours,theta_a_C,q_d_kW\n"
+# one-minute stamps after t = 0 sit 0.9e-9 h late, so t_1 - t_0 is a step
+# 0.9e-9 h too long and stamp k drifts (k - 1) * 0.9e-9 h off its grid
+_LATE_ROWS = "".join(f"{k / 60 + (0.9e-9 if k else 0.0)!r},32,1.5\n" for k in range(10))
+# every step after the first is 0.9e-9 h too long: each step is within the
+# tolerance of the first, yet stamp k sits (k - 1) * 0.9e-9 h off its grid
+_DRIFT_ROWS = "".join(f"{k / 60 + max(k - 1, 0) * 0.9e-9!r},32,1.5\n" for k in range(10))
 _SHORT = SHORT_CONFIG.format(horizon="0.5")
 
 # each builds its inputs in a directory and returns the argv that reads them
@@ -446,6 +453,17 @@ MALFORMED_INPUTS = {
     "dist-late-start": lambda d: [
         "simulate", "--dist",
         _put(d / "dist.csv", "t_hours,theta_a_C,q_d_kW\n5,32,1.5\n5.5,32,1.5\n6,32,1.5\n"),
+    ],
+    "dist-one-row": lambda d: ["simulate", "--dist", _put(d / "dist.csv", _DIST + "0,32,1.5\n")],
+    "dist-stamps-decrease": lambda d: [
+        "simulate", "--dist", _put(d / "dist.csv", _DIST + "0,32,1.5\n-0.5,32,1.5\n"),
+    ],
+    "dist-uneven-steps": lambda d: [
+        "simulate", "--dist", _put(d / "dist.csv", _DIST + "0,32,1.5\n0.5,32,1.5\n1.5,32,1.5\n"),
+    ],
+    "dist-stamps-late": lambda d: ["simulate", "--dist", _put(d / "dist.csv", _DIST + _LATE_ROWS)],
+    "dist-steps-drift": lambda d: [
+        "simulate", "--dist", _put(d / "dist.csv", _DIST + _DRIFT_ROWS),
     ],
     "dist-ragged-row": lambda d: [
         "simulate", "--dist",
@@ -519,8 +537,17 @@ FILE_ERRORS = {
     "config-not-utf8": ("c.toml", "'utf-8' codec"),
     "dist-not-utf8": ("dist.csv", "'utf-8' codec"),
     "ref-not-utf8": ("ref.csv", "'utf-8' codec"),
-    "power-off-grid": ("power.csv", "time stamps do not match the scenario grid"),
-    "dist-late-start": ("dist.csv", "time stamps must start at 0 h, got 5 h"),
+    "power-off-grid": (
+        "power.csv", "time stamp 1 is 0.0333333333333 h, off the grid's 0.0166666666667 h"
+    ),
+    "dist-late-start": ("dist.csv", "time stamp 0 is 5 h, off the grid's 0 h"),
+    "dist-one-row": ("dist.csv", "need at least 2 samples"),
+    "dist-stamps-decrease": ("dist.csv", "time stamps must increase"),
+    "dist-uneven-steps": ("dist.csv", "time stamp 2 is 1.5 h, off the grid's 1 h"),
+    "dist-stamps-late": (
+        "dist.csv", "time stamp 3 is 0.0500000009 h, off the grid's 0.0500000027 h"
+    ),
+    "dist-steps-drift": ("dist.csv", "time stamp 3 is 0.0500000018 h, off the grid's 0.05 h"),
 }
 
 

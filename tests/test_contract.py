@@ -22,6 +22,7 @@ _SUPPLY = vf.MoistAirState(13.0, 0.004)
 _THETA = vf.Trajectory(DT, np.full(4, 24.0))
 _ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
 _WIDE = dataclasses.replace(_SCN, bounds=vf.QoSBounds(-25.0, 25.0), theta_sp=0.0, theta0=0.0)
+_ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
 
 # check -> (field the error names, its sign: True above zero, False zero or
 # above, None either sign; the call it guards)
@@ -67,6 +68,7 @@ NUMBER_CHECKS = {
     ),
     "DeferrableSpec.window_h": ("window_h", True, lambda v: vf.DeferrableSpec(0.0, 1.0, v, 1.0)),
     "DeferrableSpec.p_max": ("p_max", True, lambda v: vf.DeferrableSpec(0.0, 1.0, 2.0, v)),
+    "front_loaded_profile": ("dt", True, lambda v: vf.front_loaded_profile(_ONE_SAMPLE_JOB, v, 5)),
     "PulseLoadSpec.unit_kw": ("unit_kw", True, lambda v: vf.PulseLoadSpec(v, 1.0)),
     "PulseLoadSpec.slot_h": ("slot_h", True, lambda v: vf.PulseLoadSpec(1.0, v)),
     "PsychroConstants.cp_dry": ("cp_dry", True, lambda v: vf.PsychroConstants(cp_dry=v)),
@@ -115,7 +117,6 @@ _BANDED = dataclasses.replace(_SCN, bounds=vf.QoSBounds(
 ))
 _REF = _SCN.baseline().power
 _ENV = vf.envelope(_SCN)
-_ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
 
 # "function(parameter)" -> (its least value, the call it guards); every
 # int-annotated public parameter is a row (test_tooling checks that)
@@ -196,6 +197,15 @@ HOLDERS = {
     ),
     "EnsembleSchedule": (
         [[1, -1, 0]], None, lambda x, y: vf.EnsembleSchedule(_SPEC, x), ["actions"],
+    ),
+    "LinearProgram": (
+        [1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
+        lambda x, y: vf.LinearProgram(x, y, np.full(3, 9.0)), ["c", "lo"],
+    ),
+    "BoxQP": (
+        [0.0, 1.0, 2.0], [[1.0, 0.0, -1.0]],
+        lambda x, y: vf.BoxQP(np.ones(3), x, np.zeros(3), np.ones(3), y, np.ones(1)),
+        ["g", "a_ub"],
     ),
 }
 

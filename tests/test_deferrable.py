@@ -64,6 +64,12 @@ def test_front_loaded_profile_errors():
     tight = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0)
     with pytest.raises(vf.InputError):
         vf.front_loaded_profile(tight, dt=0.5, n_steps=2)
+    # 5.5 kWh at 1 kW fits the floats' 5 + 1 samples but needs a sixth for its tail
+    with pytest.raises(vf.InputError, match="need 6 samples to place the profile, grid has 5"):
+        vf.front_loaded_profile(vf.DeferrableSpec(0.0, 5.5, 6.0, 1.0), dt=1.0, n_steps=5)
+    # arriving mid-sample, the run starts at 1 h and ends at 2 h, past the 1.5 h deadline
+    with pytest.raises(vf.InputError, match="would finish past the deadline"):
+        vf.front_loaded_profile(vf.DeferrableSpec(0.5, 1.0, 1.0, 1.0), dt=1.0, n_steps=5)
 
 
 def test_trajectory_rejections():

@@ -1,5 +1,7 @@
 """Deterministic LP/QP solvers checked against hand optima and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,78 @@ def test_qp_validation():
             h=np.array([1.0]), g=np.array([1.0]),
             lo=np.array([0.0]), hi=np.array([np.inf]),
         )
+
+
+def test_qp_rows_of_zeros_are_met_or_infeasible_without_iterating():
+    # a zero row bounds nothing: its right-hand side alone decides feasibility
+    def qp(b):
+        return vf.BoxQP(np.full(2, 2.0), np.array([-2.0, -6.0]), np.zeros(2), np.full(2, 2.0),
+                        np.zeros((1, 2)), np.array([b]))
+
+    met = vf.solve_box_qp(qp(1.0))
+    assert (met.status, met.iterations, met.max_residual) == ("optimal", 0, 0.0)
+    assert np.array_equal(met.x, [1.0, 2.0]) and met.objective == -9.0
+    short = vf.solve_box_qp(qp(-1.0))
+    assert (short.status, short.x, short.objective, short.max_residual) == (
+        "infeasible", None, None, 1.0
+    )
+
+
+_NAN, _INF = np.nan, np.inf
+_ROW = np.ones((1, 2))
+
+
+def _qp(h=(1.0, 1.0), g=(0.0, 0.0), lo=(0.0, 0.0), hi=(1.0, 1.0), a_ub=None, b_ub=None):
+    return vf.BoxQP(np.array(h), np.array(g), np.array(lo), np.array(hi), a_ub, b_ub)
+
+
+# every refusal of the problems' checks -> (the start of its message, the call)
+PROBLEM_REFUSALS = {
+    "lp-nan-cost": ("c must be finite", lambda: _lp([_NAN, 1.0], [0, 0], [1, 1])),
+    "lp-inf-cost": ("c must be finite", lambda: _lp([_INF, 1.0], [0, 0], [1, 1])),
+    "lp-nan-bound": ("lo must be free of NaN", lambda: _lp([1.0, 1.0], [_NAN, 0], [1, 1])),
+    "lp-short-bound": ("c, lo, hi must be 1-D", lambda: _lp([1.0, 1.0], [0], [1, 1])),
+    "lp-2d-cost": ("c, lo, hi must be 1-D", lambda: _lp([[1.0, 1.0]], [0, 0], [1, 1])),
+    "lp-crossed-box": ("lo must not exceed hi", lambda: _lp([1.0, 1.0], [5, 0], [1, 1])),
+    "lp-free-variable": (
+        "lo or hi must be finite for every variable", lambda: _lp([1.0], [-_INF], [_INF])
+    ),
+    "lp-rows-without-rhs": (
+        "a_ub and b_ub must be given together",
+        lambda: vf.LinearProgram(np.ones(2), np.zeros(2), np.ones(2), a_ub=_ROW),
+    ),
+    "lp-rhs-without-rows": (
+        "a_eq and b_eq must be given together",
+        lambda: vf.LinearProgram(np.ones(2), np.zeros(2), np.ones(2), b_eq=np.ones(1)),
+    ),
+    "lp-nan-row": ("a_ub must be finite", lambda: _lp([1, 1], [0, 0], [1, 1], [[1, _NAN]], [1])),
+    "lp-inf-rhs": (
+        "b_eq must be finite", lambda: _lp([1, 1], [0, 0], [1, 1], a_eq=_ROW, b_eq=[_INF])
+    ),
+    "lp-row-width": (
+        "a_eq must be (m, 2) over b_eq", lambda: _lp([1, 1], [0, 0], [1, 1], a_eq=[[1]], b_eq=[1])
+    ),
+    "lp-rhs-length": (
+        "a_ub must be (m, 2) over b_ub", lambda: _lp([1, 1], [0, 0], [1, 1], _ROW, [1.0, 2.0])
+    ),
+    "qp-nan-linear": ("g must be finite", lambda: _qp(g=(_NAN, 0.0))),
+    "qp-inf-diagonal": ("h must be finite", lambda: _qp(h=(_INF, 1.0))),
+    "qp-open-box": ("hi must be finite", lambda: _qp(hi=(1.0, _INF))),
+    "qp-short-linear": ("h, g, lo, hi must be 1-D", lambda: _qp(g=(0.0,))),
+    "qp-crossed-box": ("lo must not exceed hi", lambda: _qp(lo=(2.0, 0.0))),
+    "qp-zero-diagonal": ("h must be strictly positive", lambda: _qp(h=(0.0, 1.0))),
+    "qp-rows-without-rhs": ("a_ub and b_ub must be given together", lambda: _qp(a_ub=_ROW)),
+    "qp-nan-row": ("a_ub must be finite", lambda: _qp(a_ub=np.array([[_NAN, 0.0]]), b_ub=[1.0])),
+    "qp-row-width": ("a_ub must be (m, 2) over b_ub", lambda: _qp(a_ub=np.ones(2), b_ub=[1.0])),
+    "report-nan-x": (
+        "x must be free of NaN", lambda: vf.SolveReport("optimal", 0.0, [_NAN, 0.0], 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PROBLEM_REFUSALS)
+def test_every_refusal_of_the_problem_checks_names_its_field(case):
+    message, build = PROBLEM_REFUSALS[case]
+    with pytest.raises(vf.InputError, match="^" + re.escape(message)):
+        build()
+

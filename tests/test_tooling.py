@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -14,7 +15,7 @@ import types
 
 import vesflex
 from vesflex import cli
-from test_contract import COUNT_CHECKS
+from test_contract import COUNT_CHECKS, HOLDERS
 
 PACKAGE = pathlib.Path(vesflex.__file__).parent
 
@@ -194,9 +195,11 @@ def test_readme_cli_block_runs_as_printed(tmp_path, monkeypatch):
 
 
 def test_only_the_array_helper_freezes_arrays():
-    # thermal._readonly copies, converts, checks and freezes; no other
-    # function in the modules that import it calls setflags
-    for name in ("thermal", "qos", "flexset"):
+    # thermal._readonly and, for the dense oracles' data, solver._hold copy,
+    # convert, check and freeze; no other function in their modules, or in
+    # the modules that import _readonly, calls setflags
+    helper = {"thermal": {"_readonly"}, "solver": {"_hold"}}
+    for name in ("thermal", "qos", "flexset", "solver"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         callers = {
             fn.name
@@ -205,7 +208,19 @@ def test_only_the_array_helper_freezes_arrays():
             for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "setflags"
         }
-        assert callers == ({"_readonly"} if name == "thermal" else set()), name
+        assert callers == helper.get(name, set()), name
+
+
+def test_every_array_holder_is_a_row_of_the_holder_table():
+    # a public dataclass given an array field later cannot skip the
+    # read-only-copy check of test_contract
+    holders = {
+        name
+        for name in vesflex.__all__
+        if dataclasses.is_dataclass(obj := getattr(vesflex, name)) and isinstance(obj, type)
+        and any(f.type in ("np.ndarray", "np.ndarray | None") for f in dataclasses.fields(obj))
+    }
+    assert holders == set(HOLDERS)
 
 
 def _public_callables():

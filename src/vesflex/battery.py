@@ -55,14 +55,6 @@ class VirtualBatteryCaps:
     discharge_energy_kwh: float
 
 
-def _rates(
-    scn: Scenario, lo: np.ndarray, hi: np.ndarray, base: np.ndarray
-) -> tuple[float, float]:
-    p_max = np.minimum(scn.params.p_rated, scn.step_demand(hi[:-1], lo[1:]))
-    p_min = np.maximum(0.0, scn.step_demand(lo[:-1], hi[1:]))
-    return float((p_max - base).max()), float((base - p_min).max())
-
-
 def _profiles(
     scn: Scenario, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[Trajectory, Trajectory]:
@@ -75,23 +67,31 @@ def _profiles(
     return out[0], out[1]
 
 
-def _energies(
-    scn: Scenario, lo: np.ndarray, hi: np.ndarray, base: np.ndarray
-) -> tuple[float, float]:
+def characterize(scn: Scenario) -> VirtualBatteryCaps:
+    """All four capacities in one report, from one band and one baseline.
+
+    Rates price preconditioning in: sample k scores the largest (smallest)
+    demand stepping from some theta_k to some theta_{k+1} of the feasible
+    band, and any such step extends to a whole feasible trajectory.
+    Energies integrate the deviation of extremal_profiles.
+    """
+    lo, hi = feasible_band(scn)
+    base = scn.baseline().power.values
+    p_max = np.minimum(scn.params.p_rated, scn.step_demand(hi[:-1], lo[1:]))
+    p_min = np.maximum(0.0, scn.step_demand(lo[:-1], hi[1:]))
     p_ch, p_dis = _profiles(scn, lo, hi)
-    e_ch = float((p_ch.values - base).sum()) * scn.dt
-    e_dis = float((base - p_dis.values).sum()) * scn.dt
-    return e_ch, e_dis
+    return VirtualBatteryCaps(
+        float((p_max - base).max()),
+        float((base - p_min).max()),
+        float((p_ch.values - base).sum()) * scn.dt,
+        float((base - p_dis.values).sum()) * scn.dt,
+    )
 
 
 def rate_capacities(scn: Scenario) -> tuple[float, float]:
-    """(charge, discharge) rate caps, kW: peak attainable |deviation|.
-
-    Preconditioning is priced in: sample k scores the largest (smallest)
-    demand stepping from some theta_k to some theta_{k+1} of the feasible
-    band, and any such step extends to a whole feasible trajectory.
-    """
-    return _rates(scn, *feasible_band(scn), scn.baseline().power.values)
+    """(charge, discharge) rate caps, kW: peak attainable |deviation|."""
+    caps = characterize(scn)
+    return caps.charge_rate_kw, caps.discharge_rate_kw
 
 
 def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
@@ -100,22 +100,16 @@ def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
     Charging rides the lower edge of the feasible band and discharging the
     upper one; each is the unique argmax, as the energy is strictly
     monotone in every theta_k.  Both are re-simulated and audited before
-    they are returned (SolverError on failure); energy_capacities
-    integrates them.
+    they are returned (SolverError on failure); characterize integrates
+    them.
     """
     return _profiles(scn, *feasible_band(scn))
 
 
 def energy_capacities(scn: Scenario) -> tuple[float, float]:
     """(charge, discharge) energy caps, kWh, over the scenario horizon."""
-    return _energies(scn, *feasible_band(scn), scn.baseline().power.values)
-
-
-def characterize(scn: Scenario) -> VirtualBatteryCaps:
-    """All four capacities in one report, from one band and one baseline."""
-    lo, hi = feasible_band(scn)
-    base = scn.baseline().power.values
-    return VirtualBatteryCaps(*_rates(scn, lo, hi, base), *_energies(scn, lo, hi, base))
+    caps = characterize(scn)
+    return caps.charge_energy_kwh, caps.discharge_energy_kwh
 
 
 def bangbang_energy_oracle(

@@ -52,7 +52,8 @@ class Scenario:
     """One load, one disturbance record, one temperature-only comfort contract.
 
     No analysis here simulates humidity or switching, so humidity and
-    lockout bounds raise InputError instead of being silently dropped.
+    lockout bounds raise InputError instead of being silently dropped, as
+    does a step so short that its decay rounds to 1 and demand moves nothing.
     Per-sample temperature bounds cover the N+1 temperature samples
     theta_0..theta_N; their length and order are checked once, here, and
     every analysis reads that one grid off theta_limits().
@@ -77,6 +78,9 @@ class Scenario:
                 raise InputError(
                     f"{name} {getattr(self, name)} outside comfort band [{lo}, {hi}]"
                 )
+        if decay_factor(self.params, self.dt) == 1.0:
+            raise InputError(f"dt {self.dt} h rounds one step's decay to 1 against "
+                             f"the RC time constant {self.params.time_constant_h} h")
         self.theta_limits()
 
     @property
@@ -161,19 +165,9 @@ def _rated_box(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(n), np.full(n, scn.params.p_rated)
 
 
-def feasible_window(scn: Scenario) -> tuple[bool, int]:
-    """Exact feasibility of the window: the forward pass of feasible_band.
-
-    Returns (feasible, first_bad_index); the index is the theta sample
-    where the reachable interval first empties (0 when theta0 itself is
-    outside that sample's band), or -1 when feasible.
-    """
-    bad = _forward_reach(scn, *_rated_box(scn))[2]
-    return bad < 0, bad
-
-
 def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarray):
-    """Backward pass: cut [lo[k], hi[k]] to where the box's demand reaches k+1's cut."""
+    """Backward pass: cut the box's forward pass [lo[k], hi[k]], in place, to where
+    the box's demand reaches k+1's cut; returns the box's band as arrays."""
     a, gain, forcing = scn.dynamics()
     f = forcing.tolist()
     rise_lo, rise_hi = (gain * p_lo).tolist(), (gain * p_hi).tolist()
@@ -185,43 +179,45 @@ def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarra
         pre_hi = (hi[k + 1] - f[k] + rise_hi[k]) / a if a > 0.0 else math.inf
         lo[k] = min(max(lo[k], pre_lo), hi[k])
         hi[k] = max(min(hi[k], pre_hi), lo[k])
-    return lo, hi
-
-
-def _band(
-    scn: Scenario, reach: tuple[list, list], p_lo: np.ndarray, p_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """feasible_band for the per-step demand box [p_lo[k], p_hi[k]], read off
-    reach, the box's feasible forward pass (lo, hi): _viable cuts it in place."""
-    lo, hi = _viable(scn, *reach, p_lo, p_hi)
     return np.array(lo), np.array(hi)
 
 
-def _unholdable(scn: Scenario, bad: int) -> InfeasibleError:
-    """The error of a rated forward pass that empties at sample bad."""
-    return InfeasibleError(
-        f"comfort band cannot be held at sample {bad} (t = {bad * scn.dt:.6g} h) "
-        f"under any demand in [0, {scn.params.p_rated}] kW"
-    )
-
-
 def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
-    """scn and its rated forward pass (lo, hi), or, when that pass fails by rounding
-    (theta0 within _SNAP_TOL of the viable start), scn from the nearest start 0, 1,
-    4, ... ulps clear of the viable edges that the pass holds, and that start's pass;
-    InfeasibleError when none holds."""
+    """The one answer to "can scn hold its comfort band?": scn and its rated forward
+    pass (lo, hi), or, when that pass fails by rounding (theta0 within _SNAP_TOL
+    of the viable start), scn from the nearest start 0, 1, 4, ... ulps clear of
+    the viable edges that the pass holds, and that start's pass; InfeasibleError
+    at the sample where scn's own pass empties when none holds."""
     lo, hi, bad = _forward_reach(scn, *(box := _rated_box(scn)))
     if bad < 0:
         return scn, (lo, hi)
-    v_lo, v_hi = _viable(scn, *(b.tolist() for b in scn.theta_limits()), *box)
-    for pad in [0.0] + [math.ulp(v_lo[0]) * 4**i for i in range(8)]:
-        start = min(max(scn.theta0, v_lo[0] + pad), v_hi[0] - pad)
+    limits = (b.tolist() for b in scn.theta_limits())
+    v_lo, v_hi = (float(v[0]) for v in _viable(scn, *limits, *box))
+    for pad in [0.0] + [math.ulp(v_lo) * 4**i for i in range(8)]:
+        start = min(max(scn.theta0, v_lo + pad), v_hi - pad)
         if abs(start - scn.theta0) > _SNAP_TOL:
             break
         lo, hi, miss = _forward_reach(moved := replace(scn, theta0=start), *box)
         if miss < 0:
             return moved, (lo, hi)
-    raise _unholdable(scn, bad)
+    raise InfeasibleError(
+        f"comfort band cannot be held at sample {bad} (t = {bad * scn.dt:.6g} h) "
+        f"under any demand in [0, {scn.params.p_rated}] kW"
+    )
+
+
+def feasible_window(scn: Scenario) -> tuple[bool, int]:
+    """Exact feasibility of the window, as _reachable answers it.
+
+    Returns (feasible, first_bad_index); the index is the theta sample
+    where the reachable interval first empties (0 when theta0 itself is
+    outside that sample's band), or -1 when feasible.
+    """
+    try:
+        _reachable(scn)
+    except InfeasibleError:
+        return False, _forward_reach(scn, *_rated_box(scn))[2]
+    return True, -1
 
 
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +227,10 @@ def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     and some demand in [0, p_rated] continues from it inside the comfort
     band to the horizon (backward pass).  The edges are themselves the
     pointwise-lowest and pointwise-highest feasible trajectories.  Returns
-    N+1 samples; raises InfeasibleError when no trajectory exists.
+    N+1 samples from the start _reachable holds, or raises its error.
     """
-    lo, hi, bad = _forward_reach(scn, *(box := _rated_box(scn)))
-    if bad >= 0:
-        raise _unholdable(scn, bad)
-    return _band(scn, (lo, hi), *box)
+    run, reach = _reachable(scn)
+    return _viable(run, *reach, *_rated_box(run))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError, require_count
-from .flexset import Scenario, _band, _forward_reach, _rated_box, _reachable, require_member
+from .flexset import Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member
 from .thermal import Trajectory, _check_grid, simulate
 
 NORMS = ("two", "one", "inf")
@@ -278,7 +278,7 @@ def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray, reach: tuple) ->
             e_hi, reach = mid, probe[:2]
         else:
             e_lo = mid
-    return _ride(scn, target, *_band(scn, reach, *box(e_hi))), halvings, e_lo
+    return _ride(scn, target, *_viable(scn, *reach, *box(e_hi))), halvings, e_lo
 
 
 def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
@@ -296,7 +296,7 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     target = np.clip(r, 0.0, scn.params.p_rated)
     run, reach = _reachable(scn)
     if norm == "one":
-        solved = _ride(run, target, *_band(run, reach, *_rated_box(run))), 0, None
+        solved = _ride(run, target, *_viable(run, *reach, *_rated_box(run))), 0, None
     else:
         solved = _plan_inf(run, r, target, reach) if norm == "inf" else _plan_two(run, r)
     p, iterations, bound = solved

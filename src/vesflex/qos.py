@@ -32,9 +32,10 @@ class QoSBounds:
     """Closed-interval comfort bounds, with optional per-sample overrides.
 
     theta_min/theta_max are finite scalars (degC); theta_min_t/theta_max_t,
-    when given, override them sample-by-sample and must match the checked
-    signal length: for a flexset.Scenario of N steps that is the N+1
-    temperature samples, checked when the Scenario is built.  Humidity-ratio
+    when given, tighten them sample-by-sample, every sample inside
+    [theta_min, theta_max], and must match the checked signal length: for a
+    flexset.Scenario of N steps that is the N+1 temperature samples,
+    checked when the Scenario is built.  Humidity-ratio
     bounds (kg water per kg dry air) and the lockout window tau_lock (hours)
     are optional; leaving a channel's bounds unset leaves that channel
     unconstrained.
@@ -66,7 +67,13 @@ class QoSBounds:
             require_positive("tau_lock", self.tau_lock)
         for name in ("theta_min_t", "theta_max_t"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _readonly(name, getattr(self, name)))
+                held = _readonly(name, getattr(self, name))
+                if np.any(held < self.theta_min) or np.any(held > self.theta_max):
+                    raise InputError(
+                        f"{name} must lie within [theta_min, theta_max] = "
+                        f"[{self.theta_min}, {self.theta_max}]"
+                    )
+                object.__setattr__(self, name, held)
 
     def theta_limits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits for an n-sample signal."""

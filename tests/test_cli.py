@@ -429,6 +429,10 @@ _LATE_ROWS = "".join(f"{k / 60 + (0.9e-9 if k else 0.0)!r},32,1.5\n" for k in ra
 # tolerance of the first, yet stamp k sits (k - 1) * 0.9e-9 h off its grid
 _DRIFT_ROWS = "".join(f"{k / 60 + max(k - 1, 0) * 0.9e-9!r},32,1.5\n" for k in range(10))
 _SHORT = SHORT_CONFIG.format(horizon="0.5")
+# a step so short that exp(-dt/RC) rounds to 1: demand no longer moves theta
+_DECAY_OF_ONE = SHORT_CONFIG.format(horizon="1e-15").replace(
+    "dt_h = 0.016666666666666666", "dt_h = 1e-17"
+)
 
 # each builds its inputs in a directory and returns the argv that reads them
 MALFORMED_INPUTS = {
@@ -494,6 +498,7 @@ MALFORMED_INPUTS = {
         "capacity", "--config",
         _put(d / "n.toml", _SHORT.replace("dt_h = 0.016666666666666666", "dt_h = nan")),
     ],
+    "config-decay-of-one": lambda d: ["plan", "--config", _put(d / "z.toml", _DECAY_OF_ONE)],
     "config-huge-horizon": lambda d: [
         "capacity", "--config",
         _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e308")),
@@ -565,6 +570,20 @@ def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
     if case in FILE_ERRORS:
         name, fault = FILE_ERRORS[case]
         assert f"error: {tmp_path / name}: {fault}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["envelope"], ["freq"], ["deferrable", "--window", "4"], ["capacity"],
+    *(["plan", "--norm", norm] for norm in cli.NORMS),
+])
+def test_a_step_whose_decay_rounds_to_one_is_refused_by_name(tmp_path, argv, capsys):
+    # the input gain (1 - a) R eta_cop is 0 here, so step_demand divides by
+    # zero: each subcommand that reads a config refuses the step by name
+    config = _put(tmp_path / "z.toml", _DECAY_OF_ONE)
+    assert _run(*argv, "--config", config, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt 1e-17 h rounds one step's decay to 1")
+    assert len(err.splitlines()) == 1
 
 
 NON_FINITE_OPTIONS = {

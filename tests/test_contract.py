@@ -239,6 +239,19 @@ def test_per_sample_bounds_refuse_nan(name):
         vf.QoSBounds(23.0, 25.0, **bounds)
 
 
+@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
+@pytest.mark.parametrize("value", [22.0, 25.5])
+def test_per_sample_bounds_only_tighten_the_scalar_band(name, value):
+    # Scenario checks theta0 against the scalar band, so a per-sample band
+    # reaching past it let a rolling plan's own window start be refused
+    bounds = {"theta_min_t": np.full(61, 23.0), "theta_max_t": np.full(61, 25.0)}
+    bounds[name][7] = value
+    with pytest.raises(vf.InputError, match=f"{name} must lie within"):
+        vf.QoSBounds(23.0, 25.0, **bounds)
+    bounds[name][7] = 23.0 if name == "theta_min_t" else 25.0
+    vf.QoSBounds(23.0, 25.0, **bounds)
+
+
 def _grid_sites(n, dt):
     """Each check that a signal sits on another's grid, fed n samples dt apart."""
     scn = _SCN

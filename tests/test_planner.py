@@ -124,7 +124,9 @@ def test_every_norm_refuses_an_infeasible_window_alike(norm):
         vf.feasible_band(cooked)
     with pytest.raises(vf.InfeasibleError) as plan_err:
         vf.plan(cooked, _ref(cooked, np.full(cooked.n_steps, 0.5)), norm=norm)
-    assert str(plan_err.value) == str(band_err.value)
+    with pytest.raises(vf.InfeasibleError) as caps_err:
+        vf.characterize(cooked)
+    assert str(plan_err.value) == str(band_err.value) == str(caps_err.value)
 
 
 def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
@@ -140,15 +142,15 @@ def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(planner, "_band", counted(planner._band))
-    monkeypatch.setattr(flexset, "_band", counted(flexset._band))
+    monkeypatch.setattr(planner, "_viable", counted(planner._viable))
+    monkeypatch.setattr(flexset, "_viable", counted(flexset._viable))
     scn = hot_day_scenario(horizon_h=0.5)
     ref = _ref(scn, scn.baseline().power.values + 0.2)
     vf.plan(scn, ref, norm="two")
     assert vf.receding_horizon(scn, ref, 10, norm="two").solves >= 1
     assert calls == []
     vf.plan(scn, ref, norm="one")
-    assert calls == ["_band"]
+    assert calls == ["_viable"]
 
 
 def test_each_plan_runs_the_rated_forward_pass_once(monkeypatch):
@@ -500,11 +502,45 @@ def test_plan_moves_only_a_rounding_miss_into_the_viable_start(norm, hot_day_2h)
     scn = dataclasses.replace(scn, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=floor))
     ref = _ref(scn, [0.5])
     for miss in (0.0, 1e-15, 1e-14, 1e-12, 9e-10):
-        got = vf.plan(dataclasses.replace(scn, theta0=24.0 - miss), ref, norm=norm)
+        start = dataclasses.replace(scn, theta0=24.0 - miss)
+        got = vf.plan(start, ref, norm=norm)
         assert got.p.values[0] == pytest.approx(0.0, abs=1e-9)
         assert got.theta.values[0] == 24.0 - miss
-    with pytest.raises(vf.InfeasibleError):
-        vf.plan(dataclasses.replace(scn, theta0=24.0 - 1e-6), ref, norm=norm)
+        # every other reader of the rated band gives the same answer
+        assert vf.feasible_window(start) == (True, -1)
+        assert vf.feasible_band(start)[0][1] == floor[1]
+        caps = vf.characterize(start)  # zero demand alone holds the floor
+        assert caps.discharge_rate_kw == pytest.approx(scn.baseline().power.values[0], abs=1e-9)
+    far = dataclasses.replace(scn, theta0=24.0 - 1e-6)
+    assert vf.feasible_window(far) == (False, 1)
+    readers = (vf.feasible_band, vf.characterize, lambda s: vf.plan(s, ref, norm=norm))
+    errors = []
+    for fn in readers:
+        with pytest.raises(vf.InfeasibleError) as err:
+            fn(far)
+        errors.append(str(err.value))
+    assert len(set(errors)) == 1 and "sample 1" in errors[0]
+
+
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_rolling_plan_starts_every_window_its_one_shot_plan_passes(norm):
+    # a per-sample floor of 22 C under a scalar band of [23, 25] was accepted,
+    # then the rolling plan's first window start below 23 C was refused
+    n = 120
+    lo_t, hi_t = np.full(n + 1, 22.0), np.full(n + 1, 25.0)
+    with pytest.raises(vf.InputError, match="theta_min_t"):
+        vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
+    scn = vf.Scenario(
+        params=make_params(),
+        bounds=vf.QoSBounds(22.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
+        theta_sp=24.0, theta0=24.0,
+    )
+    ref = _ref(scn, scn.baseline().power.values + 1.0)
+    assert vf.plan(scn, ref, norm=norm).theta.values.min() < 23.0
+    rolled = vf.receding_horizon(scn, ref, 30, norm=norm)
+    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert rolled.theta.values.min() < 23.0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -252,3 +252,54 @@ def test_every_count_parameter_is_a_row_of_the_count_table():
         if p.annotation in ("int", "int | None")
     }
     assert counts == set(COUNT_CHECKS)
+
+
+def _functions(tree: ast.Module):
+    """(name, nodes) per function: the nodes of its body outside nested functions."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            nodes, todo = [], list(ast.iter_child_nodes(fn))
+            while todo:
+                node = todo.pop()
+                if not isinstance(node, ast.FunctionDef):
+                    nodes.append(node)
+                    todo.extend(ast.iter_child_nodes(node))
+            yield fn.name, nodes
+
+
+def _calls(nodes: list, name: str) -> list:
+    return [
+        n for n in nodes
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+    ]
+
+
+def test_one_function_answers_whether_the_band_can_be_held():
+    # flexset._reachable runs the rated forward pass with its rounding
+    # fallback; a second strict pass, or a second raiser of its error, would
+    # let two readers disagree about one start
+    raisers, rated = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, nodes in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.stem}.{name}"
+            if any(
+                isinstance(n, ast.Constant) and "comfort band cannot be held" in str(n.value)
+                for n in nodes
+            ):
+                raisers.add(where)
+            boxes = {  # names bound to _rated_box(...)
+                t.id
+                for n in nodes if isinstance(n, (ast.Assign, ast.NamedExpr))
+                and _calls([n.value], "_rated_box")
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                if isinstance(t, ast.Name)
+            }
+            for call in _calls(nodes, "_forward_reach"):
+                if any(
+                    _calls([n], "_rated_box") or (isinstance(n, ast.Name) and n.id in boxes)
+                    for arg in call.args for n in ast.walk(arg)
+                ):
+                    rated.add(where)
+    assert raisers == {"flexset._reachable"}
+    # feasible_window re-runs the pass only on failure, to name the sample
+    assert rated == {"flexset._reachable", "flexset.feasible_window"}

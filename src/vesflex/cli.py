@@ -354,8 +354,6 @@ def _ensemble_reference(args) -> np.ndarray:
 
     from . import ensemble
 
-    if sum(arg is not None for arg in (args.ref, args.triangle, args.square)) != 1:
-        raise InputError("give exactly one of --ref, --triangle, --square")
     if args.ref is not None:
         if os.path.exists(args.ref):
             slots, units = read_csv(args.ref, ["slot", "units"]).T
@@ -484,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate demand and audit comfort")
     scenario_args(p)
-    p.add_argument("--power", default=None, help="demand CSV t_hours,ref_kw")
-    p.add_argument("--power-const", type=finite, default=None, help="constant demand, kW")
+    demand = p.add_mutually_exclusive_group()
+    demand.add_argument("--power", help="demand CSV t_hours,ref_kw")
+    demand.add_argument("--power-const", type=finite, help="constant demand, kW")
     p.add_argument("--atol", type=finite, default=1e-9, help="comfort audit tolerance")
     p.set_defaults(func=cmd_simulate)
 
@@ -556,14 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deferrable)
 
     p = sub.add_parser("ensemble", help="pulse-pair fleet tracking a slotted reference")
-    p.add_argument(
-        "--ref",
-        default=None,
-        help="comma-separated integer reference, or a CSV slot,units",
-    )
-    p.add_argument("--triangle", type=int, default=None, help="staircase triangle peak")
-    p.add_argument(
-        "--square", type=_two_ints, default=None, metavar="AMPLITUDE,TAU",
+    reference = p.add_mutually_exclusive_group(required=True)
+    reference.add_argument("--ref", help="comma-separated integer reference, or a CSV slot,units")
+    reference.add_argument("--triangle", type=int, help="staircase triangle peak")
+    reference.add_argument(
+        "--square", type=_two_ints, metavar="AMPLITUDE,TAU",
         help="square wave amplitude and half-period in slots",
     )
     p.add_argument("--n-loads", type=count, default=None, help="fleet size (default: minimum)")

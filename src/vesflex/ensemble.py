@@ -33,12 +33,13 @@ at time scale tau: amplitude and time scale trade off inside one fleet.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, ShapeError, require_count, require_positive
+from .errors import (
+    InfeasibleError, InputError, ShapeError, _freeze, require_count, require_positive,
+)
 
 
 def _as_units(ref_units) -> np.ndarray:
@@ -71,11 +72,7 @@ class EnsembleSchedule:
     actions: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.actions, dtype=np.int8)  # a copy: the caller's stays writable
-        if a.ndim != 2:
-            raise ShapeError("actions must be a (loads, slots) array")
-        a.setflags(write=False)
-        object.__setattr__(self, "actions", a)
+        _freeze(self, "actions", self.actions, np.int8, ndim=2)
 
     @property
     def n_loads(self) -> int:
@@ -134,15 +131,6 @@ def pair_counts(ref_units) -> np.ndarray:
     return np.cumsum(_as_units(ref_units))
 
 
-def _require_zero_sum(s: np.ndarray) -> None:
-    if s[-1] != 0:
-        raise InfeasibleError(
-            "reference sums to "
-            f"{int(s[-1])} units: every pulse pair nets zero energy over its "
-            "two slots, so only zero-sum references are trackable"
-        )
-
-
 def min_loads(ref_units) -> int:
     """Exact minimum fleet size that can track the reference.
 
@@ -151,8 +139,17 @@ def min_loads(ref_units) -> int:
     both counts, so this is a lower bound for every valid schedule.  It is
     achieved by greedy interval coloring, see schedule_tracking.
     """
-    s = pair_counts(ref_units)
-    _require_zero_sum(s)
+    return _min_loads(pair_counts(ref_units))
+
+
+def _min_loads(s: np.ndarray) -> int:
+    """min_loads from the pair counts s; InfeasibleError unless the reference sums to zero."""
+    if s[-1] != 0:
+        raise InfeasibleError(
+            "reference sums to "
+            f"{int(s[-1])} units: every pulse pair nets zero energy over its "
+            "two slots, so only zero-sum references are trackable"
+        )
     need = np.abs(s)
     if need.size == 1:
         return int(need[0])
@@ -172,25 +169,19 @@ def schedule_tracking(
     extra rows idle.
     """
     s = pair_counts(ref_units)
-    need = min_loads(ref_units)  # refuses a reference that does not sum to zero
+    need = _min_loads(s)  # refuses a reference that does not sum to zero
     n_loads = need if n_loads is None else n_loads
     require_count("n_loads", n_loads)
     if n_loads < need:
         raise InfeasibleError(f"reference needs {need} loads, fleet has only {n_loads}")
-    n_slots = s.size
-    actions = np.zeros((n_loads, n_slots), dtype=np.int8)
-    free: list[int] = list(range(n_loads))
-    heapq.heapify(free)
-    busy_until: list[tuple[int, int]] = []  # (first free slot, load)
-    for t in range(n_slots - 1):
-        while busy_until and busy_until[0][0] <= t:
-            heapq.heappush(free, heapq.heappop(busy_until)[1])
+    actions = np.zeros((n_loads, s.size), dtype=np.int8)
+    busy = np.empty(0, dtype=np.int64)
+    for t in range(s.size - 1):
+        # every pair holds its load for two slots: all but boundary t-1's are free
+        busy = np.setdiff1d(np.arange(n_loads), busy)[: abs(int(s[t]))]
         sign = 1 if s[t] > 0 else -1
-        for _ in range(abs(int(s[t]))):
-            load = heapq.heappop(free)
-            actions[load, t] = sign
-            actions[load, t + 1] = -sign
-            heapq.heappush(busy_until, (t + 2, load))
+        actions[busy, t] = sign
+        actions[busy, t + 1] = -sign
     return EnsembleSchedule(spec=spec, actions=actions)
 
 

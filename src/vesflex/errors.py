@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: bad or inconsistent input data is an
 InputError (exit 2), while a well-posed problem with no feasible answer is
 an InfeasibleError (exit 1).  Every scalar input passes one of four checks:
-require_finite, require_positive, require_nonnegative or require_count.
+require_finite, require_positive, require_nonnegative or require_count, and
+every array a frozen value holds passes _freeze, under the same number rules.
 """
 
 import math
@@ -65,3 +66,29 @@ def require_count(name: str, value, least: int = 0) -> None:
     # int first: a plain int then skips the slower Integral ABC check
     if not (isinstance(value, (int, Integral)) and not isinstance(value, bool) and value >= least):
         raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _freeze(holder, name: str, value, dtype: type = float, ndim: int = 1, finite: bool = True):
+    """Set holder.<name> to a read-only copy of value, and return it: an ndim-D array
+    (non-empty when 1-D) of values dtype holds exactly, so no string, no bool in a
+    number field, no fraction or 256 in an int8 one, no NaN, no +-inf if finite."""
+    import numpy as np
+
+    src, want = np.asarray(value), np.dtype(dtype)
+    if src.dtype.kind not in ("b" if want.kind == "b" else "iuf"):
+        raise InputError(f"{name} must be an array of {want} values, not {src.dtype}")
+    if src.ndim != ndim or (ndim == 1 and src.size == 0):
+        raise ShapeError(f"{name} must be a {'non-empty 1-D' if ndim == 1 else '2-D'} array")
+    if src.dtype.kind == "f" and not (np.isfinite(src) if finite else ~np.isnan(src)).all():
+        raise InputError(f"{name} must be {'finite' if finite else 'free of NaN'}")
+    if src.dtype == want:
+        out = src.copy()  # the caller's array stays writable
+    else:
+        with np.errstate(invalid="ignore"):  # a float beyond int8 is refused below
+            out = src.astype(want)
+        if not np.array_equal(out, src):
+            bad = src[out != src][0].item()
+            raise InputError(f"{name} must be an array of {want} values; {bad!r} is not one")
+    out.setflags(write=False)
+    object.__setattr__(holder, name, out)
+    return out

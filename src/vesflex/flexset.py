@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, require_count,
-    require_finite, require_nonnegative, require_positive,
+    InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, _freeze,
+    require_count, require_finite, require_nonnegative, require_positive,
 )
 from .qos import QoSBounds, QoSSignal, Verdict, satisfies
 from .thermal import (
@@ -35,7 +35,6 @@ from .thermal import (
     ThermalParams,
     Trajectory,
     _check_grid,
-    _readonly,
     baseline_trajectory,
     decay_factor,
     equilibrium_power,
@@ -55,8 +54,9 @@ class Scenario:
     lockout bounds raise InputError instead of being silently dropped, as
     does a step so short that its decay rounds to 1 and demand moves nothing.
     Per-sample temperature bounds cover the N+1 temperature samples
-    theta_0..theta_N; their length and order are checked once, here, and
-    every analysis reads that one grid off theta_limits().
+    theta_0..theta_N; their length is checked once, here.  The scenario
+    holds that one limit grid and the one-step coefficients, read-only,
+    and every analysis reads them off theta_limits() and dynamics().
     """
 
     params: ThermalParams
@@ -78,10 +78,15 @@ class Scenario:
                 raise InputError(
                     f"{name} {getattr(self, name)} outside comfort band [{lo}, {hi}]"
                 )
-        if decay_factor(self.params, self.dt) == 1.0:
+        par = self.params
+        a = decay_factor(par, self.dt)
+        if a == 1.0:
             raise InputError(f"dt {self.dt} h rounds one step's decay to 1 against "
-                             f"the RC time constant {self.params.time_constant_h} h")
-        self.theta_limits()
+                             f"the RC time constant {par.time_constant_h} h")
+        object.__setattr__(self, "_step", (a, (1.0 - a) * par.r_thermal * par.eta_cop))
+        _freeze(self, "_forcing", (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d))
+        for name, limit in zip(("_lo", "_hi"), self.bounds.theta_limits(self.n_steps + 1)):
+            _freeze(self, name, limit)
 
     @property
     def n_steps(self) -> int:
@@ -96,7 +101,7 @@ class Scenario:
 
     def theta_limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits over samples 0..N."""
-        return self.bounds.theta_limits(self.n_steps + 1)
+        return self._lo, self._hi
 
     def window(self, start: int, n_steps: int, theta0: float) -> "Scenario":
         """Steps [start, start + n_steps) as a scenario starting at theta0.
@@ -122,11 +127,7 @@ class Scenario:
         theta_{k+1} = a*theta_k - gain*p_k + forcing[k]: zero-order-hold
         decay a, gain = (1-a) R eta_cop, forcing = (1-a)(theta_a + R q_d).
         """
-        par = self.params
-        a = decay_factor(par, self.dt)
-        gain = (1.0 - a) * par.r_thermal * par.eta_cop
-        forcing = (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d)
-        return a, gain, forcing
+        return (*self._step, self._forcing)
 
     def step_demand(self, theta_k: np.ndarray, theta_next: np.ndarray) -> np.ndarray:
         """Demand per step moving theta_k to theta_next: dynamics() inverted."""
@@ -248,11 +249,8 @@ class FlexEnvelope:
 
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
-        lo, hi = _readonly("p_lo", self.p_lo), _readonly("p_hi", self.p_hi)
-        if lo.size != hi.size:
+        if _freeze(self, "p_lo", self.p_lo).size != _freeze(self, "p_hi", self.p_hi).size:
             raise ShapeError("p_lo and p_hi must be 1-D arrays of equal length")
-        object.__setattr__(self, "p_lo", lo)
-        object.__setattr__(self, "p_hi", hi)
 
     def __len__(self) -> int:
         return int(self.p_lo.size)

@@ -74,7 +74,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, SolverError, require_count
-from .flexset import Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member
+from .flexset import (
+    _SNAP_TOL, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
+)
 from .thermal import Trajectory, _check_grid, simulate
 
 NORMS = ("two", "one", "inf")
@@ -458,10 +460,13 @@ def receding_horizon(
     for t in range(0, n, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
-        # snap solver-tolerance grazes back inside sample t's band, where the
-        # window starts; genuine violations cannot occur because each
-        # executed sample came from a feasible plan
-        win = scn.window(t, w, min(max(th, lo_t[t]), hi_t[t]))
+        # snap a rounding graze back inside sample t's band, where the window
+        # starts, within the one start tolerance _reachable grants
+        start = min(max(th, lo_t[t]), hi_t[t])
+        if abs(start - th) > _SNAP_TOL:
+            raise SolverError(f"window plan leaves the comfort band at sample {t}: "
+                              f"{th:.9g} degC against limit {start:.9g}")
+        win = scn.window(t, w, start)
         r = ref.values[t : t + w]
         found = _continue(win, r, *tail) if norm == "two" and tail else None
         if found is None:

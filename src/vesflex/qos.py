@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChannelMissingError, InputError, ShapeError, require_count, require_finite,
+    ChannelMissingError, InputError, ShapeError, _freeze, require_count, require_finite,
     require_nonnegative, require_positive,
 )
-from .thermal import Trajectory, _check_grid, _readonly
+from .thermal import Trajectory, _check_grid
 
 # Channel names, in the order ties at the same sample index are reported.
 CHANNELS = ("theta", "humidity", "lockout")
@@ -33,7 +33,8 @@ class QoSBounds:
 
     theta_min/theta_max are finite scalars (degC); theta_min_t/theta_max_t,
     when given, tighten them sample-by-sample, every sample inside
-    [theta_min, theta_max], and must match the checked signal length: for a
+    [theta_min, theta_max], lower below upper at each sample and both of one
+    length, checked here; that length must match the signal's: for a
     flexset.Scenario of N steps that is the N+1 temperature samples,
     checked when the Scenario is built.  Humidity-ratio
     bounds (kg water per kg dry air) and the lockout window tau_lock (hours)
@@ -67,13 +68,18 @@ class QoSBounds:
             require_positive("tau_lock", self.tau_lock)
         for name in ("theta_min_t", "theta_max_t"):
             if getattr(self, name) is not None:
-                held = _readonly(name, getattr(self, name))
+                held = _freeze(self, name, getattr(self, name))
                 if np.any(held < self.theta_min) or np.any(held > self.theta_max):
                     raise InputError(
                         f"{name} must lie within [theta_min, theta_max] = "
                         f"[{self.theta_min}, {self.theta_max}]"
                     )
-                object.__setattr__(self, name, held)
+        lo = self.theta_min if self.theta_min_t is None else self.theta_min_t
+        hi = self.theta_max if self.theta_max_t is None else self.theta_max_t
+        if np.ndim(lo) == np.ndim(hi) == 1 and lo.size != hi.size:
+            raise ShapeError(f"theta_min_t has {lo.size} samples but theta_max_t has {hi.size}")
+        if np.any(lo >= hi):
+            raise InputError("per-sample bounds must satisfy lower < upper")
 
     def theta_limits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) temperature limits for an n-sample signal."""
@@ -85,8 +91,6 @@ class QoSBounds:
                 f"per-sample temperature bounds sized {lo.size}/{hi.size} "
                 f"do not match {n} signal samples"
             )
-        if np.any(lo >= hi):
-            raise InputError("per-sample bounds must satisfy lower < upper")
         return lo, hi
 
     @property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, _freeze
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -53,27 +53,17 @@ class SolveReport:
 
     def __post_init__(self) -> None:
         if self.x is not None:
-            _hold(self, "x", finite=False)
+            _freeze(self, "x", self.x)
 
 
-def _hold(holder, *names: str, finite: bool = True) -> None:
-    """Hold each named field as its own frozen float copy: no NaN, and no inf when finite."""
-    for name in names:
-        a = np.array(getattr(holder, name), dtype=float)  # a copy: the caller's stays writable
-        if (~np.isfinite(a) if finite else np.isnan(a)).any():
-            raise InputError(f"{name} must be {'finite' if finite else 'free of NaN'}")
-        a.setflags(write=False)
-        object.__setattr__(holder, name, a)
-
-
-def _hold_problem(p, vectors: tuple[str, ...], blocks: tuple[str, ...]) -> None:
-    """The checks LinearProgram and BoxQP share, after their vectors are held.
-
-    The vectors are 1-D of one length n with lo <= hi, and each row block
-    a_x is absent or (m, n) over an m-long b_x, both held finite.
-    """
-    n = getattr(p, vectors[0]).size
-    if any(getattr(p, name).shape != (n,) for name in vectors):
+def _hold_problem(p, vectors: tuple[str, ...], blocks: tuple[str, ...], box_inf: bool) -> None:
+    """Hold what LinearProgram and BoxQP share: the vectors, finite (lo and hi
+    may be +-inf when box_inf), of one length n with lo <= hi, and each row block
+    a_x absent or (m, n) over an m-long b_x, both finite."""
+    for name in vectors:
+        _freeze(p, name, getattr(p, name), finite=not (box_inf and name in ("lo", "hi")))
+    n = p.lo.size
+    if any(getattr(p, name).size != n for name in vectors):
         raise InputError(f"{', '.join(vectors)} must be 1-D arrays of one length")
     if np.any(p.lo > p.hi):
         raise InputError("lo must not exceed hi")
@@ -82,9 +72,9 @@ def _hold_problem(p, vectors: tuple[str, ...], blocks: tuple[str, ...]) -> None:
         if (getattr(p, a_name) is None) != (getattr(p, b_name) is None):
             raise InputError(f"{a_name} and {b_name} must be given together")
         if getattr(p, a_name) is not None:
-            _hold(p, a_name, b_name)
-            a, b = getattr(p, a_name), getattr(p, b_name)
-            if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
+            a = _freeze(p, a_name, getattr(p, a_name), ndim=2)
+            b = _freeze(p, b_name, getattr(p, b_name))
+            if a.shape[1] != n or b.shape != (a.shape[0],):
                 raise InputError(f"{a_name} must be (m, {n}) over {b_name} of length m")
 
 
@@ -106,9 +96,7 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _hold(self, "c")
-        _hold(self, "lo", "hi", finite=False)
-        _hold_problem(self, ("c", "lo", "hi"), ("a_ub", "a_eq"))
+        _hold_problem(self, ("c", "lo", "hi"), ("a_ub", "a_eq"), box_inf=True)
         if np.any(np.isinf(self.lo) & np.isinf(self.hi)):
             raise InputError("lo or hi must be finite for every variable")
 
@@ -358,8 +346,7 @@ class BoxQP:
     b_ub: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _hold(self, "h", "g", "lo", "hi")
-        _hold_problem(self, ("h", "g", "lo", "hi"), ("a_ub",))
+        _hold_problem(self, ("h", "g", "lo", "hi"), ("a_ub",), box_inf=False)
         if np.any(self.h <= 0):
             raise InputError("h must be strictly positive")
 

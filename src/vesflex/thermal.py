@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .errors import InputError, ShapeError, require_count, require_nonnegative, require_positive
+from .errors import (
+    InputError, ShapeError, _freeze, require_count, require_nonnegative, require_positive,
+)
 
 # Default sampling step, hours.  One minute resolves the paper-scale RC time
 # constant (about 3.5 h) by more than two orders of magnitude.
@@ -51,17 +53,6 @@ MAX_GRID_STEPS = 10_000_000
 _SINE_SAMPLES_PER_PERIOD = 24
 _SINE_PERIODS = 4
 _SINE_SETTLE_TIME_CONSTANTS = 5.0
-
-
-def _readonly(name: str, a, dtype: type = float) -> np.ndarray:
-    """A frozen copy of a, a non-empty 1-D array of finite values; a stays writable."""
-    out = np.array(a, dtype=dtype)
-    if out.ndim != 1 or out.size == 0:
-        raise ShapeError(f"{name} must be a non-empty 1-D array")
-    if not np.isfinite(out).all():
-        raise InputError(f"{name} must be finite")
-    out.setflags(write=False)
-    return out
 
 
 def _check_grid(name: str, signal, n: int, dt: float) -> None:
@@ -125,7 +116,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
-        object.__setattr__(self, "values", _readonly("values", self.values))
+        _freeze(self, "values", self.values)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -165,11 +156,9 @@ class DisturbanceSeries:
 
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
-        ta, qd = _readonly("theta_a", self.theta_a), _readonly("q_d", self.q_d)
+        ta, qd = _freeze(self, "theta_a", self.theta_a), _freeze(self, "q_d", self.q_d)
         if ta.size != qd.size:
             raise ShapeError(f"theta_a has {ta.size} samples but q_d has {qd.size}")
-        object.__setattr__(self, "theta_a", ta)
-        object.__setattr__(self, "q_d", qd)
 
     def __len__(self) -> int:
         return int(self.theta_a.size)
@@ -323,7 +312,7 @@ class BaselineResult:
 
     def __post_init__(self) -> None:
         for name in ("clamped_low", "clamped_high"):
-            object.__setattr__(self, name, _readonly(name, getattr(self, name), bool))
+            _freeze(self, name, getattr(self, name), bool)
 
     @property
     def saturated(self) -> bool:

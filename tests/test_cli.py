@@ -533,7 +533,6 @@ MALFORMED_INPUTS = {
         "simulate", "--config", _put(d / "s.toml", _SHORT),
         "--power", _put(d / "power.csv", "t_hours,ref_kw\n" + _OFF_GRID_ROWS),
     ],
-    "ensemble-two-references": lambda d: ["ensemble", "--triangle", "3", "--square", "2,3"],
     "ensemble-ref-not-integers": lambda d: ["ensemble", "--ref", "1,a"],
 }
 
@@ -624,6 +623,18 @@ def test_negative_count_option_is_usage_error(tmp_path, case, capsys):
 MALFORMED_OPTIONS = {
     "ensemble-square-one-int": (["ensemble", "--square", "3"], "expected AMPLITUDE,TAU"),
     "humidity-outdoor-two-floats": (["humidity", "--outdoor", "1,2"], "expected T,W,FRACTION"),
+    # conflicting inputs: the file's demand once ran and the constant was dropped
+    "simulate-power-and-power-const": (
+        ["simulate", "--power", "p.csv", "--power-const", "9"],
+        "argument --power-const: not allowed with argument --power",
+    ),
+    "ensemble-two-references": (
+        ["ensemble", "--triangle", "3", "--square", "2,3"],
+        "argument --square: not allowed with argument --triangle",
+    ),
+    "ensemble-no-reference": (
+        ["ensemble"], "one of the arguments --ref --triangle --square is required"
+    ),
     # removed: ensemble.csv and stdout are in whole units and slots
     "ensemble-unit-kw": (["ensemble", "--triangle", "3", "--unit-kw", "2"], "--unit-kw"),
     "ensemble-slot-h": (["ensemble", "--triangle", "3", "--slot-h", "2"], "--slot-h"),

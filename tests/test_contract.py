@@ -172,47 +172,56 @@ def test_a_fractional_time_scale_is_refused_not_truncated():
         vf.amplitude_timescale_curve(7, [1.5])
 
 
-# kind -> (the caller's two arrays, the value built from them, the fields holding them)
+# what every number field refuses: a bool array and a numeric-string one
+_NOT_NUMBERS = ([True, False], ["1e3", "2"])
+
+# kind -> (the caller's two arrays, the value built from them, the fields
+# holding them, and what each of those fields refuses, repeated to its shape)
 HOLDERS = {
-    "Trajectory": ([0.0, 1.0, 0.0], None, lambda x, y: vf.Trajectory(DT, x), ["values"]),
+    "Trajectory": (
+        [0.0, 1.0, 0.0], None, lambda x, y: vf.Trajectory(DT, x), ["values"], _NOT_NUMBERS,
+    ),
     "DisturbanceSeries": (
         [30.0, 31.0, 32.0], [1.0, 1.5, 2.0],
-        lambda x, y: vf.DisturbanceSeries(DT, x, y), ["theta_a", "q_d"],
+        lambda x, y: vf.DisturbanceSeries(DT, x, y), ["theta_a", "q_d"], _NOT_NUMBERS,
     ),
     "QoSBounds": (
         [23.0, 23.5, 23.0], [25.0, 24.5, 25.0],
         lambda x, y: vf.QoSBounds(23.0, 25.0, theta_min_t=x, theta_max_t=y),
-        ["theta_min_t", "theta_max_t"],
+        ["theta_min_t", "theta_max_t"], _NOT_NUMBERS,
     ),
     "FlexEnvelope": (
         [0.5, 0.6, 0.7], [1.5, 1.6, 1.7],
-        lambda x, y: vf.FlexEnvelope(DT, x, y), ["p_lo", "p_hi"],
+        lambda x, y: vf.FlexEnvelope(DT, x, y), ["p_lo", "p_hi"], _NOT_NUMBERS,
     ),
     "BaselineResult": (
         [True, False, False], [False, False, True],
         lambda x, y: vf.BaselineResult(_SHORT, x, y), ["clamped_low", "clamped_high"],
+        ([0.3, 0.0], ["True", "False"]),
     ),
     "SolveReport": (
         [0.0, 1.0, 2.0], None, lambda x, y: vf.SolveReport("optimal", 0.0, x, 1), ["x"],
+        _NOT_NUMBERS,
     ),
     "EnsembleSchedule": (
         [[1, -1, 0]], None, lambda x, y: vf.EnsembleSchedule(_SPEC, x), ["actions"],
+        (*_NOT_NUMBERS, [256, 0], [0.7, -0.7], [math.nan, 0]),
     ),
     "LinearProgram": (
         [1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
-        lambda x, y: vf.LinearProgram(x, y, np.full(3, 9.0)), ["c", "lo"],
+        lambda x, y: vf.LinearProgram(x, y, np.full(3, 9.0)), ["c", "lo"], _NOT_NUMBERS,
     ),
     "BoxQP": (
         [0.0, 1.0, 2.0], [[1.0, 0.0, -1.0]],
         lambda x, y: vf.BoxQP(np.ones(3), x, np.zeros(3), np.ones(3), y, np.ones(1)),
-        ["g", "a_ub"],
+        ["g", "a_ub"], _NOT_NUMBERS,
     ),
 }
 
 
 @pytest.mark.parametrize("kind", HOLDERS)
 def test_a_frozen_value_holds_a_read_only_copy_and_leaves_the_callers_array_writable(kind):
-    first, second, build, fields = HOLDERS[kind]
+    first, second, build, fields, _ = HOLDERS[kind]
     dtype = np.int8 if kind == "EnsembleSchedule" else None
     mine = [np.array(a, dtype=dtype) for a in (first, second) if a is not None]
     value = build(*mine, *[None] * (2 - len(mine)))
@@ -227,6 +236,19 @@ def test_a_frozen_value_holds_a_read_only_copy_and_leaves_the_callers_array_writ
         assert m.flags.writeable
         m[0] = m[-1] if m.dtype == bool else m[0] + 1
     assert all(np.array_equal(h, b) for h, b in zip(held, before))
+
+
+@pytest.mark.parametrize("kind", HOLDERS)
+def test_a_held_array_refuses_what_its_field_cannot_hold_exactly(kind):
+    # ["1e3", "2"] was once held as [1000, 2], and the schedule [[256, 0]]
+    # as [[0, 0]], which validate_schedule then passed
+    first, second, build, fields, refused = HOLDERS[kind]
+    for i, name in enumerate(fields):
+        for bad in refused:
+            args = [first, second]
+            args[i] = np.resize(np.array(bad), np.shape(args[i]))
+            with pytest.raises(vf.InputError, match=f"^{name} must "):
+                build(*args)
 
 
 @pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
@@ -250,6 +272,29 @@ def test_per_sample_bounds_only_tighten_the_scalar_band(name, value):
         vf.QoSBounds(23.0, 25.0, **bounds)
     bounds[name][7] = 23.0 if name == "theta_min_t" else 25.0
     vf.QoSBounds(23.0, 25.0, **bounds)
+
+
+@pytest.mark.parametrize("lo, hi, error, says", [
+    (np.full(61, 23.0), np.full(60, 25.0), vf.ShapeError, "theta_min_t has 61 samples"),
+    (np.full(61, 24.0), np.full(61, 24.0), vf.InputError, "lower < upper"),
+    (np.full(61, 25.0), None, vf.InputError, "lower < upper"),
+    (None, np.full(61, 23.0), vf.InputError, "lower < upper"),
+])
+def test_per_sample_bounds_are_ordered_and_of_one_length_when_built(lo, hi, error, says):
+    # once checked on every theta_limits call, 31,643 times in one rolling plan
+    with pytest.raises(error, match=says):
+        vf.QoSBounds(23.0, 25.0, theta_min_t=lo, theta_max_t=hi)
+
+
+def test_a_scenario_holds_its_limits_and_dynamics_read_only():
+    for scn in (_SCN, _BANDED):
+        first, again = scn.theta_limits(), scn.theta_limits()
+        assert all(f is g for f, g in zip(first, again))
+        forcing = scn.dynamics()[2]
+        assert forcing is scn.dynamics()[2]
+        for held in (*first, forcing):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
 
 
 def _grid_sites(n, dt):

@@ -325,6 +325,30 @@ def test_every_plan_audit_allows_1e_6_degrees(monkeypatch, hot_day_2h):
     assert seen == [1e-6] * (3 + 6 + 1)
 
 
+@pytest.mark.parametrize("miss", [1e-7, 1e-12])
+def test_rolling_plan_snaps_a_window_start_only_by_rounding(monkeypatch, hot_day_2h, miss):
+    # each window's start was once snapped into its band by any amount, so a
+    # plan that left the band by 1e-7 C was silently moved back into it
+    from vesflex import planner
+
+    real = planner.plan
+
+    def off_band(win, ref, norm):
+        got = real(win, ref, norm=norm)
+        theta = got.theta.values.copy()
+        theta[20] = win.theta_limits()[1][20] + miss
+        return dataclasses.replace(got, theta=vf.Trajectory(win.dt, theta))
+
+    monkeypatch.setattr(planner, "plan", off_band)
+    ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
+    rolled = lambda: vf.receding_horizon(hot_day_2h, ref, 40, norm="one", apply_steps=20)
+    if miss > vf.flexset._SNAP_TOL:
+        with pytest.raises(vf.SolverError, match="at sample 20: "):
+            rolled()
+    else:
+        assert vf.is_member(rolled().p, hot_day_2h).ok
+
+
 def _replan_every_window(scn, ref, window_steps, norm, apply_steps):
     """Oracle: the receding-horizon loop that plans every window afresh."""
     n = scn.n_steps

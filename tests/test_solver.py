@@ -255,7 +255,7 @@ PROBLEM_REFUSALS = {
     "lp-inf-cost": ("c must be finite", lambda: _lp([_INF, 1.0], [0, 0], [1, 1])),
     "lp-nan-bound": ("lo must be free of NaN", lambda: _lp([1.0, 1.0], [_NAN, 0], [1, 1])),
     "lp-short-bound": ("c, lo, hi must be 1-D", lambda: _lp([1.0, 1.0], [0], [1, 1])),
-    "lp-2d-cost": ("c, lo, hi must be 1-D", lambda: _lp([[1.0, 1.0]], [0, 0], [1, 1])),
+    "lp-2d-cost": ("c must be a non-empty 1-D array", lambda: _lp([[1.0, 1.0]], [0, 0], [1, 1])),
     "lp-crossed-box": ("lo must not exceed hi", lambda: _lp([1.0, 1.0], [5, 0], [1, 1])),
     "lp-free-variable": (
         "lo or hi must be finite for every variable", lambda: _lp([1.0], [-_INF], [_INF])
@@ -286,10 +286,9 @@ PROBLEM_REFUSALS = {
     "qp-zero-diagonal": ("h must be strictly positive", lambda: _qp(h=(0.0, 1.0))),
     "qp-rows-without-rhs": ("a_ub and b_ub must be given together", lambda: _qp(a_ub=_ROW)),
     "qp-nan-row": ("a_ub must be finite", lambda: _qp(a_ub=np.array([[_NAN, 0.0]]), b_ub=[1.0])),
-    "qp-row-width": ("a_ub must be (m, 2) over b_ub", lambda: _qp(a_ub=np.ones(2), b_ub=[1.0])),
-    "report-nan-x": (
-        "x must be free of NaN", lambda: vf.SolveReport("optimal", 0.0, [_NAN, 0.0], 1)
-    ),
+    "qp-row-width": ("a_ub must be a 2-D array", lambda: _qp(a_ub=np.ones(2), b_ub=[1.0])),
+    "report-nan-x": ("x must be finite", lambda: vf.SolveReport("optimal", 0.0, [_NAN, 0.0], 1)),
+    "report-inf-x": ("x must be finite", lambda: vf.SolveReport("optimal", 0.0, [_INF, 0.0], 1)),
 }
 
 

@@ -195,12 +195,10 @@ def test_readme_cli_block_runs_as_printed(tmp_path, monkeypatch):
 
 
 def test_only_the_array_helper_freezes_arrays():
-    # thermal._readonly and, for the dense oracles' data, solver._hold copy,
-    # convert, check and freeze; no other function in their modules, or in
-    # the modules that import _readonly, calls setflags
-    helper = {"thermal": {"_readonly"}, "solver": {"_hold"}}
-    for name in ("thermal", "qos", "flexset", "solver"):
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    # errors._freeze copies, converts, checks and freezes every held array;
+    # no other function in any module calls setflags
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         callers = {
             fn.name
             for fn in ast.walk(tree)
@@ -208,7 +206,7 @@ def test_only_the_array_helper_freezes_arrays():
             for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "setflags"
         }
-        assert callers == helper.get(name, set()), name
+        assert callers == ({"_freeze"} if path.stem == "errors" else set()), path.stem
 
 
 def test_every_array_holder_is_a_row_of_the_holder_table():

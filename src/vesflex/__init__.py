@@ -24,8 +24,8 @@ _EXPORTS = {
                  "amplitude_timescale_curve", "min_loads", "pair_counts",
                  "schedule_tracking", "square_reference", "staircase_triangle",
                  "validate_schedule"),
-    "errors": ("ChannelMissingError", "InfeasibleError", "InputError", "PowerRangeError",
-               "ShapeError", "SolverError", "VesflexError"),
+    "errors": ("InfeasibleError", "InputError", "PowerRangeError", "ShapeError", "SolverError",
+               "VesflexError"),
     "flexset": ("ConservativenessPoint", "FlexEnvelope", "Scenario", "conservativeness_curve",
                 "envelope", "feasible_band", "feasible_window", "is_member",
                 "sample_interior_trajectories"),
@@ -33,7 +33,7 @@ _EXPORTS = {
                  "coil_thermal_power", "dry_model_demand_error", "electric_demand",
                  "latent_fraction", "latent_sensible_split", "mix_air", "specific_enthalpy"),
     "planner": ("NORMS", "PlanResult", "plan", "receding_horizon", "tracking_error"),
-    "qos": ("QoSBounds", "QoSSignal", "Verdict", "lockout_count", "satisfies"),
+    "qos": ("QoSBounds", "Verdict", "satisfies"),
     "solver": ("BoxQP", "LinearProgram", "SolveReport", "solve_box_qp", "solve_lp"),
     "thermal": ("BaselineResult", "DisturbanceSeries", "ThermalParams", "Trajectory",
                 "baseline_trajectory", "decay_factor", "equilibrium_power",

@@ -48,11 +48,7 @@ CONFIG_KEYS = {
         "r_C_per_kW": "r_thermal", "c_kWh_per_C": "c_thermal",
         "eta_cop": "eta_cop", "p_rated_kW": "p_rated",
     },
-    # w_* and tau_lock_h are read only so that Scenario can refuse them
-    "comfort": {
-        "theta_min_C": "theta_min", "theta_max_C": "theta_max",
-        "w_min": "w_min", "w_max": "w_max", "tau_lock_h": "tau_lock",
-    },
+    "comfort": {"theta_min_C": "theta_min", "theta_max_C": "theta_max"},
     "scenario": {
         "theta_sp_C": "theta_sp", "theta0_C": "theta0",
         "dt_h": "dt", "horizon_h": "horizon", "theta_a_C": "theta_a", "q_d_kW": "q_d",
@@ -96,8 +92,8 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> Scenario:
     ]
     if unknown:
         raise InputError(f"unknown config entries: {', '.join(unknown)}")
-    # may be left out: the refused channels, theta0_C (= theta_sp_C), the grid under --dist
-    optional = {"w_min", "w_max", "tau_lock_h", "theta0_C"}
+    # may be left out: theta0_C (= theta_sp_C), and the grid under --dist
+    optional = {"theta0_C"}
     if dist_csv is not None:
         optional |= {"dt_h", "horizon_h", "theta_a_C", "q_d_kW"}
     fields = {sec: {} for sec in CONFIG_KEYS}

@@ -27,10 +27,6 @@ class PowerRangeError(InputError):
     """A demand trajectory outside the physical range [0, p_rated]."""
 
 
-class ChannelMissingError(InputError):
-    """QoS bounds reference a signal channel that was not supplied."""
-
-
 class InfeasibleError(VesflexError):
     """No trajectory satisfies the stated constraints."""
 

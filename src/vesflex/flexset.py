@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, _freeze,
     require_count, require_finite, require_nonnegative, require_positive,
 )
-from .qos import QoSBounds, QoSSignal, Verdict, satisfies
+from .qos import QoSBounds, Verdict, satisfies
 from .thermal import (
     DisturbanceSeries,
     ThermalParams,
@@ -48,11 +48,11 @@ _SNAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Scenario:
-    """One load, one disturbance record, one temperature-only comfort contract.
+    """One load, one disturbance record, one temperature comfort contract.
 
-    No analysis here simulates humidity or switching, so humidity and
-    lockout bounds raise InputError instead of being silently dropped, as
-    does a step so short that its decay rounds to 1 and demand moves nothing.
+    A step so short that its decay rounds to 1, so that demand moves
+    nothing, raises InputError, as does a disturbance whose forcing
+    overflows.
     Per-sample temperature bounds cover the N+1 temperature samples
     theta_0..theta_N; their length is checked once, here.  The scenario
     holds that one limit grid and the one-step coefficients, read-only,
@@ -66,11 +66,6 @@ class Scenario:
     theta0: float
 
     def __post_init__(self) -> None:
-        if self.bounds.constrains_humidity or self.bounds.constrains_lockout:
-            raise InputError(
-                "this analysis enforces only the temperature band; drop the "
-                "humidity (w_min/w_max) and lockout (tau_lock) bounds"
-            )
         lo, hi = self.bounds.theta_min, self.bounds.theta_max
         for name in ("theta_sp", "theta0"):
             require_finite(name, getattr(self, name))
@@ -84,7 +79,14 @@ class Scenario:
             raise InputError(f"dt {self.dt} h rounds one step's decay to 1 against "
                              f"the RC time constant {par.time_constant_h} h")
         object.__setattr__(self, "_step", (a, (1.0 - a) * par.r_thermal * par.eta_cop))
-        _freeze(self, "_forcing", (1.0 - a) * (self.dist.theta_a + par.r_thermal * self.dist.q_d))
+        ta, qd = self.dist.theta_a, self.dist.q_d
+        with np.errstate(over="ignore"):  # refused by name below
+            forcing = (1.0 - a) * (ta + par.r_thermal * qd)
+        if not (finite := np.isfinite(forcing)).all():
+            k = int(np.argmin(finite))
+            raise InputError(f"theta_a[{k}] = {ta[k]:.6g} C and q_d[{k}] = {qd[k]:.6g} kW "
+                             "overflow the one-step forcing")
+        _freeze(self, "_forcing", forcing)
         for name, limit in zip(("_lo", "_hi"), self.bounds.theta_limits(self.n_steps + 1)):
             _freeze(self, name, limit)
 
@@ -292,7 +294,7 @@ def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory,
             f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW"
         )
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    return theta, satisfies(QoSSignal(theta=theta), scn.bounds, atol=atol)
+    return theta, satisfies(theta, scn.bounds, atol=atol)
 
 
 def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:

@@ -2,29 +2,19 @@
 
 A load is useful as virtual storage only while the occupant never notices.
 QoS is expressed as closed-interval bounds on zone temperature, optionally
-on humidity ratio, and optionally as a compressor lockout rule: within any
-trailing window of tau_lock hours a unit may switch on or off at most once.
-
-The lockout counter s(t) counts switch events inside the half-open window
-(t - tau_lock, t], so an event falling exactly tau_lock before t has aged
-out.  Feasibility requires s(t) <= 1 at every sample.
+tightened sample by sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ChannelMissingError, InputError, ShapeError, _freeze, require_count, require_finite,
-    require_nonnegative, require_positive,
+    InputError, ShapeError, _freeze, require_count, require_finite, require_nonnegative,
 )
-from .thermal import Trajectory, _check_grid
-
-# Channel names, in the order ties at the same sample index are reported.
-CHANNELS = ("theta", "humidity", "lockout")
+from .thermal import Trajectory
 
 
 @dataclass(frozen=True)
@@ -36,17 +26,11 @@ class QoSBounds:
     [theta_min, theta_max], lower below upper at each sample and both of one
     length, checked here; that length must match the signal's: for a
     flexset.Scenario of N steps that is the N+1 temperature samples,
-    checked when the Scenario is built.  Humidity-ratio
-    bounds (kg water per kg dry air) and the lockout window tau_lock (hours)
-    are optional; leaving a channel's bounds unset leaves that channel
-    unconstrained.
+    checked when the Scenario is built.
     """
 
     theta_min: float
     theta_max: float
-    w_min: float | None = None
-    w_max: float | None = None
-    tau_lock: float | None = None
     theta_min_t: np.ndarray | None = None
     theta_max_t: np.ndarray | None = None
 
@@ -57,15 +41,6 @@ class QoSBounds:
             raise InputError(
                 f"theta_min {self.theta_min} must be below theta_max {self.theta_max}"
             )
-        if (self.w_min is None) != (self.w_max is None):
-            raise InputError("w_min and w_max must be given together")
-        if self.w_min is not None:
-            require_nonnegative("w_min", self.w_min)
-            require_positive("w_max", self.w_max)
-            if not self.w_min < self.w_max:
-                raise InputError(f"need w_min < w_max, got [{self.w_min}, {self.w_max}]")
-        if self.tau_lock is not None:
-            require_positive("tau_lock", self.tau_lock)
         for name in ("theta_min_t", "theta_max_t"):
             if getattr(self, name) is not None:
                 held = _freeze(self, name, getattr(self, name))
@@ -93,39 +68,14 @@ class QoSBounds:
             )
         return lo, hi
 
-    @property
-    def constrains_humidity(self) -> bool:
-        return self.w_min is not None
-
-    @property
-    def constrains_lockout(self) -> bool:
-        return self.tau_lock is not None
-
-
-@dataclass(frozen=True)
-class QoSSignal:
-    """Signals a verdict is computed over; channels share dt and length."""
-
-    theta: Trajectory
-    w: Trajectory | None = None
-    s: Trajectory | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("w", "s"):
-            tr = getattr(self, name)
-            if tr is None:
-                continue
-            _check_grid(f"{name} channel", tr, len(self.theta), self.theta.dt)
-
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a QoS check.
 
-    ok is True when every configured channel stays within bounds at every
-    sample (closed intervals: touching a bound is feasible).  On failure the
-    earliest offending sample is reported; when several channels fail at the
-    same index the first in CHANNELS order is named.
+    ok is True when the temperature stays within bounds at every sample
+    (closed intervals: touching a bound is feasible).  On failure the
+    earliest offending sample is reported; channel is then "theta".
     """
 
     ok: bool
@@ -138,86 +88,21 @@ class Verdict:
         return self.ok
 
 
-def lockout_count(
-    on_off: Trajectory, tau_lock: float, u_init: float | None = None
-) -> Trajectory:
-    """Switch events in the trailing half-open window (t - tau_lock, t].
+def satisfies(theta: Trajectory, bounds: QoSBounds, atol: float = 0.0) -> Verdict:
+    """Check the temperature band, closed intervals, optional slack atol.
 
-    on_off holds the unit's on/off state per sample.  A switch event occurs
-    at sample k >= 1 whenever on_off[k] != on_off[k-1]; passing u_init counts
-    a change at the very first sample as an event at t = 0.  Events exactly
-    tau_lock old are excluded, so switches spaced exactly tau_lock apart
-    never overlap in one window.
-    """
-    require_positive("tau_lock", tau_lock)
-    u = on_off.values
-    events = np.zeros(len(on_off), dtype=int)
-    events[1:] = u[1:] != u[:-1]
-    if u_init is not None and u[0] != u_init:
-        events[0] = 1
-    # window size in samples: events at j with j*dt > k*dt - tau_lock
-    q = tau_lock / on_off.dt
-    if abs(q - round(q)) < 1e-9:
-        w = int(round(q))  # exact multiple: sample k-w has aged out
-    else:
-        w = int(math.floor(q)) + 1
-    csum = np.concatenate(([0], np.cumsum(events)))
-    k = np.arange(len(on_off))
-    lo = np.maximum(k - w + 1, 0)
-    counts = csum[k + 1] - csum[lo]
-    return Trajectory(on_off.dt, counts.astype(float), unit="switches")
-
-
-def satisfies(signal: QoSSignal, bounds: QoSBounds, atol: float = 0.0) -> Verdict:
-    """Check every configured channel, closed intervals, optional slack atol.
-
-    Raises ChannelMissingError when bounds constrain a channel the signal
-    does not carry.  atol widens every interval symmetrically; it exists so
-    optimizer output feasible to solver tolerance is not rejected for a
-    1e-9 grazing of a bound.
+    atol widens the interval symmetrically; it exists so optimizer output
+    feasible to solver tolerance is not rejected for a 1e-9 grazing of a
+    bound.
     """
     require_nonnegative("atol", atol)
-    n = len(signal.theta)
-    lo, hi = bounds.theta_limits(n)
-
-    if bounds.constrains_humidity and signal.w is None:
-        raise ChannelMissingError(
-            "bounds constrain humidity but the signal has no w channel"
-        )
-    if bounds.constrains_lockout and signal.s is None:
-        raise ChannelMissingError(
-            "bounds set tau_lock but the signal has no switch counter s"
-        )
-
-    # first offending index per channel; ties resolved by CHANNELS order
-    hits: list[tuple[int, str, float, float]] = []
-
-    th = signal.theta.values
+    th = theta.values
+    lo, hi = bounds.theta_limits(len(theta))
     bad = (th < lo - atol) | (th > hi + atol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        lim = lo[i] if th[i] < lo[i] else hi[i]
-        hits.append((i, "theta", float(th[i]), float(lim)))
-
-    if bounds.constrains_humidity and signal.w is not None:
-        wv = signal.w.values
-        bad = (wv < bounds.w_min - atol) | (wv > bounds.w_max + atol)
-        if bad.any():
-            i = int(np.argmax(bad))
-            lim = bounds.w_min if wv[i] < bounds.w_min else bounds.w_max
-            hits.append((i, "humidity", float(wv[i]), float(lim)))
-
-    if bounds.constrains_lockout and signal.s is not None:
-        sv = signal.s.values
-        bad = sv > 1 + atol
-        if bad.any():
-            i = int(np.argmax(bad))
-            hits.append((i, "lockout", float(sv[i]), 1.0))
-
-    if not hits:
+    if not bad.any():
         return Verdict(ok=True)
-    hits.sort(key=lambda h: (h[0], CHANNELS.index(h[1])))
-    i, ch, val, lim = hits[0]
+    i = int(np.argmax(bad))
+    lim = lo[i] if th[i] < lo[i] else hi[i]
     return Verdict(
-        ok=False, first_violation_index=i, channel=ch, value=val, limit=lim
+        ok=False, first_violation_index=i, channel="theta", value=float(th[i]), limit=float(lim)
     )

@@ -391,23 +391,19 @@ def test_capacity_reruns_byte_identical(tmp_path, short_config):
 @pytest.mark.parametrize(
     "command", ["simulate", "capacity", "plan", "envelope", "freq", "deferrable"]
 )
-@pytest.mark.parametrize(
-    "extra",
-    ["w_min = 0.008\nw_max = 0.012\n", "tau_lock_h = 0.25\n"],
-    ids=["humidity", "lockout"],
-)
-def test_unenforceable_comfort_channels_are_usage_errors(tmp_path, command, extra, capsys):
-    # no subcommand simulates humidity or switching, so every one that
-    # reads a config refuses those bounds rather than ignoring them
+@pytest.mark.parametrize("key", ["w_min", "w_max", "tau_lock_h"])
+def test_a_retired_comfort_key_is_refused_by_name(tmp_path, command, key, capsys):
+    # the temperature band is the one comfort contract: no subcommand
+    # simulates humidity or switching, so their keys are unknown, not ignored
     text = SHORT_CONFIG.format(horizon="0.5").replace(
-        "theta_max_C = 25.0\n", "theta_max_C = 25.0\n" + extra
+        "theta_max_C = 25.0\n", f"theta_max_C = 25.0\n{key} = 0.25\n"
     )
     path = tmp_path / "channels.toml"
     path.write_text(text)
     out = tmp_path / "o"
     args = ["--window", "0.5"] if command == "deferrable" else []
     assert _run(command, "--config", str(path), *args, "--out-dir", str(out)) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown config entries: [comfort] {key}\n"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -428,6 +424,8 @@ _LATE_ROWS = "".join(f"{k / 60 + (0.9e-9 if k else 0.0)!r},32,1.5\n" for k in ra
 # every step after the first is 0.9e-9 h too long: each step is within the
 # tolerance of the first, yet stamp k sits (k - 1) * 0.9e-9 h off its grid
 _DRIFT_ROWS = "".join(f"{k / 60 + max(k - 1, 0) * 0.9e-9!r},32,1.5\n" for k in range(10))
+# theta_a + R q_d overflows a float at every step
+_HUGE_ROWS = "".join(f"{k / 60!r},1e308,1e308\n" for k in range(5))
 _SHORT = SHORT_CONFIG.format(horizon="0.5")
 # a step so short that exp(-dt/RC) rounds to 1: demand no longer moves theta
 _DECAY_OF_ONE = SHORT_CONFIG.format(horizon="1e-15").replace(
@@ -468,6 +466,10 @@ MALFORMED_INPUTS = {
     "dist-stamps-late": lambda d: ["simulate", "--dist", _put(d / "dist.csv", _DIST + _LATE_ROWS)],
     "dist-steps-drift": lambda d: [
         "simulate", "--dist", _put(d / "dist.csv", _DIST + _DRIFT_ROWS),
+    ],
+    "dist-forcing-overflows": lambda d: [
+        "capacity", "--config", "paper",
+        "--dist", _put(d / "big.csv", _DIST + _HUGE_ROWS),
     ],
     "dist-ragged-row": lambda d: [
         "simulate", "--dist",

@@ -37,9 +37,6 @@ NUMBER_CHECKS = {
     "tf_magnitude": ("omega", False, lambda v: vf.tf_magnitude(_PAR, v)),
     "max_sine_amplitude": ("delta_theta", True, lambda v: vf.max_sine_amplitude(_PAR, v, 1.0)),
     "steady_sine_amplitude": ("omega", True, lambda v: vf.steady_sine_amplitude(_PAR, 0.1, v)),
-    "QoSBounds.tau_lock": ("tau_lock", True, lambda v: vf.QoSBounds(23.0, 25.0, tau_lock=v)),
-    "QoSBounds.w_min": ("w_min", False, lambda v: vf.QoSBounds(23.0, 25.0, w_min=v, w_max=2.0)),
-    "QoSBounds.w_max": ("w_max", True, lambda v: vf.QoSBounds(23.0, 25.0, w_min=0.0, w_max=v)),
     "QoSBounds.theta_min": ("theta_min", None, lambda v: vf.QoSBounds(v, 25.0)),
     "QoSBounds.theta_max": ("theta_max", None, lambda v: vf.QoSBounds(-25.0, v)),
     "Scenario.theta_sp": (
@@ -48,10 +45,7 @@ NUMBER_CHECKS = {
     "Scenario.theta0": (
         "theta0", None, lambda v: dataclasses.replace(_WIDE, theta_sp=0.0, theta0=v)
     ),
-    "lockout_count": ("tau_lock", True, lambda v: vf.lockout_count(_THETA, v)),
-    "satisfies": (
-        "atol", False, lambda v: vf.satisfies(vf.QoSSignal(theta=_THETA), _SCN.bounds, atol=v)
-    ),
+    "satisfies": ("atol", False, lambda v: vf.satisfies(_THETA, _SCN.bounds, atol=v)),
     "flexset.audit": ("atol", False, lambda v: vf.flexset.audit(_ZERO, _SCN, atol=v)),
     "bangbang_energy_oracle.delta_theta": (
         "delta_theta", False, lambda v: vf.bangbang_energy_oracle(_PAR, v, 1.0, 1.0)
@@ -297,6 +291,18 @@ def test_a_scenario_holds_its_limits_and_dynamics_read_only():
                 held[0] = 0.0
 
 
+@pytest.mark.parametrize("theta_a, q_d", [(1e308, 1e308), (-1e308, -1e308), (0.0, 1e308)])
+def test_a_forcing_that_overflows_is_refused_by_its_inputs(theta_a, q_d):
+    # theta_a + R q_d once overflowed into numpy's RuntimeWarning, then an
+    # error that named the private field _forcing
+    ta, qd = np.zeros(5), np.zeros(5)
+    ta[3], qd[3] = theta_a, q_d
+    dist = vf.DisturbanceSeries(DT, ta, qd)
+    says = r"^theta_a\[3\] = \S+ C and q_d\[3\] = \S+ kW overflow"
+    with pytest.raises(vf.InputError, match=says):
+        vf.Scenario(_PAR, vf.QoSBounds(-1e308, 1e308), dist, 0.0, 0.0)
+
+
 def _grid_sites(n, dt):
     """Each check that a signal sits on another's grid, fed n samples dt apart."""
     scn = _SCN
@@ -308,9 +314,6 @@ def _grid_sites(n, dt):
         "plan": lambda: vf.plan(scn, p, norm="one"),
         "receding_horizon": lambda: vf.receding_horizon(scn, p, 10, norm="one"),
         "energy_state": lambda: vf.energy_state(base, p),
-        "QoSSignal": lambda: vf.QoSSignal(
-            theta=vf.Trajectory(scn.dt, np.full(scn.n_steps, 24.0)), w=p
-        ),
         "audit": lambda: vf.flexset.audit(p, scn),
         "FlexEnvelope.contains": lambda: env.contains(p),
     }

@@ -252,24 +252,3 @@ def test_interior_samples_are_members(hot_day_2h):
     rng2 = np.random.default_rng(42)
     again = vf.sample_interior_trajectories(vf.envelope(hot_day_2h), 20, rng2)
     assert np.array_equal(draws[0].values, again[0].values)
-
-
-@pytest.mark.parametrize(
-    "channels",
-    [{"w_min": 0.008, "w_max": 0.012}, {"tau_lock": 0.25}],
-    ids=["humidity", "lockout"],
-)
-def test_analyses_refuse_channels_they_cannot_enforce(hot_day_2h, channels):
-    # every analysis takes a Scenario, so refusing the contract there keeps
-    # each of them from silently dropping the humidity or lockout bounds
-    bounds = vf.QoSBounds(theta_min=23.0, theta_max=25.0, **channels)
-    with pytest.raises(vf.InputError, match="temperature band"):
-        vf.Scenario(
-            params=hot_day_2h.params,
-            bounds=bounds,
-            dist=hot_day_2h.dist,
-            theta_sp=24.0,
-            theta0=24.0,
-        )
-    with pytest.raises(vf.InputError, match="temperature band"):
-        dataclasses.replace(hot_day_2h, bounds=bounds)

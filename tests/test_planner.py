@@ -258,7 +258,7 @@ def _late_warm_floor(horizon_h=0.5):
 def test_receding_horizon_per_sample_bounds():
     scn, ref = _late_warm_floor()
     free = vf.simulate(scn.params, scn.dist, ref, scn.theta0)
-    assert not vf.satisfies(vf.QoSSignal(theta=free), scn.bounds).ok
+    assert not vf.satisfies(free, scn.bounds).ok
     one_shot = vf.plan(scn, ref)
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
     assert rolled.solves == 1
@@ -283,7 +283,7 @@ _GRAZE = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=22
 def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
-    monkeypatch.setattr(flexset, "satisfies", lambda sig, bounds, atol: _GRAZE)
+    monkeypatch.setattr(flexset, "satisfies", lambda theta, bounds, atol: _GRAZE)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     for norm in vf.NORMS:
         with pytest.raises(vf.SolverError, match="sample 3"):
@@ -296,9 +296,9 @@ def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
     n = hot_day_2h.n_steps
     real = flexset.satisfies
 
-    def full_horizon_fails(sig, bounds, atol):
+    def full_horizon_fails(theta, bounds, atol):
         # every window's plan passes; only the stitched check fails
-        return _GRAZE if len(sig.theta) == n + 1 else real(sig, bounds, atol)
+        return _GRAZE if len(theta) == n + 1 else real(theta, bounds, atol)
 
     monkeypatch.setattr(flexset, "satisfies", full_horizon_fails)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
@@ -312,9 +312,9 @@ def test_every_plan_audit_allows_1e_6_degrees(monkeypatch, hot_day_2h):
     seen = []
     real = flexset.satisfies
 
-    def spy(sig, bounds, atol):
+    def spy(theta, bounds, atol):
         seen.append(atol)
-        return real(sig, bounds, atol=atol)
+        return real(theta, bounds, atol=atol)
 
     monkeypatch.setattr(flexset, "satisfies", spy)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)

@@ -76,12 +76,12 @@ def test_planner_references_no_linalg():
 
 # vesflex.__all__ as it was when the package imported every module eagerly
 PUBLIC_NAMES = [
-    "BaselineResult", "BoxQP", "ChannelMissingError", "ConservativenessPoint",
+    "BaselineResult", "BoxQP", "ConservativenessPoint",
     "ContractVerdict", "CounterexampleResult", "DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR",
     "DeferrableSpec", "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope",
     "InfeasibleError", "InputError", "LinearProgram", "MoistAirState", "NORMS",
     "PlanResult", "PowerRangeError", "PsychroConstants", "PulseLoadSpec", "QoSBounds",
-    "QoSSignal", "Scenario", "ShapeError", "SolveReport", "SolverError", "ThermalParams",
+    "Scenario", "ShapeError", "SolveReport", "SolverError", "ThermalParams",
     "Trajectory", "Verdict", "VesflexError", "VirtualBatteryCaps",
     "amplitude_at_timescale", "amplitude_timescale_curve", "bangbang_energy_oracle",
     "baseline_energy", "baseline_trajectory", "battery", "characterize",
@@ -90,7 +90,7 @@ PUBLIC_NAMES = [
     "energy_capacities", "energy_state", "ensemble", "envelope", "equilibrium_power",
     "errors", "extremal_profiles", "fahrenheit_to_celsius", "feasible_band",
     "feasible_window", "flexset", "front_loaded_profile", "humidity", "is_member",
-    "latent_fraction", "latent_sensible_split", "lockout_count", "max_sine_amplitude",
+    "latent_fraction", "latent_sensible_split", "max_sine_amplitude",
     "min_loads", "mix_air", "pair_counts", "plan", "planner", "qos", "rate_capacities",
     "receding_horizon", "sample_interior_trajectories", "satisfies", "schedule_tracking",
     "simulate", "solve_box_qp", "solve_lp", "solver", "spec_feasible",
@@ -116,6 +116,22 @@ def test_each_public_name_is_its_defining_modules_attribute():
         assert obj is getattr(owner, name)
         if isinstance(obj, (type, types.FunctionType)):
             assert obj.__module__ == owner.__name__
+
+
+def test_the_config_schema_fills_exactly_the_required_fields():
+    # a config key that no constructor field takes, as the humidity and
+    # lockout keys once were, is read only to be refused
+    from vesflex.qos import QoSBounds
+    from vesflex.thermal import ThermalParams
+
+    def fields(cls, required_only):
+        return sorted(
+            f.name for f in dataclasses.fields(cls)
+            if not required_only or f.default is dataclasses.MISSING
+        )
+
+    assert sorted(cli.CONFIG_KEYS["thermal"].values()) == fields(ThermalParams, False)
+    assert sorted(cli.CONFIG_KEYS["comfort"].values()) == fields(QoSBounds, True)
 
 
 def _choices(command: str, dest: str) -> tuple:

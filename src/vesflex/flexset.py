@@ -269,6 +269,8 @@ class FlexEnvelope:
         return np.arange(len(self)) * self.dt
 
     def contains(self, p: Trajectory, atol: float = 0.0) -> bool:
+        """Is p inside [p_lo - atol, p_hi + atol] at every sample?"""
+        require_nonnegative("atol", atol)
         _check_grid("demand", p, len(self), self.dt)
         return bool(
             np.all(p.values >= self.p_lo - atol)

@@ -36,7 +36,11 @@ NUMBER_CHECKS = {
     "DisturbanceSeries.dt": ("dt", True, lambda v: vf.DisturbanceSeries(v, [30.0], [1.0])),
     "tf_magnitude": ("omega", False, lambda v: vf.tf_magnitude(_PAR, v)),
     "max_sine_amplitude": ("delta_theta", True, lambda v: vf.max_sine_amplitude(_PAR, v, 1.0)),
+    "max_sine_amplitude.omega": ("omega", False, lambda v: vf.max_sine_amplitude(_PAR, 1.0, v)),
     "steady_sine_amplitude": ("omega", True, lambda v: vf.steady_sine_amplitude(_PAR, 0.1, v)),
+    "DisturbanceSeries.constant": (
+        "dt", True, lambda v: vf.DisturbanceSeries.constant(v, 3, 30.0, 1.0)
+    ),
     "QoSBounds.theta_min": ("theta_min", None, lambda v: vf.QoSBounds(v, 25.0)),
     "QoSBounds.theta_max": ("theta_max", None, lambda v: vf.QoSBounds(-25.0, v)),
     "Scenario.theta_sp": (
@@ -47,6 +51,12 @@ NUMBER_CHECKS = {
     ),
     "satisfies": ("atol", False, lambda v: vf.satisfies(_THETA, _SCN.bounds, atol=v)),
     "flexset.audit": ("atol", False, lambda v: vf.flexset.audit(_ZERO, _SCN, atol=v)),
+    "is_member": ("atol", False, lambda v: vf.is_member(_ZERO, _SCN, atol=v)),
+    "flexset.require_member": (
+        "atol", False, lambda v: vf.flexset.require_member(_REF, _SCN, v, "baseline")
+    ),
+    "FlexEnvelope.contains": ("atol", False, lambda v: _ENV.contains(_REF, atol=v)),
+    "Scenario.window": ("theta0", None, lambda v: _WIDE.window(0, 2, v)),
     "bangbang_energy_oracle.delta_theta": (
         "delta_theta", False, lambda v: vf.bangbang_energy_oracle(_PAR, v, 1.0, 1.0)
     ),
@@ -76,6 +86,9 @@ NUMBER_CHECKS = {
     ),
     "electric_demand": (
         "eta_chiller", True, lambda v: vf.electric_demand(1.0, _STATE, _SUPPLY, v)
+    ),
+    "electric_demand.m_dot_kg_s": (
+        "m_dot_kg_s", False, lambda v: vf.electric_demand(v, _STATE, _SUPPLY, 3.0)
     ),
 }
 

@@ -20,25 +20,22 @@ _EXPORTS = {
     "deferrable": ("ContractVerdict", "CounterexampleResult", "DeferrableSpec",
                    "baseline_energy", "counterexample_check", "front_loaded_profile",
                    "spec_feasible", "trajectory_satisfies"),
-    "ensemble": ("EnsembleSchedule", "PulseLoadSpec", "amplitude_at_timescale",
-                 "amplitude_timescale_curve", "min_loads", "pair_counts",
-                 "schedule_tracking", "square_reference", "staircase_triangle",
-                 "validate_schedule"),
+    "ensemble": ("EnsembleSchedule", "PulseLoadSpec", "amplitude_at_timescale", "min_loads",
+                 "pair_counts", "schedule_tracking", "square_reference",
+                 "staircase_triangle", "validate_schedule"),
     "errors": ("InfeasibleError", "InputError", "PowerRangeError", "ShapeError", "SolverError",
                "VesflexError"),
     "flexset": ("ConservativenessPoint", "FlexEnvelope", "Scenario", "conservativeness_curve",
-                "envelope", "feasible_band", "feasible_window", "is_member",
-                "sample_interior_trajectories"),
-    "humidity": ("DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "MoistAirState", "PsychroConstants",
-                 "coil_thermal_power", "dry_model_demand_error", "electric_demand",
-                 "latent_fraction", "latent_sensible_split", "mix_air", "specific_enthalpy"),
+                "envelope", "feasible_band", "is_member", "sample_interior_trajectories"),
+    "humidity": ("DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "MoistAirState", "coil_thermal_power",
+                 "dry_model_demand_error", "electric_demand", "latent_fraction",
+                 "latent_sensible_split", "mix_air", "specific_enthalpy"),
     "planner": ("NORMS", "PlanResult", "plan", "receding_horizon", "tracking_error"),
     "qos": ("QoSBounds", "Verdict", "satisfies"),
     "solver": ("BoxQP", "LinearProgram", "SolveReport", "solve_box_qp", "solve_lp"),
     "thermal": ("BaselineResult", "DisturbanceSeries", "ThermalParams", "Trajectory",
                 "baseline_trajectory", "decay_factor", "equilibrium_power",
-                "fahrenheit_to_celsius", "max_sine_amplitude", "simulate",
-                "steady_sine_amplitude", "tf_magnitude"),
+                "max_sine_amplitude", "simulate", "steady_sine_amplitude", "tf_magnitude"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -105,6 +105,7 @@ def trajectory_satisfies(
     energy they deliver inside/outside the window, so tau and tau + T need
     not sit on the sampling grid.
     """
+    require_nonnegative("atol", atol)
     pv = p.values
     horizon = len(p) * p.dt
     if spec.deadline_h > horizon + TIME_GRID_TOL_H:

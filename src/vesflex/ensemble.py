@@ -196,14 +196,6 @@ def amplitude_at_timescale(n_loads: int, tau_slots: int) -> int:
     return n_loads // (2 * tau_slots - 1)
 
 
-def amplitude_timescale_curve(
-    n_loads: int, taus: "list[int] | np.ndarray"
-) -> list[tuple[int, int]]:
-    """(tau, max amplitude) pairs showing the fleet's flexibility trade-off."""
-    require_count("n_loads", n_loads)
-    return [(int(t), int(amplitude_at_timescale(n_loads, t))) for t in taus]
-
-
 def square_reference(amplitude_units: int, tau_slots: int) -> np.ndarray:
     """One period of the +A/-A square wave used by the trade-off analysis."""
     require_count("amplitude_units", amplitude_units)

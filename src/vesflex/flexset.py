@@ -51,8 +51,8 @@ class Scenario:
     """One load, one disturbance record, one temperature comfort contract.
 
     A step so short that its decay rounds to 1, so that demand moves
-    nothing, raises InputError, as does a disturbance whose forcing
-    overflows.
+    nothing, raises InputError, as do a gain whose square overflows and a
+    disturbance whose forcing overflows.
     Per-sample temperature bounds cover the N+1 temperature samples
     theta_0..theta_N; their length is checked once, here.  The scenario
     holds that one limit grid and the one-step coefficients, read-only,
@@ -78,7 +78,11 @@ class Scenario:
         if a == 1.0:
             raise InputError(f"dt {self.dt} h rounds one step's decay to 1 against "
                              f"the RC time constant {par.time_constant_h} h")
-        object.__setattr__(self, "_step", (a, (1.0 - a) * par.r_thermal * par.eta_cop))
+        gain = (1.0 - a) * par.r_thermal * par.eta_cop
+        if not math.isfinite(gain * gain):  # the two-norm plan weighs by 1 / gain**2
+            raise InputError(f"eta_cop {par.eta_cop} makes one step's gain {gain:.6g} C/kW, "
+                             "whose square overflows")
+        object.__setattr__(self, "_step", (a, gain))
         ta, qd = self.dist.theta_a, self.dist.q_d
         with np.errstate(over="ignore"):  # refused by name below
             forcing = (1.0 - a) * (ta + par.r_thermal * qd)
@@ -207,20 +211,6 @@ def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
         f"comfort band cannot be held at sample {bad} (t = {bad * scn.dt:.6g} h) "
         f"under any demand in [0, {scn.params.p_rated}] kW"
     )
-
-
-def feasible_window(scn: Scenario) -> tuple[bool, int]:
-    """Exact feasibility of the window, as _reachable answers it.
-
-    Returns (feasible, first_bad_index); the index is the theta sample
-    where the reachable interval first empties (0 when theta0 itself is
-    outside that sample's band), or -1 when feasible.
-    """
-    try:
-        _reachable(scn)
-    except InfeasibleError:
-        return False, _forward_reach(scn, *_rated_box(scn))[2]
-    return True, -1
 
 
 def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +359,7 @@ def conservativeness_curve(
     non-decreasing in omega until the rated-range clamp binds.
     """
     lo_t, hi_t = scn.theta_limits()
-    if not scn.dist.is_constant(tol=1e-12) or max(np.ptp(lo_t), np.ptp(hi_t)) > 1e-12:
+    if max(map(np.ptp, (scn.dist.theta_a, scn.dist.q_d, lo_t, hi_t))) > 1e-12:
         raise InputError("conservativeness curve requires constant disturbances and bounds")
     par = scn.params
     p_eq = equilibrium_power(

@@ -12,8 +12,7 @@ Enthalpy of moist air per kg of dry air, kJ/kg:
 
 with T in degC and W the humidity ratio in kg water per kg dry air.  The
 constants are deliberately the round engineering values (1.0, 2256, 4.184)
-rather than a high-order psychrometric fit; they can be overridden through
-PsychroConstants when more precision is warranted.
+rather than a high-order psychrometric fit.
 """
 
 from __future__ import annotations
@@ -29,26 +28,9 @@ DESIGN_W_RETURN = 0.009
 DESIGN_T_SUPPLY_C = 12.78
 DESIGN_W_SUPPLY = 0.004
 
-
-@dataclass(frozen=True)
-class PsychroConstants:
-    """Enthalpy-model constants, kJ-based.
-
-    cp_dry   : dry-air specific heat, kJ/(kg K)
-    cp_water : water specific heat, kJ/(kg K)
-    h_fg     : latent heat of vaporization, kJ/kg
-    """
-
-    cp_dry: float = 1.0
-    cp_water: float = 4.184
-    h_fg: float = 2256.0
-
-    def __post_init__(self) -> None:
-        for name in ("cp_dry", "cp_water", "h_fg"):
-            require_positive(name, getattr(self, name))
-
-
-DEFAULT_CONSTANTS = PsychroConstants()
+# dry-air and water specific heats, kJ/(kg K), and latent heat of
+# vaporization, kJ/kg
+CP_DRY, CP_WATER, H_FG = 1.0, 4.184, 2256.0
 
 
 @dataclass(frozen=True)
@@ -69,13 +51,9 @@ DESIGN_RETURN_AIR = MoistAirState(DESIGN_T_RETURN_C, DESIGN_W_RETURN)
 DESIGN_SUPPLY_AIR = MoistAirState(DESIGN_T_SUPPLY_C, DESIGN_W_SUPPLY)
 
 
-def specific_enthalpy(
-    state: MoistAirState, const: PsychroConstants = DEFAULT_CONSTANTS
-) -> float:
+def specific_enthalpy(state: MoistAirState) -> float:
     """kJ per kg dry air, zero reference at 0 degC dry air."""
-    return state.t_c * const.cp_dry + state.w * (
-        const.h_fg + const.cp_water * state.t_c
-    )
+    return state.t_c * CP_DRY + state.w * (H_FG + CP_WATER * state.t_c)
 
 
 def mix_air(
@@ -101,13 +79,10 @@ def coil_thermal_power(
     m_dot_kg_s: float,
     state_in: MoistAirState,
     state_out: MoistAirState,
-    const: PsychroConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Heat removed by the coil, kW, for a dry-air mass flow in kg/s."""
     require_nonnegative("m_dot_kg_s", m_dot_kg_s)
-    return m_dot_kg_s * (
-        specific_enthalpy(state_in, const) - specific_enthalpy(state_out, const)
-    )
+    return m_dot_kg_s * (specific_enthalpy(state_in) - specific_enthalpy(state_out))
 
 
 def electric_demand(
@@ -115,15 +90,16 @@ def electric_demand(
     state_in: MoistAirState,
     state_out: MoistAirState,
     eta_chiller: float,
-    const: PsychroConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Chiller electric input, kW: coil thermal power over the chiller COP."""
     require_positive("eta_chiller", eta_chiller)
-    return coil_thermal_power(m_dot_kg_s, state_in, state_out, const) / eta_chiller
+    return coil_thermal_power(m_dot_kg_s, state_in, state_out) / eta_chiller
 
 
 def latent_fraction(latent: float, sensible: float) -> float | None:
     """Latent share of a latent+sensible pair; None when the total is zero."""
+    require_finite("latent", latent)
+    require_finite("sensible", sensible)
     total = latent + sensible
     if total == 0.0:
         return None
@@ -131,9 +107,7 @@ def latent_fraction(latent: float, sensible: float) -> float | None:
 
 
 def latent_sensible_split(
-    state_in: MoistAirState,
-    state_out: MoistAirState,
-    const: PsychroConstants = DEFAULT_CONSTANTS,
+    state_in: MoistAirState, state_out: MoistAirState
 ) -> tuple[float, float, float | None]:
     """(latent, sensible, latent fraction) of the coil duty, kJ/kg dry air.
 
@@ -142,8 +116,8 @@ def latent_sensible_split(
     the fraction, which is why latent + sensible is slightly below the full
     enthalpy difference.
     """
-    latent = const.h_fg * (state_in.w - state_out.w)
-    sensible = const.cp_dry * (state_in.t_c - state_out.t_c)
+    latent = H_FG * (state_in.w - state_out.w)
+    sensible = CP_DRY * (state_in.t_c - state_out.t_c)
     return latent, sensible, latent_fraction(latent, sensible)
 
 
@@ -152,7 +126,6 @@ def dry_model_demand_error(
     state_in: MoistAirState,
     state_out: MoistAirState,
     eta_chiller: float,
-    const: PsychroConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Signed relative error of a temperature-only demand estimate.
 
@@ -162,8 +135,8 @@ def dry_model_demand_error(
     -0.5, the headline reason humidity cannot be ignored when converting
     coil flexibility to kW.
     """
-    full = coil_thermal_power(m_dot_kg_s, state_in, state_out, const)
+    full = coil_thermal_power(m_dot_kg_s, state_in, state_out)
     if full == 0.0:
         raise InputError("full coil power is zero; relative error undefined")
-    dry = m_dot_kg_s * const.cp_dry * (state_in.t_c - state_out.t_c)
+    dry = m_dot_kg_s * CP_DRY * (state_in.t_c - state_out.t_c)
     return (dry - full) / full

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError, SolverError, require_count
+from .errors import InputError, ShapeError, SolverError, require_count, require_positive
 from .flexset import (
     _SNAP_TOL, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
 )
@@ -141,6 +141,7 @@ def tracking_error(
     p: np.ndarray, ref: np.ndarray, dt: float, norm: str
 ) -> float:
     _check_norm(norm)
+    require_positive("dt", dt)
     p = np.asarray(p, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if p.shape != ref.shape:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError, _freeze
+from .errors import InputError, SolverError, _freeze, require_positive
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -205,6 +205,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> SolveReport:
     status the duality gap is within tolerance of zero.  Deterministic:
     identical inputs produce bit-identical reports.
     """
+    require_positive("tol", tol)
     n = lp.n_vars
     m_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
     m_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
@@ -377,6 +378,7 @@ def solve_box_qp(qp: BoxQP, tol: float = 1e-6) -> SolveReport:
     error both fall below tol.  With no inequality rows the clipped
     unconstrained minimizer is returned exactly in zero iterations.
     """
+    require_positive("tol", tol)
     h, g, lo, hi = qp.h, qp.g, qp.lo, qp.hi
 
     def x_of(lam_vec):

@@ -32,14 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import read_csv
 from .errors import (
-    InputError, ShapeError, _freeze, require_count, require_nonnegative, require_positive,
+    InputError, ShapeError, _freeze, require_count, require_finite, require_nonnegative,
+    require_positive,
 )
-
-# Default sampling step, hours.  One minute resolves the paper-scale RC time
-# constant (about 3.5 h) by more than two orders of magnitude.
-DEFAULT_DT_H = 1.0 / 60.0
 
 # Uniform-grid tolerance for time stamps read from CSV, hours.
 TIME_GRID_TOL_H = 1e-9
@@ -167,15 +164,6 @@ class DisturbanceSeries:
     def horizon_h(self) -> float:
         return len(self) * self.dt
 
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.dt
-
-    def is_constant(self, tol: float = 0.0) -> bool:
-        """True when both channels are constant to within tol."""
-        return (
-            float(np.ptp(self.theta_a)) <= tol and float(np.ptp(self.q_d)) <= tol
-        )
-
     @classmethod
     def constant(
         cls, dt: float, n_steps: int, theta_a: float, q_d: float
@@ -208,11 +196,6 @@ class DisturbanceSeries:
         _check_stamps(path, t, dt)
         return cls(dt, ta, qd)
 
-    def to_csv(self, path: str) -> None:
-        write_csv(
-            path, ["t_hours", "theta_a_C", "q_d_kW"], [self.times(), self.theta_a, self.q_d]
-        )
-
 
 def equilibrium_power(
     params: ThermalParams,
@@ -232,6 +215,7 @@ def equilibrium_power(
 
 def decay_factor(params: ThermalParams, dt: float) -> float:
     """Zero-order-hold decay exp(-dt/RC) for one step."""
+    require_positive("dt", dt)
     return math.exp(-dt / params.time_constant_h)
 
 
@@ -329,17 +313,13 @@ def baseline_trajectory(
     to zero and rated-power excesses clamp to p_rated; both are flagged so
     callers can tell the baseline no longer holds the setpoint there.
     """
+    require_finite("theta_sp", theta_sp)
     raw = equilibrium_power(params, dist.theta_a, theta_sp, dist.q_d)
     return BaselineResult(
         power=Trajectory(dist.dt, np.clip(raw, 0.0, params.p_rated), unit="kW"),
         clamped_low=raw < 0.0,
         clamped_high=raw > params.p_rated,
     )
-
-
-def fahrenheit_to_celsius(t_f: float) -> float:
-    """Plain unit conversion; all internal temperatures are degC."""
-    return (t_f - 32.0) * 5.0 / 9.0
 
 
 def steady_sine_amplitude(params: ThermalParams, amplitude_kw: float, omega: float) -> float:

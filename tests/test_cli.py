@@ -10,6 +10,7 @@ import pytest
 
 import vesflex as vf
 from vesflex import cli
+from vesflex.csvio import write_csv
 
 
 SHORT_CONFIG = """\
@@ -431,6 +432,8 @@ _SHORT = SHORT_CONFIG.format(horizon="0.5")
 _DECAY_OF_ONE = SHORT_CONFIG.format(horizon="1e-15").replace(
     "dt_h = 0.016666666666666666", "dt_h = 1e-17"
 )
+# a COP so large that the square of one step's input gain overflows
+_GAIN_OVERFLOWS = _SHORT.replace("eta_cop = 3.5", "eta_cop = 1e308")
 
 # each builds its inputs in a directory and returns the argv that reads them
 MALFORMED_INPUTS = {
@@ -501,6 +504,9 @@ MALFORMED_INPUTS = {
         _put(d / "n.toml", _SHORT.replace("dt_h = 0.016666666666666666", "dt_h = nan")),
     ],
     "config-decay-of-one": lambda d: ["plan", "--config", _put(d / "z.toml", _DECAY_OF_ONE)],
+    "config-gain-overflows": lambda d: [
+        "plan", "--norm", "two", "--config", _put(d / "g.toml", _GAIN_OVERFLOWS),
+    ],
     "config-huge-horizon": lambda d: [
         "capacity", "--config",
         _put(d / "h.toml", _SHORT.replace("horizon_h = 0.5", "horizon_h = 1e308")),
@@ -573,10 +579,14 @@ def test_malformed_input_exits_2_without_output(tmp_path, case, capsys):
         assert f"error: {tmp_path / name}: {fault}" in err
 
 
-@pytest.mark.parametrize("argv", [
+# each subcommand that reads a config
+_CONFIG_COMMANDS = [
     ["simulate"], ["envelope"], ["freq"], ["deferrable", "--window", "4"], ["capacity"],
     *(["plan", "--norm", norm] for norm in cli.NORMS),
-])
+]
+
+
+@pytest.mark.parametrize("argv", _CONFIG_COMMANDS)
 def test_a_step_whose_decay_rounds_to_one_is_refused_by_name(tmp_path, argv, capsys):
     # the input gain (1 - a) R eta_cop is 0 here, so step_demand divides by
     # zero: each subcommand that reads a config refuses the step by name
@@ -585,6 +595,16 @@ def test_a_step_whose_decay_rounds_to_one_is_refused_by_name(tmp_path, argv, cap
     err = capsys.readouterr().err
     assert err.startswith("error: dt 1e-17 h rounds one step's decay to 1")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", _CONFIG_COMMANDS)
+def test_a_gain_whose_square_overflows_is_refused_by_name(tmp_path, argv, capsys):
+    # plan --norm two once ended in an OverflowError traceback at gain**2
+    config = _put(tmp_path / "g.toml", _GAIN_OVERFLOWS)
+    assert _run(*argv, "--config", config, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eta_cop 1e+308 makes one step's gain ")
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
 
 
 NON_FINITE_OPTIONS = {
@@ -655,16 +675,17 @@ def test_malformed_option_is_usage_error(tmp_path, case, capsys):
 
 
 def test_crlf_disturbance_csv_reads_back(tmp_path):
-    # the CRLF form csv.writer gave DisturbanceSeries.to_csv; to_csv now
-    # writes the same fields with LF ends, and blank lines are skipped
+    # CRLF ends, as csv.writer writes them, read like write_csv's LF ends,
+    # and blank lines are skipped
     d = vf.DisturbanceSeries(0.25, 30.0 + 0.1 * np.arange(8), np.linspace(0.5, 1.2, 8))
-    rows = [f"{t:.17g},{a:.17g},{q:.17g}" for t, a, q in zip(d.times(), d.theta_a, d.q_d)]
+    columns = [np.arange(len(d)) * d.dt, d.theta_a, d.q_d]
+    rows = [f"{t:.17g},{a:.17g},{q:.17g}" for t, a, q in zip(*columns)]
     crlf = "\r\n".join(["t_hours,theta_a_C,q_d_kW"] + rows) + "\r\n"
     for text in (crlf, crlf.replace(rows[3], "\r\n" + rows[3])):
         back = vf.DisturbanceSeries.from_csv(str(_put(tmp_path / "crlf.csv", text.encode())))
         assert back.dt == d.dt
         assert np.array_equal(back.theta_a, d.theta_a) and np.array_equal(back.q_d, d.q_d)
-    d.to_csv(str(tmp_path / "lf.csv"))
+    write_csv(str(tmp_path / "lf.csv"), ["t_hours", "theta_a_C", "q_d_kW"], columns)
     assert (tmp_path / "lf.csv").read_bytes() == crlf.replace("\r\n", "\n").encode()
 
 

@@ -23,6 +23,11 @@ _THETA = vf.Trajectory(DT, np.full(4, 24.0))
 _ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
 _WIDE = dataclasses.replace(_SCN, bounds=vf.QoSBounds(-25.0, 25.0), theta_sp=0.0, theta0=0.0)
 _ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
+_ONE_SAMPLE = vf.Trajectory(1.0, [0.01])
+# min x0 + x1 with x0 + x1 >= 1, and min (x0 - 1)^2 + x1^2 with x0 + x1 <= 1
+_LP = vf.LinearProgram(np.ones(2), np.zeros(2), np.ones(2), a_ub=-np.ones((1, 2)), b_ub=[-1.0])
+_QP = vf.BoxQP(np.full(2, 2.0), np.array([-2.0, 0.0]), np.zeros(2), np.ones(2),
+               np.ones((1, 2)), np.ones(1))
 
 # check -> (field the error names, its sign: True above zero, False zero or
 # above, None either sign; the call it guards)
@@ -75,9 +80,6 @@ NUMBER_CHECKS = {
     "front_loaded_profile": ("dt", True, lambda v: vf.front_loaded_profile(_ONE_SAMPLE_JOB, v, 5)),
     "PulseLoadSpec.unit_kw": ("unit_kw", True, lambda v: vf.PulseLoadSpec(v, 1.0)),
     "PulseLoadSpec.slot_h": ("slot_h", True, lambda v: vf.PulseLoadSpec(1.0, v)),
-    "PsychroConstants.cp_dry": ("cp_dry", True, lambda v: vf.PsychroConstants(cp_dry=v)),
-    "PsychroConstants.cp_water": ("cp_water", True, lambda v: vf.PsychroConstants(cp_water=v)),
-    "PsychroConstants.h_fg": ("h_fg", True, lambda v: vf.PsychroConstants(h_fg=v)),
     "MoistAirState.t_c": ("t_c", None, lambda v: vf.MoistAirState(v, 0.009)),
     "MoistAirState.w": ("w", False, lambda v: vf.MoistAirState(24.0, v)),
     "mix_air": ("outdoor_fraction", False, lambda v: vf.mix_air(_STATE, _SUPPLY, v)),
@@ -90,6 +92,16 @@ NUMBER_CHECKS = {
     "electric_demand.m_dot_kg_s": (
         "m_dot_kg_s", False, lambda v: vf.electric_demand(v, _STATE, _SUPPLY, 3.0)
     ),
+    "latent_fraction": ("latent", None, lambda v: vf.latent_fraction(v, 20.0)),
+    "latent_fraction.sensible": ("sensible", None, lambda v: vf.latent_fraction(11.0, v)),
+    "decay_factor": ("dt", True, lambda v: vf.decay_factor(_PAR, v)),
+    "solve_lp": ("tol", True, lambda v: vf.solve_lp(_LP, v)),
+    "solve_box_qp": ("tol", True, lambda v: vf.solve_box_qp(_QP, v)),
+    "trajectory_satisfies": (
+        "atol", False, lambda v: vf.trajectory_satisfies(_ONE_SAMPLE_JOB, _ONE_SAMPLE, atol=v)
+    ),
+    "tracking_error": ("dt", True, lambda v: vf.tracking_error(np.ones(2), np.zeros(2), v, "one")),
+    "baseline_trajectory": ("theta_sp", None, lambda v: vf.baseline_trajectory(_PAR, _SCN.dist, v)),
 }
 
 
@@ -149,7 +161,6 @@ COUNT_CHECKS = {
     "schedule_tracking(n_loads)": (0, lambda v: vf.schedule_tracking([0, 0, 0], _SPEC, v)),
     "amplitude_at_timescale(n_loads)": (0, lambda v: vf.amplitude_at_timescale(v, 1)),
     "amplitude_at_timescale(tau_slots)": (1, lambda v: vf.amplitude_at_timescale(7, v)),
-    "amplitude_timescale_curve(n_loads)": (0, lambda v: vf.amplitude_timescale_curve(v, [1, 2])),
     "square_reference(amplitude_units)": (0, lambda v: vf.square_reference(v, 2)),
     "square_reference(tau_slots)": (1, lambda v: vf.square_reference(2, v)),
     "staircase_triangle(peak_units)": (1, lambda v: vf.staircase_triangle(v)),
@@ -176,7 +187,7 @@ def test_every_count_check_takes_an_integer_at_its_least(check):
 def test_a_fractional_time_scale_is_refused_not_truncated():
     # 1.5 slots once ran as 1: a square wave of tau 1 and an amplitude of 7 // 1
     with pytest.raises(vf.InputError, match="tau_slots must be an integer of at least 1, got 1.5"):
-        vf.amplitude_timescale_curve(7, [1.5])
+        vf.amplitude_at_timescale(7, 1.5)
 
 
 # what every number field refuses: a bool array and a numeric-string one
@@ -314,6 +325,15 @@ def test_a_forcing_that_overflows_is_refused_by_its_inputs(theta_a, q_d):
     says = r"^theta_a\[3\] = \S+ C and q_d\[3\] = \S+ kW overflow"
     with pytest.raises(vf.InputError, match=says):
         vf.Scenario(_PAR, vf.QoSBounds(-1e308, 1e308), dist, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("eta_cop", [1e308, 1e160])
+def test_a_gain_whose_square_overflows_is_refused_by_eta_cop(eta_cop):
+    # the two-norm plan once ended in an OverflowError traceback at gain**2
+    par = dataclasses.replace(_PAR, eta_cop=eta_cop)
+    with pytest.raises(vf.InputError, match=r"^eta_cop \S+ makes one step's gain \S+ C/kW"):
+        dataclasses.replace(_SCN, params=par)
+    dataclasses.replace(_SCN, params=dataclasses.replace(_PAR, eta_cop=1e150))
 
 
 def _grid_sites(n, dt):

@@ -116,8 +116,7 @@ def test_amplitude_at_timescale():
     assert vf.amplitude_at_timescale(4, 2) == 1
     assert vf.amplitude_at_timescale(6, 2) == 2
     assert vf.amplitude_at_timescale(5, 3) == 1
-    curve = vf.amplitude_timescale_curve(6, [1, 2, 3])
-    assert curve == [(1, 6), (2, 2), (3, 1)]
+    assert [vf.amplitude_at_timescale(6, tau) for tau in (1, 2, 3)] == [6, 2, 1]
     assert vf.amplitude_at_timescale(0, 1) == 0  # empty fleet tracks nothing
     with pytest.raises(vf.InputError):
         vf.amplitude_at_timescale(-1, 1)

@@ -201,12 +201,13 @@ def test_conservativeness_curve(hot_day):
 
 
 def test_conservativeness_curve_requires_constant_weather(params, bounds):
-    theta_a = np.full(20, 32.0)
-    theta_a[10:] = 34.0
-    dist = vf.DisturbanceSeries(DT, theta_a, np.full(20, 1.5))
-    scn = vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
-    with pytest.raises(vf.InputError):
-        vf.conservativeness_curve(scn, [0.0])
+    step = np.full(20, 1.0)
+    step[10:] = 1.0 + 1e-9
+    for theta_a, q_d in ((32.0 * step, np.full(20, 1.5)), (np.full(20, 32.0), 1.5 * step)):
+        dist = vf.DisturbanceSeries(DT, theta_a, q_d)
+        scn = vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
+        with pytest.raises(vf.InputError, match="constant disturbances"):
+            vf.conservativeness_curve(scn, [0.0])
 
 
 def test_conservativeness_curve_reads_per_sample_bounds(hot_day):

@@ -91,8 +91,3 @@ def test_mix_air_convex_combination():
     with pytest.raises(vf.InputError):
         vf.mix_air(DESIGN_RETURN_AIR, outdoor, 1.2)
 
-
-def test_constants_are_configurable():
-    const = vf.PsychroConstants(cp_dry=1.006, cp_water=4.186, h_fg=2501.0)
-    h = vf.specific_enthalpy(vf.MoistAirState(t_c=20.0, w=0.01), const)
-    assert h == pytest.approx(1.006 * 20.0 + 0.01 * (2501.0 + 4.186 * 20.0), rel=1e-14)

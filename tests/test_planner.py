@@ -30,14 +30,12 @@ def test_input_to_state_map_matches_simulation(hot_day_2h):
 
 
 def test_feasible_window(hot_day_2h):
-    ok, idx = vf.feasible_window(hot_day_2h)
-    assert ok
-    assert idx == -1
+    lo, hi = vf.feasible_band(hot_day_2h)
+    assert lo.size == hi.size == hot_day_2h.n_steps + 1
 
     cooked = hot_day_scenario(horizon_h=2.0, theta_a=50.0, p_rated=1.0)
-    ok, idx = vf.feasible_window(cooked)
-    assert not ok
-    assert idx >= 0
+    with pytest.raises(vf.InfeasibleError, match=r"cannot be held at sample \d+ "):
+        vf.feasible_band(cooked)
 
 
 def test_plan_projects_feasible_reference_exactly(hot_day):
@@ -531,12 +529,10 @@ def test_plan_moves_only_a_rounding_miss_into_the_viable_start(norm, hot_day_2h)
         assert got.p.values[0] == pytest.approx(0.0, abs=1e-9)
         assert got.theta.values[0] == 24.0 - miss
         # every other reader of the rated band gives the same answer
-        assert vf.feasible_window(start) == (True, -1)
         assert vf.feasible_band(start)[0][1] == floor[1]
         caps = vf.characterize(start)  # zero demand alone holds the floor
         assert caps.discharge_rate_kw == pytest.approx(scn.baseline().power.values[0], abs=1e-9)
     far = dataclasses.replace(scn, theta0=24.0 - 1e-6)
-    assert vf.feasible_window(far) == (False, 1)
     readers = (vf.feasible_band, vf.characterize, lambda s: vf.plan(s, ref, norm=norm))
     errors = []
     for fn in readers:

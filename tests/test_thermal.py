@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vesflex as vf
+from vesflex.csvio import write_csv
 from conftest import DT, make_params
 
 
@@ -118,12 +119,6 @@ def test_steady_sine_amplitude_tracks_transfer_function(params):
     assert meas == pytest.approx(0.1301, abs=1e-3)
 
 
-def test_fahrenheit_to_celsius():
-    assert vf.fahrenheit_to_celsius(32.0) == 0.0
-    assert vf.fahrenheit_to_celsius(75.0) == pytest.approx(23.88888888888889, rel=1e-15)
-    assert vf.fahrenheit_to_celsius(55.0) == pytest.approx(12.777777777777779, rel=1e-15)
-
-
 def test_baseline_two_level_weather(params):
     dist = vf.DisturbanceSeries(1.0, np.array([30.0, 34.0]), np.array([1.0, 1.0]))
     base = vf.baseline_trajectory(params, dist, theta_sp=24.0)
@@ -150,13 +145,14 @@ def test_baseline_clamps_and_reports(params):
 def test_disturbance_series_helpers(tmp_path):
     d = vf.DisturbanceSeries.constant(0.25, 8, theta_a=31.0, q_d=0.7)
     assert d.horizon_h == pytest.approx(2.0)
-    assert d.is_constant()
-    assert len(d.times()) == 8
+    assert np.ptp(d.theta_a) == np.ptp(d.q_d) == 0.0
+    assert len(d) == 8
     sl = d.slice(2, 3)
     assert len(sl.theta_a) == 3 and sl.dt == 0.25
 
     path = tmp_path / "weather.csv"
-    d.to_csv(str(path))
+    write_csv(str(path), ["t_hours", "theta_a_C", "q_d_kW"],
+              [np.arange(len(d)) * d.dt, d.theta_a, d.q_d])
     back = vf.DisturbanceSeries.from_csv(str(path))
     assert np.array_equal(back.theta_a, d.theta_a)
     assert np.array_equal(back.q_d, d.q_d)

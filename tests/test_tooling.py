@@ -15,7 +15,7 @@ import types
 
 import vesflex
 from vesflex import cli
-from test_contract import COUNT_CHECKS, HOLDERS
+from test_contract import COUNT_CHECKS, HOLDERS, NUMBER_CHECKS
 
 PACKAGE = pathlib.Path(vesflex.__file__).parent
 
@@ -74,29 +74,26 @@ def test_planner_references_no_linalg():
     assert [name for name in names if "linalg" in name] == []
 
 
-# vesflex.__all__ as it was when the package imported every module eagerly
+# vesflex.__all__: every public name, sorted
 PUBLIC_NAMES = [
-    "BaselineResult", "BoxQP", "ConservativenessPoint",
-    "ContractVerdict", "CounterexampleResult", "DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR",
-    "DeferrableSpec", "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope",
-    "InfeasibleError", "InputError", "LinearProgram", "MoistAirState", "NORMS",
-    "PlanResult", "PowerRangeError", "PsychroConstants", "PulseLoadSpec", "QoSBounds",
-    "Scenario", "ShapeError", "SolveReport", "SolverError", "ThermalParams",
-    "Trajectory", "Verdict", "VesflexError", "VirtualBatteryCaps",
-    "amplitude_at_timescale", "amplitude_timescale_curve", "bangbang_energy_oracle",
-    "baseline_energy", "baseline_trajectory", "battery", "characterize",
-    "coil_thermal_power", "conservativeness_curve", "counterexample_check",
-    "decay_factor", "deferrable", "dry_model_demand_error", "electric_demand",
-    "energy_capacities", "energy_state", "ensemble", "envelope", "equilibrium_power",
-    "errors", "extremal_profiles", "fahrenheit_to_celsius", "feasible_band",
-    "feasible_window", "flexset", "front_loaded_profile", "humidity", "is_member",
-    "latent_fraction", "latent_sensible_split", "max_sine_amplitude",
-    "min_loads", "mix_air", "pair_counts", "plan", "planner", "qos", "rate_capacities",
-    "receding_horizon", "sample_interior_trajectories", "satisfies", "schedule_tracking",
-    "simulate", "solve_box_qp", "solve_lp", "solver", "spec_feasible",
-    "specific_enthalpy", "square_reference", "staircase_triangle",
-    "steady_sine_amplitude", "tf_magnitude", "thermal", "tracking_error",
-    "trajectory_satisfies", "validate_schedule",
+    "BaselineResult", "BoxQP", "ConservativenessPoint", "ContractVerdict",
+    "CounterexampleResult", "DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "DeferrableSpec",
+    "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope", "InfeasibleError", "InputError",
+    "LinearProgram", "MoistAirState", "NORMS", "PlanResult", "PowerRangeError",
+    "PulseLoadSpec", "QoSBounds", "Scenario", "ShapeError", "SolveReport", "SolverError",
+    "ThermalParams", "Trajectory", "Verdict", "VesflexError", "VirtualBatteryCaps",
+    "amplitude_at_timescale", "bangbang_energy_oracle", "baseline_energy",
+    "baseline_trajectory", "battery", "characterize", "coil_thermal_power",
+    "conservativeness_curve", "counterexample_check", "decay_factor", "deferrable",
+    "dry_model_demand_error", "electric_demand", "energy_capacities", "energy_state",
+    "ensemble", "envelope", "equilibrium_power", "errors", "extremal_profiles",
+    "feasible_band", "flexset", "front_loaded_profile", "humidity", "is_member",
+    "latent_fraction", "latent_sensible_split", "max_sine_amplitude", "min_loads", "mix_air",
+    "pair_counts", "plan", "planner", "qos", "rate_capacities", "receding_horizon",
+    "sample_interior_trajectories", "satisfies", "schedule_tracking", "simulate",
+    "solve_box_qp", "solve_lp", "solver", "spec_feasible", "specific_enthalpy",
+    "square_reference", "staircase_triangle", "steady_sine_amplitude", "tf_magnitude",
+    "thermal", "tracking_error", "trajectory_satisfies", "validate_schedule",
 ]
 
 
@@ -268,6 +265,58 @@ def test_every_count_parameter_is_a_row_of_the_count_table():
     assert counts == set(COUNT_CHECKS)
 
 
+def _guarded_parameter(check: str, field: str) -> str | None:
+    """The "function(parameter)" a NUMBER_CHECKS row guards; None for a dataclass field."""
+    obj = vesflex
+    for part in check.split("."):  # "module.function", "Class.method" or "function.parameter"
+        inner = getattr(obj, part, None)
+        if not (inspect.ismodule(inner) or inspect.isclass(inner) or inspect.isroutine(inner)):
+            break
+        obj = inner
+    fn = getattr(obj, "__func__", obj)
+    return f"{fn.__qualname__}({field})" if inspect.isfunction(fn) else None
+
+
+_HELD = "it fills a held array, which refuses a non-finite value by name"
+_OFF_GRID = "grid_steps refuses a horizon and step that are not a positive multiple"
+_ARRAYS = "it takes arrays too, and every caller in the package passes held finite ones"
+
+# "function(parameter)" -> why a float parameter is not a NUMBER_CHECKS row
+FLOAT_EXEMPT = {
+    "DisturbanceSeries.constant(theta_a)": _HELD,
+    "DisturbanceSeries.constant(q_d)": _HELD,
+    "baseline_energy(theta_a)": _HELD,
+    "baseline_energy(q_d)": _HELD,
+    "baseline_energy(theta_sp)": "baseline_trajectory's row checks it",
+    "baseline_energy(horizon_h)": _OFF_GRID,
+    "baseline_energy(dt)": _OFF_GRID,
+    "grid_steps(horizon_h)": _OFF_GRID,
+    "grid_steps(dt)": _OFF_GRID,
+    "simulate(theta0)": "the temperature Trajectory it returns refuses a non-finite value",
+    "steady_sine_amplitude(amplitude_kw)": "an oracle; the demand Trajectory it builds refuses "
+                                           "a non-finite value",
+    "equilibrium_power(theta_a)": _ARRAYS,
+    "equilibrium_power(theta_sp)": _ARRAYS,
+    "equilibrium_power(q_d)": _ARRAYS,
+    "dry_model_demand_error(m_dot_kg_s)": "coil_thermal_power checks it first; a zero flow is "
+                                          "refused as a zero duty",
+    "dry_model_demand_error(eta_chiller)": "never read: the relative error is the same at any COP",
+}
+
+
+def test_every_float_parameter_is_a_row_of_the_number_table_or_exempt_with_a_reason():
+    # a float parameter added later cannot skip require_finite and its kin
+    floats = {
+        f"{fn.__qualname__}({p.name})"
+        for fn in _public_callables()
+        for p in inspect.signature(fn).parameters.values()
+        if "float" in str(p.annotation).split(" | ")
+    }
+    rows = {_guarded_parameter(check, field) for check, (field, _, _) in NUMBER_CHECKS.items()}
+    assert floats == (rows - {None}) | set(FLOAT_EXEMPT)
+    assert not (rows & set(FLOAT_EXEMPT))
+
+
 def _functions(tree: ast.Module):
     """(name, nodes) per function: the nodes of its body outside nested functions."""
     for fn in ast.walk(tree):
@@ -315,5 +364,4 @@ def test_one_function_answers_whether_the_band_can_be_held():
                 ):
                     rated.add(where)
     assert raisers == {"flexset._reachable"}
-    # feasible_window re-runs the pass only on failure, to name the sample
-    assert rated == {"flexset._reachable", "flexset.feasible_window"}
+    assert rated == {"flexset._reachable"}

@@ -286,9 +286,7 @@ def cmd_humidity(args) -> int:
         args.m_dot, state_in, state_out, args.eta_chiller
     )
     latent, sensible, frac_l = humidity.latent_sensible_split(state_in, state_out)
-    err = humidity.dry_model_demand_error(
-        args.m_dot, state_in, state_out, args.eta_chiller
-    )
+    err = humidity.dry_model_demand_error(state_in, state_out)
     names = [
         "t_in_C", "w_in", "t_out_C", "w_out",
         "h_in_kj_per_kg", "h_out_kj_per_kg",
@@ -330,13 +328,7 @@ def cmd_deferrable(args) -> int:
         energy_kwh=energy,
         window_h=args.window,
         p_max=args.p_max if args.p_max is not None else scn.params.p_rated,
-        kind=args.kind,
     )
-    if not deferrable.spec_feasible(spec):
-        raise InfeasibleError(
-            f"contract needs {spec.energy_kwh:.6g} kWh but P*T allows only "
-            f"{spec.p_max * spec.window_h:.6g} kWh"
-        )
     result = deferrable.counterexample_check(spec, scn)
     _write(args, "deferrable.csv", ["t_hours", "p_kw"], [result.p.times(), result.p.values])
     print(f"contract: {'ok' if result.contract else 'violated'} ({result.contract.reason})")
@@ -413,10 +405,9 @@ def cmd_capacity(args) -> int:
 
 # ----------------------------------------------------------------- main --
 
-# planner.NORMS and deferrable.KINDS, written out so that building the parser
-# imports neither module (a test pins them equal)
+# planner.NORMS, written out so that building the parser does not import
+# planner (a test pins them equal)
 NORMS = ("two", "one", "inf")
-KINDS = ("battery", "bucket", "bakery")
 
 
 def _two_ints(text: str) -> tuple[int, int]:
@@ -514,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("humidity", help="moist-air coil demand accounting")
-    p.add_argument("--t-in", type=finite, default=humidity.DESIGN_T_RETURN_C)
-    p.add_argument("--w-in", type=finite, default=humidity.DESIGN_W_RETURN)
-    p.add_argument("--t-out", type=finite, default=humidity.DESIGN_T_SUPPLY_C)
-    p.add_argument("--w-out", type=finite, default=humidity.DESIGN_W_SUPPLY)
+    p.add_argument("--t-in", type=finite, default=humidity.DESIGN_RETURN_AIR.t_c)
+    p.add_argument("--w-in", type=finite, default=humidity.DESIGN_RETURN_AIR.w)
+    p.add_argument("--t-out", type=finite, default=humidity.DESIGN_SUPPLY_AIR.t_c)
+    p.add_argument("--w-out", type=finite, default=humidity.DESIGN_SUPPLY_AIR.w)
     p.add_argument("--m-dot", type=finite, default=1.0, help="dry-air flow, kg/s")
     p.add_argument("--eta-chiller", type=finite, default=3.5)
     p.add_argument(
@@ -547,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="internal gains of the sizing day when --energy is absent",
     )
     p.add_argument("--p-max", type=finite, default=None, help="contract power ceiling, kW")
-    p.add_argument("--kind", choices=KINDS, default="battery")
     p.set_defaults(func=cmd_deferrable)
 
     p = sub.add_parser("ensemble", help="pulse-pair fleet tracking a slotted reference")

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_count, require_nonnegative, require_positive
+from .errors import (
+    InfeasibleError, InputError, require_count, require_nonnegative, require_positive,
+)
 from .flexset import Scenario, is_member
 from .qos import Verdict
 from .thermal import (
@@ -38,13 +40,13 @@ class DeferrableSpec:
 
     kind is a behavioral label: "battery" and "bucket" loads may idle and
     resume freely inside the window, a "bakery" run must be one contiguous
-    block once started (an oven batch cannot pause).  A bucket has no fixed
-    energy requirement, so energy_kwh may be None for that kind only; it is
-    then bounded by power and window alone.
+    block once started (an oven batch cannot pause).  A bucket takes
+    whatever energy arrives inside the window, so trajectory_satisfies
+    grades it by power and window alone.
     """
 
     arrival_h: float
-    energy_kwh: float | None
+    energy_kwh: float
     window_h: float
     p_max: float
     kind: str = "battery"
@@ -53,11 +55,7 @@ class DeferrableSpec:
         if self.kind not in KINDS:
             raise InputError(f"kind must be one of {KINDS}, got {self.kind!r}")
         require_nonnegative("arrival_h", self.arrival_h)
-        if self.energy_kwh is None:
-            if self.kind != "bucket":
-                raise InputError(f"kind {self.kind!r} requires a fixed energy_kwh")
-        else:
-            require_nonnegative("energy_kwh", self.energy_kwh)
+        require_nonnegative("energy_kwh", self.energy_kwh)
         require_positive("window_h", self.window_h)
         require_positive("p_max", self.p_max)
 
@@ -67,14 +65,11 @@ class DeferrableSpec:
 
 
 def spec_feasible(spec: DeferrableSpec) -> bool:
-    """Whether any profile can fulfil the contract: E <= P * T.
+    """Whether E can be delivered inside the window: E <= P * T, for every kind.
 
-    Buckets accept whatever energy arrives, so they are always satisfiable;
-    the remaining kinds must fit E under the power ceiling.  A contiguous
-    bakery run of length E/P fits exactly when E <= P * T, the same bound.
+    A contiguous bakery run of length E/P fits exactly when E <= P * T, the
+    same bound; a bucket's E is held to it too, though its verdict ignores E.
     """
-    if spec.kind == "bucket" and spec.energy_kwh is None:
-        return True
     return spec.energy_kwh <= spec.p_max * spec.window_h + ENERGY_ATOL_KWH
 
 
@@ -131,13 +126,12 @@ def trajectory_satisfies(
             False, f"{e_after:.6g} kWh consumed after deadline at {spec.deadline_h} h"
         )
     # a bucket takes whatever energy shows up; every other kind owes exactly E
-    if spec.energy_kwh is not None and spec.kind != "bucket":
-        if abs(e_inside - spec.energy_kwh) > atol:
-            return ContractVerdict(
-                False,
-                f"delivered {e_inside:.6g} kWh inside the window, "
-                f"contract requires {spec.energy_kwh:.6g}",
-            )
+    if spec.kind != "bucket" and abs(e_inside - spec.energy_kwh) > atol:
+        return ContractVerdict(
+            False,
+            f"delivered {e_inside:.6g} kWh inside the window, "
+            f"contract requires {spec.energy_kwh:.6g}",
+        )
     if spec.kind == "bakery":
         on = np.flatnonzero(pv * p.dt > atol)
         if on.size > 1 and np.any(np.diff(on) != 1):
@@ -151,15 +145,16 @@ def front_loaded_profile(
     """Greedy profile: run at the ceiling from arrival until E is delivered.
 
     The first sample fully inside the window starts the run; a partial-power
-    final sample trims the total to exactly E.  Raises InputError when the
-    grid is too short or the contract infeasible.
+    final sample trims the total to exactly E.  Raises InfeasibleError when
+    E exceeds P * T, and InputError when the grid cannot place the run.
     """
     require_positive("dt", dt)
     require_count("n_steps", n_steps, 1)
-    if spec.energy_kwh is None:
-        raise InputError("cannot front-load a contract with no fixed energy")
     if not spec_feasible(spec):
-        raise InputError("contract requires more energy than P*T allows")
+        raise InfeasibleError(
+            f"contract needs {spec.energy_kwh:.6g} kWh but P*T allows only "
+            f"{spec.p_max * spec.window_h:.6g} kWh"
+        )
     # samples before the run, then at the ceiling: tested as floats, which may be inf
     wait, run = spec.arrival_h / dt - 1e-12, spec.energy_kwh / (spec.p_max * dt) + 1e-12
     if not wait + run <= n_steps + 1:
@@ -171,8 +166,7 @@ def front_loaded_profile(
         raise InputError(
             f"need {n_need} samples to place the profile, grid has {n_steps}"
         )
-    end_h = (start + full + (1 if rem > ENERGY_ATOL_KWH else 0)) * dt
-    if end_h > spec.deadline_h + 1e-12:
+    if n_need * dt > spec.deadline_h + 1e-12:
         raise InputError(
             "grid-aligned greedy run would finish past the deadline; "
             "refine dt or widen the window"

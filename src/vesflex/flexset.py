@@ -51,7 +51,9 @@ class Scenario:
     """One load, one disturbance record, one temperature comfort contract.
 
     A step so short that its decay rounds to 1, so that demand moves
-    nothing, raises InputError, as do a gain whose square overflows and a
+    nothing, raises InputError, as do a gain whose square overflows or
+    underflows, a rated demand that moves theta less than 1e-6 C per step
+    (demand read back from theta divides its rounding by the gain) and a
     disturbance whose forcing overflows.
     Per-sample temperature bounds cover the N+1 temperature samples
     theta_0..theta_N; their length is checked once, here.  The scenario
@@ -82,6 +84,12 @@ class Scenario:
         if not math.isfinite(gain * gain):  # the two-norm plan weighs by 1 / gain**2
             raise InputError(f"eta_cop {par.eta_cop} makes one step's gain {gain:.6g} C/kW, "
                              "whose square overflows")
+        if gain * gain < np.finfo(float).tiny:
+            raise InputError(f"eta_cop {par.eta_cop} and dt {self.dt} h make one step's gain "
+                             f"{gain:.6g} C/kW, whose square underflows")
+        if gain * par.p_rated < 1e-6:
+            raise InputError(f"eta_cop {par.eta_cop} and dt {self.dt} h let rated demand move "
+                             f"theta {gain * par.p_rated:.6g} C per step, below 1e-6 C")
         object.__setattr__(self, "_step", (a, gain))
         ta, qd = self.dist.theta_a, self.dist.q_d
         with np.errstate(over="ignore"):  # refused by name below

@@ -21,13 +21,6 @@ from dataclasses import dataclass
 
 from .errors import InputError, require_finite, require_nonnegative, require_positive
 
-# design states, SI: 75 degF return/mixed air at W = 0.009 supplied as
-# 55 degF conditioned air at W = 0.004
-DESIGN_T_RETURN_C = 23.89
-DESIGN_W_RETURN = 0.009
-DESIGN_T_SUPPLY_C = 12.78
-DESIGN_W_SUPPLY = 0.004
-
 # dry-air and water specific heats, kJ/(kg K), and latent heat of
 # vaporization, kJ/kg
 CP_DRY, CP_WATER, H_FG = 1.0, 4.184, 2256.0
@@ -47,8 +40,10 @@ class MoistAirState:
         require_nonnegative("w", self.w)
 
 
-DESIGN_RETURN_AIR = MoistAirState(DESIGN_T_RETURN_C, DESIGN_W_RETURN)
-DESIGN_SUPPLY_AIR = MoistAirState(DESIGN_T_SUPPLY_C, DESIGN_W_SUPPLY)
+# design states, SI: 75 degF return/mixed air at W = 0.009 supplied as
+# 55 degF conditioned air at W = 0.004
+DESIGN_RETURN_AIR = MoistAirState(23.89, 0.009)
+DESIGN_SUPPLY_AIR = MoistAirState(12.78, 0.004)
 
 
 def specific_enthalpy(state: MoistAirState) -> float:
@@ -121,22 +116,18 @@ def latent_sensible_split(
     return latent, sensible, latent_fraction(latent, sensible)
 
 
-def dry_model_demand_error(
-    m_dot_kg_s: float,
-    state_in: MoistAirState,
-    state_out: MoistAirState,
-    eta_chiller: float,
-) -> float:
+def dry_model_demand_error(state_in: MoistAirState, state_out: MoistAirState) -> float:
     """Signed relative error of a temperature-only demand estimate.
 
     A dry model prices the coil at cp_dry * dT per kg and misses both the
     latent duty and the vapor-heat term.  Returns (dry - full) / full, so a
     negative value is an underestimate; at the design states it is roughly
     -0.5, the headline reason humidity cannot be ignored when converting
-    coil flexibility to kW.
+    coil flexibility to kW.  Air flow and chiller COP scale dry and full
+    alike, so the error depends on the two states alone.
     """
-    full = coil_thermal_power(m_dot_kg_s, state_in, state_out)
+    full = specific_enthalpy(state_in) - specific_enthalpy(state_out)
     if full == 0.0:
         raise InputError("full coil power is zero; relative error undefined")
-    dry = m_dot_kg_s * CP_DRY * (state_in.t_c - state_out.t_c)
+    dry = CP_DRY * (state_in.t_c - state_out.t_c)
     return (dry - full) / full

@@ -434,6 +434,8 @@ _DECAY_OF_ONE = SHORT_CONFIG.format(horizon="1e-15").replace(
 )
 # a COP so large that the square of one step's input gain overflows
 _GAIN_OVERFLOWS = _SHORT.replace("eta_cop = 3.5", "eta_cop = 1e308")
+# a COP so small that rated demand moves theta 3e-10 C per step
+_GAIN_VANISHES = _SHORT.replace("eta_cop = 3.5", "eta_cop = 1e-8")
 
 # each builds its inputs in a directory and returns the argv that reads them
 MALFORMED_INPUTS = {
@@ -506,6 +508,9 @@ MALFORMED_INPUTS = {
     "config-decay-of-one": lambda d: ["plan", "--config", _put(d / "z.toml", _DECAY_OF_ONE)],
     "config-gain-overflows": lambda d: [
         "plan", "--norm", "two", "--config", _put(d / "g.toml", _GAIN_OVERFLOWS),
+    ],
+    "config-gain-vanishes": lambda d: [
+        "plan", "--norm", "two", "--config", _put(d / "v.toml", _GAIN_VANISHES),
     ],
     "config-huge-horizon": lambda d: [
         "capacity", "--config",
@@ -660,6 +665,8 @@ MALFORMED_OPTIONS = {
     # removed: ensemble.csv and stdout are in whole units and slots
     "ensemble-unit-kw": (["ensemble", "--triangle", "3", "--unit-kw", "2"], "--unit-kw"),
     "ensemble-slot-h": (["ensemble", "--triangle", "3", "--slot-h", "2"], "--slot-h"),
+    # removed: the greedy profile deferrable serves meets every kind alike
+    "deferrable-kind": (["deferrable", "--window", "4", "--kind", "bucket"], "--kind"),
 }
 
 

@@ -336,6 +336,26 @@ def test_a_gain_whose_square_overflows_is_refused_by_eta_cop(eta_cop):
     dataclasses.replace(_SCN, params=dataclasses.replace(_PAR, eta_cop=1e150))
 
 
+@pytest.mark.parametrize("eta_cop, p_rated, says", [
+    (1e-8, _PAR.p_rated, r"let rated demand move theta \S+ C per step, below 1e-6 C"),
+    (1e-200, 1e300, r"make one step's gain \S+ C/kW, whose square underflows"),
+])
+def test_a_gain_that_vanishes_is_refused_by_eta_cop_and_dt(eta_cop, p_rated, says):
+    # demand read back as (a theta + forcing - theta') / gain multiplies
+    # theta's rounding by 1 / gain: at eta_cop 1e-8 the two-norm plan found
+    # no convergence and the one-norm plan tracked with error 1.1e-4 where 0
+    # was feasible, and both passed the audit
+    par = dataclasses.replace(_PAR, eta_cop=eta_cop, p_rated=p_rated)
+    with pytest.raises(vf.InputError, match=rf"^eta_cop {eta_cop} and dt {DT} h {says}"):
+        dataclasses.replace(_SCN, params=par)
+    # the floor: rated demand moves theta 1e-6 C in one step
+    gain = _SCN.dynamics()[1] / _PAR.eta_cop
+    floor = 1e-6 / (gain * _PAR.p_rated)
+    dataclasses.replace(_SCN, params=dataclasses.replace(_PAR, eta_cop=1.01 * floor))
+    with pytest.raises(vf.InputError, match="below 1e-6 C"):
+        dataclasses.replace(_SCN, params=dataclasses.replace(_PAR, eta_cop=0.99 * floor))
+
+
 def _grid_sites(n, dt):
     """Each check that a signal sits on another's grid, fed n samples dt apart."""
     scn = _SCN

@@ -29,7 +29,6 @@ def test_spec_feasible_by_kind():
     assert not vf.spec_feasible(vf.DeferrableSpec(0.0, 12.0, 10.0, 1.0))
     assert vf.spec_feasible(vf.DeferrableSpec(0.0, 5.0, 10.0, 1.0, kind="bakery"))
     assert vf.spec_feasible(vf.DeferrableSpec(0.0, 10.0, 10.0, 1.0))  # exact fit
-    assert vf.spec_feasible(vf.DeferrableSpec(0.0, None, 10.0, 1.0, kind="bucket"))
 
 
 def test_constant_profile_satisfies_battery_and_bakery():
@@ -56,11 +55,8 @@ def test_front_loaded_profile_partial_tail():
 
 def test_front_loaded_profile_errors():
     bad = vf.DeferrableSpec(0.0, 12.0, 10.0, 1.0)
-    with pytest.raises(vf.InputError):
+    with pytest.raises(vf.InfeasibleError, match=r"needs 12 kWh but P\*T allows only 10 kWh"):
         vf.front_loaded_profile(bad, dt=0.5, n_steps=40)
-    bucket = vf.DeferrableSpec(0.0, None, 10.0, 1.0, kind="bucket")
-    with pytest.raises(vf.InputError):
-        vf.front_loaded_profile(bucket, dt=0.5, n_steps=40)
     tight = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0)
     with pytest.raises(vf.InputError):
         vf.front_loaded_profile(tight, dt=0.5, n_steps=2)
@@ -127,10 +123,34 @@ def test_bakery_implies_battery_property():
 
 
 def test_bucket_accepts_any_in_window_energy():
-    bucket = vf.DeferrableSpec(0.0, None, 4.0, 1.0, kind="bucket")
+    bucket = vf.DeferrableSpec(0.0, 3.0, 4.0, 1.0, kind="bucket")
     assert vf.trajectory_satisfies(bucket, _traj([0.2, 0, 0.7, 0, 0, 0, 0, 0])).ok
     hot = vf.trajectory_satisfies(bucket, _traj([1.4, 0, 0, 0, 0, 0, 0, 0]))
     assert not hot.ok  # power cap still applies
+
+
+def test_front_loaded_profile_gets_one_verdict_from_every_kind():
+    # the greedy profile is one contiguous run delivering E inside the
+    # window, so the kind cannot change the contract verdict: this is why
+    # the CLI takes no kind
+    rng = np.random.default_rng(24)
+    placed = 0
+    for _ in range(300):
+        dt = float(rng.choice([1 / 60, 0.1, 0.25, 1.0]))
+        arrival, window, p_max = rng.uniform(0, 3), rng.uniform(0.05, 6), rng.uniform(0.1, 5)
+        energy = float(rng.choice([0.0, rng.uniform(0, 1) * p_max * window]))
+        n = int(np.ceil((arrival + window) / dt)) + int(rng.integers(0, 5))
+        verdicts = set()
+        for kind in vf.deferrable.KINDS:
+            spec = vf.DeferrableSpec(arrival, energy, window, p_max, kind=kind)
+            try:
+                p = vf.front_loaded_profile(spec, dt, n)
+            except vf.InputError:
+                continue
+            verdicts.add(vf.trajectory_satisfies(spec, p).ok)
+        assert len(verdicts) <= 1
+        placed += len(verdicts)
+    assert placed > 200
 
 
 def test_baseline_energy_hot_day(params):

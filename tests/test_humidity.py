@@ -66,18 +66,17 @@ def test_latent_fraction_edge_cases():
 
 
 def test_dry_model_demand_error_design_point():
-    err = vf.dry_model_demand_error(
-        1.0, DESIGN_RETURN_AIR, DESIGN_SUPPLY_AIR, eta_chiller=3.5
-    )
+    err = vf.dry_model_demand_error(DESIGN_RETURN_AIR, DESIGN_SUPPLY_AIR)
     # ignoring moisture halves the predicted demand at the design point
     assert err == pytest.approx(-0.5185414781690827, rel=1e-12)
     assert err < -0.5
 
 
 def test_dry_model_demand_error_needs_nonzero_duty():
-    same = vf.MoistAirState(t_c=20.0, w=0.008)
-    with pytest.raises(vf.InputError):
-        vf.dry_model_demand_error(1.0, same, same, eta_chiller=3.5)
+    # 22.56 kJ/kg both: dry air at 22.56 degC and moist air at 0 degC
+    dry, moist = vf.MoistAirState(t_c=22.56, w=0.0), vf.MoistAirState(t_c=0.0, w=0.01)
+    with pytest.raises(vf.InputError, match="full coil power is zero"):
+        vf.dry_model_demand_error(dry, moist)
 
 
 def test_mix_air_convex_combination():

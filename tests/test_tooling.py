@@ -11,6 +11,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import textwrap
 import types
 
 import vesflex
@@ -138,10 +139,9 @@ def _choices(command: str, dest: str) -> tuple:
 
 
 def test_parser_choices_are_the_analysis_modules_values():
-    from vesflex import deferrable, planner
+    from vesflex import planner
 
     assert _choices("plan", "norm") == planner.NORMS
-    assert _choices("deferrable", "kind") == deferrable.KINDS
 
 
 # runs cli.main in a fresh interpreter and reports what each job loaded
@@ -298,9 +298,6 @@ FLOAT_EXEMPT = {
     "equilibrium_power(theta_a)": _ARRAYS,
     "equilibrium_power(theta_sp)": _ARRAYS,
     "equilibrium_power(q_d)": _ARRAYS,
-    "dry_model_demand_error(m_dot_kg_s)": "coil_thermal_power checks it first; a zero flow is "
-                                          "refused as a zero duty",
-    "dry_model_demand_error(eta_chiller)": "never read: the relative error is the same at any COP",
 }
 
 
@@ -315,6 +312,20 @@ def test_every_float_parameter_is_a_row_of_the_number_table_or_exempt_with_a_rea
     rows = {_guarded_parameter(check, field) for check, (field, _, _) in NUMBER_CHECKS.items()}
     assert floats == (rows - {None}) | set(FLOAT_EXEMPT)
     assert not (rows & set(FLOAT_EXEMPT))
+
+
+def test_every_parameter_of_a_public_callable_is_read():
+    # a parameter no answer depends on, as dry_model_demand_error's COP
+    # once was, is a setting that means nothing
+    unread = []
+    for fn in _public_callables():
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        unread += [f"{fn.__qualname__}({a.arg})" for a in params if a and a.arg not in read]
+    assert unread == []
 
 
 def _functions(tree: ast.Module):

@@ -16,13 +16,13 @@ import importlib
 # each public name, by the module that defines it
 _EXPORTS = {
     "battery": ("VirtualBatteryCaps", "bangbang_energy_oracle", "characterize",
-                "energy_capacities", "energy_state", "extremal_profiles", "rate_capacities"),
+                "extremal_profiles"),
     "deferrable": ("ContractVerdict", "CounterexampleResult", "DeferrableSpec",
                    "baseline_energy", "counterexample_check", "front_loaded_profile",
                    "spec_feasible", "trajectory_satisfies"),
-    "ensemble": ("EnsembleSchedule", "PulseLoadSpec", "amplitude_at_timescale", "min_loads",
-                 "pair_counts", "schedule_tracking", "square_reference",
-                 "staircase_triangle", "validate_schedule"),
+    "ensemble": ("EnsembleSchedule", "amplitude_at_timescale", "min_loads", "pair_counts",
+                 "schedule_tracking", "square_reference", "staircase_triangle",
+                 "validate_schedule"),
     "errors": ("InfeasibleError", "InputError", "PowerRangeError", "ShapeError", "SolverError",
                "VesflexError"),
     "flexset": ("ConservativenessPoint", "FlexEnvelope", "Scenario", "conservativeness_curve",

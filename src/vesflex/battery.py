@@ -30,19 +30,7 @@ import numpy as np
 
 from .errors import require_nonnegative, require_positive
 from .flexset import Scenario, feasible_band, require_member
-from .thermal import ThermalParams, Trajectory, _check_grid
-
-
-def energy_state(p: Trajectory, baseline: Trajectory) -> Trajectory:
-    """Cumulative deviation energy, kWh: the battery's state-of-charge twin.
-
-    Left-Riemann integral of p - baseline, N+1 samples starting at zero so
-    sample k is the energy banked before step k begins.
-    """
-    _check_grid("baseline", baseline, len(p), p.dt)
-    dev = p.values - baseline.values
-    vals = np.concatenate([[0.0], np.cumsum(dev) * p.dt])
-    return Trajectory(p.dt, vals, unit="kWh")
+from .thermal import ThermalParams, Trajectory
 
 
 @dataclass(frozen=True)
@@ -88,12 +76,6 @@ def characterize(scn: Scenario) -> VirtualBatteryCaps:
     )
 
 
-def rate_capacities(scn: Scenario) -> tuple[float, float]:
-    """(charge, discharge) rate caps, kW: peak attainable |deviation|."""
-    caps = characterize(scn)
-    return caps.charge_rate_kw, caps.discharge_rate_kw
-
-
 def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
     """The energy-optimal demand trajectories for charging and discharging.
 
@@ -104,12 +86,6 @@ def extremal_profiles(scn: Scenario) -> tuple[Trajectory, Trajectory]:
     them.
     """
     return _profiles(scn, *feasible_band(scn))
-
-
-def energy_capacities(scn: Scenario) -> tuple[float, float]:
-    """(charge, discharge) energy caps, kWh, over the scenario horizon."""
-    caps = characterize(scn)
-    return caps.charge_energy_kwh, caps.discharge_energy_kwh
 
 
 def bangbang_energy_oracle(

@@ -366,11 +366,9 @@ def cmd_ensemble(args) -> int:
     from . import ensemble
 
     ref = _ensemble_reference(args)
-    # ensemble.csv and stdout count whole pulses in whole slots
-    spec = ensemble.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
     need = ensemble.min_loads(ref)
     print(f"slots: {ref.size}  min loads: {need}")
-    sched = ensemble.schedule_tracking(ref, spec, n_loads=args.n_loads)
+    sched = ensemble.schedule_tracking(ref, n_loads=args.n_loads)
     ensemble.validate_schedule(sched)
     agg = sched.aggregate_units()
     if not np.array_equal(agg, ref):

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError, InputError, ShapeError, _freeze, require_count, require_positive,
-)
+from .errors import InfeasibleError, InputError, ShapeError, _freeze, require_count
 
 
 def _as_units(ref_units) -> np.ndarray:
@@ -53,22 +51,9 @@ def _as_units(ref_units) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PulseLoadSpec:
-    """Homogeneous fleet description: pulse height u (kW) and slot length (h)."""
-
-    unit_kw: float
-    slot_h: float
-
-    def __post_init__(self) -> None:
-        require_positive("unit_kw", self.unit_kw)
-        require_positive("slot_h", self.slot_h)
-
-
-@dataclass(frozen=True)
 class EnsembleSchedule:
     """Per-load slot actions, rows in {-1, 0, +1} units of the pulse height."""
 
-    spec: PulseLoadSpec
     actions: np.ndarray
 
     def __post_init__(self) -> None:
@@ -88,9 +73,6 @@ class EnsembleSchedule:
 
     def aggregate_units(self) -> np.ndarray:
         return self.actions.sum(axis=0, dtype=np.int64)
-
-    def aggregate_kw(self) -> np.ndarray:
-        return self.spec.unit_kw * self.aggregate_units().astype(float)
 
 
 def validate_schedule(schedule: EnsembleSchedule) -> None:
@@ -156,9 +138,7 @@ def _min_loads(s: np.ndarray) -> int:
     return int(np.max(need[:-1] + need[1:]))
 
 
-def schedule_tracking(
-    ref_units, spec: PulseLoadSpec, n_loads: int | None = None
-) -> EnsembleSchedule:
+def schedule_tracking(ref_units, n_loads: int | None = None) -> EnsembleSchedule:
     """Assign the forced pulse pairs to concrete loads, minimally.
 
     First-fit greedy over boundaries left to right: a pair spanning slots
@@ -182,7 +162,7 @@ def schedule_tracking(
         sign = 1 if s[t] > 0 else -1
         actions[busy, t] = sign
         actions[busy, t + 1] = -sign
-    return EnsembleSchedule(spec=spec, actions=actions)
+    return EnsembleSchedule(actions)
 
 
 def amplitude_at_timescale(n_loads: int, tau_slots: int) -> int:

@@ -266,15 +266,6 @@ class FlexEnvelope:
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.dt
 
-    def contains(self, p: Trajectory, atol: float = 0.0) -> bool:
-        """Is p inside [p_lo - atol, p_hi + atol] at every sample?"""
-        require_nonnegative("atol", atol)
-        _check_grid("demand", p, len(self), self.dt)
-        return bool(
-            np.all(p.values >= self.p_lo - atol)
-            and np.all(p.values <= self.p_hi + atol)
-        )
-
 
 def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory, Verdict]:
     """Simulate p under the scenario and judge the comfort contract.

@@ -81,6 +81,11 @@ from .thermal import Trajectory, _check_grid, simulate
 
 NORMS = ("two", "one", "inf")
 
+# Farthest a reference sample may lie outside [0, p_rated], in p_rated.  From
+# about 100 p_rated out the two-norm interior point's duality gap stalls near its
+# stopping test and some windows never converge; 10 keeps a tenfold margin.
+REF_REACH = 10.0
+
 # slack, in degrees C, of the audit on every plan's re-simulated temperature
 _AUDIT_ATOL = 1e-6
 
@@ -91,6 +96,16 @@ _Solved = tuple[np.ndarray, int, float]
 def _check_norm(norm: str) -> None:
     if norm not in NORMS:
         raise InputError(f"norm must be one of {NORMS}, got {norm!r}")
+
+
+def _check_reference(scn: Scenario, ref: Trajectory) -> None:
+    _check_grid("reference", ref, scn.n_steps, scn.dt)
+    r, p_rated = ref.values, float(scn.params.p_rated)
+    # limits are Python floats, so one that overflows is inf, not a numpy warning
+    far = np.flatnonzero((r < -REF_REACH * p_rated) | (r > (1 + REF_REACH) * p_rated))
+    if far.size:
+        raise InputError(f"ref[{far[0]}] = {r[far[0]]:.6g} kW lies more than "
+                         f"{REF_REACH:g} p_rated outside [0, {p_rated}] kW")
 
 
 def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +308,7 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     plan's re-simulated temperature leaves the band by more than 1e-6 C.
     """
     _check_norm(norm)
-    _check_grid("reference", ref, scn.n_steps, scn.dt)
+    _check_reference(scn, ref)
     r = ref.values
     # the rated demand nearest r, which every inf-norm box at e >= e_lo holds
     target = np.clip(r, 0.0, scn.params.p_rated)
@@ -449,7 +464,7 @@ def receding_horizon(
     bound is None.  The stitched temperature is re-simulated on the full
     horizon and audited like a plan's.
     """
-    _check_grid("reference", ref, scn.n_steps, scn.dt)
+    _check_reference(scn, ref)
     require_count("window_steps", window_steps, 1)
     require_count("apply_steps", apply_steps, 1)
     if apply_steps > window_steps:

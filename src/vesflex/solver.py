@@ -351,10 +351,6 @@ class BoxQP:
         if np.any(self.h <= 0):
             raise InputError("h must be strictly positive")
 
-    @property
-    def n_vars(self) -> int:
-        return int(self.h.size)
-
 
 def _spectral_norm_sq(m_scaled: np.ndarray) -> float:
     """Deterministic power-iteration bound on ||M||_2^2 (5% safety margin)."""

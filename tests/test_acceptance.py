@@ -155,10 +155,9 @@ def test_criterion_6a_triangle_fleet_bound():
     # S_{2p-1} = S_{2p} = p^2: the p^2 pairs ending at slot 2p and the p^2
     # pairs starting there need distinct loads, so no fleet below 2 p^2 works
     bound = 2 * peak**2
-    spec = vf.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
     tri = vf.staircase_triangle(peak)
     need = vf.min_loads(tri)
-    sched = vf.schedule_tracking(tri, spec)
+    sched = vf.schedule_tracking(tri)
     exact = np.array_equal(sched.aggregate_units(), tri)
     try:
         vf.validate_schedule(sched)
@@ -167,7 +166,7 @@ def test_criterion_6a_triangle_fleet_bound():
         legal = False
     busy_at_peak = int(np.count_nonzero(sched.actions[:, 2 * peak]))
     try:
-        vf.schedule_tracking(tri, spec, n_loads=bound - 1)
+        vf.schedule_tracking(tri, n_loads=bound - 1)
         smaller_refused = False
     except vf.InfeasibleError:
         smaller_refused = True
@@ -196,15 +195,14 @@ def test_criterion_6a_triangle_fleet_bound():
 
 def test_criterion_6b_square_wave_amplitude():
     t0 = time.perf_counter()
-    spec = vf.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
     tight = True
     for n in range(1, 6):
         ref = vf.square_reference(n, 1)
-        sched = vf.schedule_tracking(ref, spec, n_loads=n)
+        sched = vf.schedule_tracking(ref, n_loads=n)
         tight &= np.array_equal(sched.aggregate_units(), ref)
         tight &= vf.amplitude_at_timescale(n, 1) == n
         try:
-            vf.schedule_tracking(vf.square_reference(n + 1, 1), spec, n_loads=n)
+            vf.schedule_tracking(vf.square_reference(n + 1, 1), n_loads=n)
             tight = False  # n loads must not reach amplitude n + 1
         except vf.InfeasibleError:
             pass
@@ -223,7 +221,7 @@ def test_criterion_7_battery_energy_vs_oracle():
     params = make_params()
 
     scn = hot_day_scenario()
-    e_c, _ = vf.energy_capacities(scn)
+    e_c = vf.characterize(scn).charge_energy_kwh
     oracle = vf.bangbang_energy_oracle(params, 1.0, 1.0, 10.0)
     point_gap = abs(e_c - oracle)
 
@@ -243,7 +241,7 @@ def test_criterion_7_battery_energy_vs_oracle():
         bnd = vf.QoSBounds(theta_min=24.0 - dth, theta_max=24.0 + dth)
         dist = vf.DisturbanceSeries.constant(DT, 240, theta_a=theta_a, q_d=q_d)
         sub = vf.Scenario(params=par, bounds=bnd, dist=dist, theta_sp=24.0, theta0=24.0)
-        e_sub, _ = vf.energy_capacities(sub)
+        e_sub = vf.characterize(sub).charge_energy_kwh
         worst = max(worst, abs(e_sub - vf.bangbang_energy_oracle(par, dth, ptm, 4.0)))
     elapsed = time.perf_counter() - t0
 
@@ -324,7 +322,6 @@ def test_criterion_8b_planner_idempotence_and_lattice():
 
 
 def test_criterion_8c_ensemble_oracle_equivalence():
-    spec = vf.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
     k_max = 4
     checked = 0
     mismatches = []
@@ -343,7 +340,7 @@ def test_criterion_8c_ensemble_oracle_equivalence():
                     mismatches.append((ref, claimed, brute))
             elif brute is not None:
                 mismatches.append((ref, claimed, brute))
-            sched = vf.schedule_tracking(list(ref), spec)
+            sched = vf.schedule_tracking(list(ref))
             if sched.loads_used != claimed or not np.array_equal(
                 sched.aggregate_units(), ref
             ):

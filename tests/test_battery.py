@@ -7,34 +7,9 @@ import vesflex as vf
 from conftest import DT, discrete_ride_energy, hot_day_scenario, make_params
 
 
-def test_energy_state_hand_case():
-    base = vf.Trajectory(0.5, np.array([1.0, 1.0]), unit="kW")
-    p = vf.Trajectory(0.5, np.array([2.0, 0.0]), unit="kW")
-    e = vf.energy_state(p, base)
-    assert e.unit == "kWh"
-    assert np.allclose(e.values, [0.0, 0.5, 0.0])
-
-
-def test_energy_state_grid_mismatch():
-    base = vf.Trajectory(0.5, np.zeros(3), unit="kW")
-    with pytest.raises(vf.ShapeError):
-        vf.energy_state(vf.Trajectory(0.5, np.zeros(4), unit="kW"), base)
-    with pytest.raises(vf.ShapeError):
-        vf.energy_state(vf.Trajectory(0.25, np.zeros(3), unit="kW"), base)
-
-
-def test_energy_state_sinusoid_integral(hot_day_2h):
-    base = hot_day_2h.baseline().power
-    t = np.arange(hot_day_2h.n_steps) * DT
-    p = vf.Trajectory(DT, base.values + 0.3 * np.sin(2 * np.pi * t), unit="kW")
-    e = vf.energy_state(p, base)
-    # integral of a zero-mean sine swings by 2A/omega
-    assert e.values.max() == pytest.approx(2 * 0.3 / (2 * np.pi), abs=2e-3)
-    assert abs(e.values[-1]) < 2e-3
-
-
 def test_rate_capacities_reference_day(hot_day_2h):
-    p_c, p_dc = vf.rate_capacities(hot_day_2h)
+    caps = vf.characterize(hot_day_2h)
+    p_c, p_dc = caps.charge_rate_kw, caps.discharge_rate_kw
     p_eq = vf.equilibrium_power(hot_day_2h.params, 32.0, 24.0, 1.5)
     assert p_c == pytest.approx(hot_day_2h.params.p_rated - p_eq, abs=1e-9)
     assert p_c == pytest.approx(1.0, abs=1e-9)
@@ -50,18 +25,22 @@ def test_rate_capacities_sweep_path_agrees(params, bounds):
         theta_min_t=np.full(n + 1, 23.0), theta_max_t=np.full(n + 1, 25.0),
     )
     slow = vf.Scenario(params=params, bounds=pinned, dist=dist, theta_sp=24.0, theta0=24.0)
-    assert vf.rate_capacities(fast) == pytest.approx(vf.rate_capacities(slow), abs=1e-8)
+    fast_caps, slow_caps = vf.characterize(fast), vf.characterize(slow)
+    assert fast_caps.charge_rate_kw == pytest.approx(slow_caps.charge_rate_kw, abs=1e-8)
+    assert fast_caps.discharge_rate_kw == pytest.approx(slow_caps.discharge_rate_kw, abs=1e-8)
 
 
 def test_rate_capacities_headroom_split():
     scn = hot_day_scenario(horizon_h=0.5, theta_a=27.38375, q_d=0.5, p_rated=1.5)
-    p_c, p_dc = vf.rate_capacities(scn)
+    caps = vf.characterize(scn)
+    p_c, p_dc = caps.charge_rate_kw, caps.discharge_rate_kw
     assert p_c == pytest.approx(1.0, abs=1e-9)
     assert p_dc == pytest.approx(0.5, abs=1e-9)
 
 
 def test_energy_capacities_match_ride_then_hold(hot_day_2h):
-    e_c, e_dc = vf.energy_capacities(hot_day_2h)
+    caps = vf.characterize(hot_day_2h)
+    e_c, e_dc = caps.charge_energy_kwh, caps.discharge_energy_kwh
     want = discrete_ride_energy(hot_day_2h.params, 1.0, 1.0, DT, hot_day_2h.n_steps)
     assert e_c == pytest.approx(want, abs=1e-8)
     assert e_c == pytest.approx(0.5575936422875042, abs=1e-8)
@@ -103,11 +82,14 @@ def test_characterize_computes_band_and_baseline_once(monkeypatch):
 def test_extremal_profiles_are_members_and_attain_capacity(hot_day_2h):
     charge, discharge = vf.extremal_profiles(hot_day_2h)
     base = hot_day_2h.baseline().power
-    e_c, e_dc = vf.energy_capacities(hot_day_2h)
+    caps = vf.characterize(hot_day_2h)
     assert vf.is_member(charge, hot_day_2h, atol=1e-6).ok
     assert vf.is_member(discharge, hot_day_2h, atol=1e-6).ok
-    assert vf.energy_state(charge, base).values[-1] == pytest.approx(e_c, abs=1e-9)
-    assert vf.energy_state(discharge, base).values[-1] == pytest.approx(-e_dc, abs=1e-9)
+    # left-Riemann integral of the deviation from baseline over the horizon
+    e_c = float(np.sum(charge.values - base.values)) * charge.dt
+    e_dc = float(np.sum(discharge.values - base.values)) * discharge.dt
+    assert e_c == pytest.approx(caps.charge_energy_kwh, abs=1e-9)
+    assert e_dc == pytest.approx(-caps.discharge_energy_kwh, abs=1e-9)
 
 
 def test_symmetric_building_has_symmetric_capacities():
@@ -170,6 +152,6 @@ def test_lp_energy_tracks_oracle_as_grid_refines(params, bounds):
     n = 120
     dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
     scn = vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
-    e_c, _ = vf.energy_capacities(scn)
+    e_c = vf.characterize(scn).charge_energy_kwh
     cont = vf.bangbang_energy_oracle(params, 1.0, 1.0, 2.0)
     assert e_c == pytest.approx(cont, abs=1e-4)

@@ -350,11 +350,15 @@ def test_ensemble_square(tmp_path, capsys):
     assert "min loads: 10" in capsys.readouterr().out
 
 
-def test_ensemble_zero_reference_writes_only_the_header(tmp_path, capsys):
+@pytest.mark.parametrize("ref, header", [
+    ("0,0,0", b"load,slot_0,slot_1,slot_2\n"),
+    ("0", b"load,slot_0\n"),  # one slot: no boundary for a pair to span
+])
+def test_ensemble_zero_reference_writes_only_the_header(tmp_path, capsys, ref, header):
     # no load is needed, so every column of ensemble.csv is empty
-    assert _run("ensemble", "--ref", "0,0,0", "--out-dir", str(tmp_path / "e")) == 0
+    assert _run("ensemble", "--ref", ref, "--out-dir", str(tmp_path / "e")) == 0
     assert "loads used: 0 of 0" in capsys.readouterr().out
-    assert (tmp_path / "e" / "ensemble.csv").read_bytes() == b"load,slot_0,slot_1,slot_2\n"
+    assert (tmp_path / "e" / "ensemble.csv").read_bytes() == header
 
 
 def test_ensemble_unbalanced_reference_fails(tmp_path, capsys):
@@ -547,6 +551,17 @@ MALFORMED_INPUTS = {
         "--power", _put(d / "power.csv", "t_hours,ref_kw\n" + _OFF_GRID_ROWS),
     ],
     "ensemble-ref-not-integers": lambda d: ["ensemble", "--ref", "1,a"],
+    "plan-ref-far-outside": lambda d: [
+        "plan", "--config", _put(d / "s.toml", _SHORT), "--step-kw", "1e24",
+    ],
+    "freq-setpoint-on-band-edge": lambda d: [
+        "freq", "--config",
+        _put(d / "e.toml", _SHORT.replace("theta_sp_C = 24.0", "theta_sp_C = 25.0")),
+    ],
+    "freq-baseline-below-zero": lambda d: [
+        "freq", "--config", _put(d / "b.toml", _SHORT.replace(
+            "theta_a_C = 32.0", "theta_a_C = 20.0").replace("q_d_kW = 1.5", "q_d_kW = 0.0")),
+    ],
 }
 
 # the file each of these inputs is read from, which its error must name, and the fault

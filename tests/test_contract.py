@@ -60,7 +60,6 @@ NUMBER_CHECKS = {
     "flexset.require_member": (
         "atol", False, lambda v: vf.flexset.require_member(_REF, _SCN, v, "baseline")
     ),
-    "FlexEnvelope.contains": ("atol", False, lambda v: _ENV.contains(_REF, atol=v)),
     "Scenario.window": ("theta0", None, lambda v: _WIDE.window(0, 2, v)),
     "bangbang_energy_oracle.delta_theta": (
         "delta_theta", False, lambda v: vf.bangbang_energy_oracle(_PAR, v, 1.0, 1.0)
@@ -78,8 +77,6 @@ NUMBER_CHECKS = {
     "DeferrableSpec.window_h": ("window_h", True, lambda v: vf.DeferrableSpec(0.0, 1.0, v, 1.0)),
     "DeferrableSpec.p_max": ("p_max", True, lambda v: vf.DeferrableSpec(0.0, 1.0, 2.0, v)),
     "front_loaded_profile": ("dt", True, lambda v: vf.front_loaded_profile(_ONE_SAMPLE_JOB, v, 5)),
-    "PulseLoadSpec.unit_kw": ("unit_kw", True, lambda v: vf.PulseLoadSpec(v, 1.0)),
-    "PulseLoadSpec.slot_h": ("slot_h", True, lambda v: vf.PulseLoadSpec(1.0, v)),
     "MoistAirState.t_c": ("t_c", None, lambda v: vf.MoistAirState(v, 0.009)),
     "MoistAirState.w": ("w", False, lambda v: vf.MoistAirState(24.0, v)),
     "mix_air": ("outdoor_fraction", False, lambda v: vf.mix_air(_STATE, _SUPPLY, v)),
@@ -128,7 +125,6 @@ def test_every_number_check_takes_a_finite_number_and_zero_only_when_non_negativ
         call(0)
 
 
-_SPEC = vf.PulseLoadSpec(1.0, 1.0)
 _SHORT = vf.Trajectory(DT, [1.0, 1.0, 1.0])
 _BANDED = dataclasses.replace(_SCN, bounds=vf.QoSBounds(
     23.0, 25.0, theta_min_t=np.full(_SCN.n_steps + 1, 23.0),
@@ -158,7 +154,7 @@ COUNT_CHECKS = {
     "front_loaded_profile(n_steps)": (
         1, lambda v: vf.front_loaded_profile(_ONE_SAMPLE_JOB, DT, v)
     ),
-    "schedule_tracking(n_loads)": (0, lambda v: vf.schedule_tracking([0, 0, 0], _SPEC, v)),
+    "schedule_tracking(n_loads)": (0, lambda v: vf.schedule_tracking([0, 0, 0], v)),
     "amplitude_at_timescale(n_loads)": (0, lambda v: vf.amplitude_at_timescale(v, 1)),
     "amplitude_at_timescale(tau_slots)": (1, lambda v: vf.amplitude_at_timescale(7, v)),
     "square_reference(amplitude_units)": (0, lambda v: vf.square_reference(v, 2)),
@@ -222,7 +218,7 @@ HOLDERS = {
         _NOT_NUMBERS,
     ),
     "EnsembleSchedule": (
-        [[1, -1, 0]], None, lambda x, y: vf.EnsembleSchedule(_SPEC, x), ["actions"],
+        [[1, -1, 0]], None, lambda x, y: vf.EnsembleSchedule(x), ["actions"],
         (*_NOT_NUMBERS, [256, 0], [0.7, -0.7], [math.nan, 0]),
     ),
     "LinearProgram": (
@@ -356,19 +352,52 @@ def test_a_gain_that_vanishes_is_refused_by_eta_cop_and_dt(eta_cop, p_rated, say
         dataclasses.replace(_SCN, params=dataclasses.replace(_PAR, eta_cop=0.99 * floor))
 
 
+# value or call -> (the call, fed arrays that cannot line up, and what its ShapeError says)
+SHAPE_CHECKS = {
+    "DisturbanceSeries": (
+        lambda: vf.DisturbanceSeries(DT, [30.0, 31.0], [1.5]), "theta_a has 2 samples but q_d",
+    ),
+    "FlexEnvelope": (lambda: vf.FlexEnvelope(DT, [0.5, 0.6], [1.5]), "p_lo and p_hi must be"),
+    "tracking_error": (
+        lambda: vf.tracking_error(np.zeros(3), np.zeros(4), DT, "two"), "shape mismatch",
+    ),
+    "min_loads(2-D)": (lambda: vf.min_loads([[1, -1]]), "non-empty 1-D"),
+    "min_loads(empty)": (lambda: vf.min_loads([]), "non-empty 1-D"),
+}
+
+
+@pytest.mark.parametrize("check", SHAPE_CHECKS)
+def test_every_shape_check_refuses_arrays_that_do_not_line_up(check):
+    call, says = SHAPE_CHECKS[check]
+    with pytest.raises(vf.ShapeError, match=says):
+        call()
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("site", ["plan", "receding_horizon"])
+def test_a_reference_sample_far_outside_the_rated_range_is_refused_by_name(site, side):
+    # a two-norm plan stalled on a 1e24 kW step, and the one- and inf-norm
+    # plans overflowed near 1e306 kW, each its own way
+    reach = vf.planner.REF_REACH * _PAR.p_rated
+    r = _REF.values.copy()
+    r[5] = -1.001 * reach if side == "below" else _PAR.p_rated + 1.001 * reach
+    ref = vf.Trajectory(DT, r)
+    with pytest.raises(vf.InputError, match=r"^ref\[5\] = .* p_rated outside \[0, "):
+        if site == "plan":
+            vf.plan(_SCN, ref)
+        else:
+            vf.receding_horizon(_SCN, ref, 10)
+
+
 def _grid_sites(n, dt):
     """Each check that a signal sits on another's grid, fed n samples dt apart."""
     scn = _SCN
     p = vf.Trajectory(dt, np.full(n, 1.0), unit="kW")
-    env = vf.envelope(scn)
-    base = vf.Trajectory(scn.dt, np.full(scn.n_steps, 1.0))
     return {
         "simulate": lambda: vf.simulate(scn.params, scn.dist, p, scn.theta0),
         "plan": lambda: vf.plan(scn, p, norm="one"),
         "receding_horizon": lambda: vf.receding_horizon(scn, p, 10, norm="one"),
-        "energy_state": lambda: vf.energy_state(base, p),
         "audit": lambda: vf.flexset.audit(p, scn),
-        "FlexEnvelope.contains": lambda: env.contains(p),
     }
 
 

@@ -7,11 +7,8 @@ import vesflex as vf
 from conftest import brute_min_loads
 
 
-SPEC = vf.PulseLoadSpec(unit_kw=1.0, slot_h=1.0)
-
-
 def _sched(rows):
-    return vf.EnsembleSchedule(SPEC, np.asarray(rows, dtype=np.int8))
+    return vf.EnsembleSchedule(np.asarray(rows, dtype=np.int8))
 
 
 def test_validate_schedule_accepts_pulse_pairs():
@@ -39,9 +36,6 @@ def test_schedule_aggregates():
     assert s.n_slots == 4
     assert s.loads_used == 3
     assert np.array_equal(s.aggregate_units(), [2, -2, -1, 1])
-    spec2 = vf.PulseLoadSpec(unit_kw=0.5, slot_h=1.0)
-    s2 = vf.EnsembleSchedule(spec2, np.asarray([[1, -1]], dtype=np.int8))
-    assert np.allclose(s2.aggregate_kw(), [0.5, -0.5])
 
 
 def test_pair_counts_is_cumulative_sum():
@@ -57,6 +51,7 @@ def test_min_loads_hand_cases():
     # loads cannot do it even though the peak is only 1
     assert vf.min_loads([1, 1, -1, -1]) == 3
     assert vf.min_loads([0, 0, 0]) == 0
+    assert vf.min_loads([0]) == 0  # one slot: no boundary, so no pair
 
 
 def test_min_loads_requires_integers_and_zero_sum():
@@ -65,7 +60,7 @@ def test_min_loads_requires_integers_and_zero_sum():
     with pytest.raises(vf.InfeasibleError):
         vf.min_loads([1, 1])
     with pytest.raises(vf.InfeasibleError):
-        vf.schedule_tracking([1, 1, -1], SPEC)
+        vf.schedule_tracking([1, 1, -1])
 
 
 def test_min_loads_matches_bruteforce_on_small_refs():
@@ -95,7 +90,7 @@ def test_greedy_schedule_achieves_min_loads():
         if abs(ref[-1]) > 3:
             continue
         need = vf.min_loads(ref)
-        sched = vf.schedule_tracking(ref, SPEC)
+        sched = vf.schedule_tracking(ref)
         vf.validate_schedule(sched)
         assert np.array_equal(sched.aggregate_units(), ref)
         assert sched.loads_used == need
@@ -104,11 +99,11 @@ def test_greedy_schedule_achieves_min_loads():
 
 def test_schedule_tracking_respects_fleet_cap():
     ref = [2, -2]
-    sched = vf.schedule_tracking(ref, SPEC, n_loads=5)
+    sched = vf.schedule_tracking(ref, n_loads=5)
     assert sched.n_loads == 5
     assert sched.loads_used == 2
     with pytest.raises(vf.InfeasibleError):
-        vf.schedule_tracking(ref, SPEC, n_loads=1)
+        vf.schedule_tracking(ref, n_loads=1)
 
 
 def test_amplitude_at_timescale():
@@ -128,10 +123,10 @@ def test_square_wave_amplitude_is_tight():
     for n in (1, 3, 5):
         ref = vf.square_reference(n, 1)
         assert vf.min_loads(ref) == n
-        sched = vf.schedule_tracking(ref, SPEC, n_loads=n)
+        sched = vf.schedule_tracking(ref, n_loads=n)
         assert np.array_equal(sched.aggregate_units(), ref)
         with pytest.raises(vf.InfeasibleError):
-            vf.schedule_tracking(vf.square_reference(n + 1, 1), SPEC, n_loads=n)
+            vf.schedule_tracking(vf.square_reference(n + 1, 1), n_loads=n)
 
 
 def test_square_wave_slow_timescale_needs_more_loads():
@@ -161,7 +156,7 @@ def test_staircase_triangle_fleet_cost_grows_quadratically():
         tri = vf.staircase_triangle(peak)
         assert vf.pair_counts(tri).max() == peak**2
         assert vf.min_loads(tri) == 2 * peak**2
-    sched = vf.schedule_tracking(vf.staircase_triangle(3), SPEC)
+    sched = vf.schedule_tracking(vf.staircase_triangle(3))
     vf.validate_schedule(sched)
     assert np.array_equal(sched.aggregate_units(), vf.staircase_triangle(3))
     assert sched.loads_used == 18

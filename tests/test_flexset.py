@@ -81,10 +81,10 @@ def test_envelope_half_width_constant_weather(hot_day):
 
 def test_envelope_contains_baseline(hot_day):
     env = vf.envelope(hot_day)
-    base = hot_day.baseline().power
-    assert env.contains(base)
-    bumped = vf.Trajectory(base.dt, base.values + 0.2, unit="kW")
-    assert not env.contains(bumped)
+    base = hot_day.baseline().power.values
+    assert np.all((env.p_lo <= base) & (base <= env.p_hi))
+    bumped = base + 0.2
+    assert not np.all((env.p_lo <= bumped) & (bumped <= env.p_hi))
 
 
 def test_envelope_empty_when_band_unholdable():

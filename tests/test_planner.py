@@ -127,6 +127,30 @@ def test_every_norm_refuses_an_infeasible_window_alike(norm):
     assert str(plan_err.value) == str(band_err.value) == str(caps_err.value)
 
 
+def _far_reference(scn, scale):
+    """The step plan --step-kw makes, with a spike below zero every 7th sample,
+    both scale times REF_REACH p_rated outside [0, p_rated]."""
+    p_rated = scn.params.p_rated
+    reach = scale * vf.planner.REF_REACH * p_rated
+    r = scn.baseline().power.values.copy()
+    r[r.size // 2 :] = p_rated + reach
+    r[::7] = -reach
+    return _ref(scn, r)
+
+
+@pytest.mark.parametrize("window", [None, 60])
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_every_norm_plans_a_reference_just_inside_the_reach(hot_day_2h, norm, window):
+    # pyproject turns every warning into an error, so an overflow fails here
+    ref = _far_reference(hot_day_2h, 0.999)
+    if window is None:
+        res = vf.plan(hot_day_2h, ref, norm=norm)
+    else:
+        res = vf.receding_horizon(hot_day_2h, ref, window, norm=norm)
+    assert math.isfinite(res.tracking_error)
+    assert np.all((res.p.values >= 0.0) & (res.p.values <= hot_day_2h.params.p_rated))
+
+
 def test_only_the_one_norm_plan_computes_the_band(monkeypatch):
     # the forward pass alone decides feasibility; only the one-norm ride
     # reads the band, so only it pays for the backward pass

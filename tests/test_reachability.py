@@ -135,13 +135,15 @@ def assert_profiles_match(scn: vf.Scenario) -> None:
     assert np.max(np.abs(p_ch.values - lp_ch)) <= TOL
     assert np.max(np.abs(p_dis.values - lp_dis)) <= TOL
     base = scn.baseline().power.values
-    e_ch, e_dis = vf.energy_capacities(scn)
+    caps = vf.characterize(scn)
+    e_ch, e_dis = caps.charge_energy_kwh, caps.discharge_energy_kwh
     assert e_ch == pytest.approx(float((lp_ch - base).sum()) * scn.dt, abs=TOL)
     assert e_dis == pytest.approx(float((base - lp_dis).sum()) * scn.dt, abs=TOL)
 
 
 def assert_rates_match(scn: vf.Scenario) -> None:
-    up, dn = vf.rate_capacities(scn)
+    caps = vf.characterize(scn)
+    up, dn = caps.charge_rate_kw, caps.discharge_rate_kw
     lp_up, lp_dn = lp_rate_sweep(scn)
     assert up == pytest.approx(lp_up, abs=TOL)
     assert dn == pytest.approx(lp_dn, abs=TOL)
@@ -301,7 +303,7 @@ def test_saturated_baseline_rides_rated_power():
     assert_profiles_match(scn)
     p_ch, _ = vf.extremal_profiles(scn)
     assert np.all(p_ch.values == scn.params.p_rated)
-    assert vf.rate_capacities(scn)[0] == 0.0
+    assert vf.characterize(scn).charge_rate_kw == 0.0
 
 
 @pytest.mark.parametrize("how", ["hot weather", "unreachable pinch"])
@@ -318,7 +320,7 @@ def test_infeasible_window_raises_in_kernel_and_lp(how):
             dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
             theta_sp=24.0, theta0=24.0,
         )
-    for fn in (vf.feasible_band, vf.rate_capacities, vf.energy_capacities):
+    for fn in (vf.feasible_band, vf.characterize):
         with pytest.raises(vf.InfeasibleError):
             fn(scn)
     with pytest.raises(vf.InfeasibleError):

@@ -79,22 +79,22 @@ def test_planner_references_no_linalg():
 PUBLIC_NAMES = [
     "BaselineResult", "BoxQP", "ConservativenessPoint", "ContractVerdict",
     "CounterexampleResult", "DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "DeferrableSpec",
-    "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope", "InfeasibleError", "InputError",
-    "LinearProgram", "MoistAirState", "NORMS", "PlanResult", "PowerRangeError",
-    "PulseLoadSpec", "QoSBounds", "Scenario", "ShapeError", "SolveReport", "SolverError",
+    "DisturbanceSeries", "EnsembleSchedule", "FlexEnvelope", "InfeasibleError",
+    "InputError", "LinearProgram", "MoistAirState", "NORMS", "PlanResult",
+    "PowerRangeError", "QoSBounds", "Scenario", "ShapeError", "SolveReport", "SolverError",
     "ThermalParams", "Trajectory", "Verdict", "VesflexError", "VirtualBatteryCaps",
     "amplitude_at_timescale", "bangbang_energy_oracle", "baseline_energy",
     "baseline_trajectory", "battery", "characterize", "coil_thermal_power",
     "conservativeness_curve", "counterexample_check", "decay_factor", "deferrable",
-    "dry_model_demand_error", "electric_demand", "energy_capacities", "energy_state",
-    "ensemble", "envelope", "equilibrium_power", "errors", "extremal_profiles",
-    "feasible_band", "flexset", "front_loaded_profile", "humidity", "is_member",
-    "latent_fraction", "latent_sensible_split", "max_sine_amplitude", "min_loads", "mix_air",
-    "pair_counts", "plan", "planner", "qos", "rate_capacities", "receding_horizon",
-    "sample_interior_trajectories", "satisfies", "schedule_tracking", "simulate",
-    "solve_box_qp", "solve_lp", "solver", "spec_feasible", "specific_enthalpy",
-    "square_reference", "staircase_triangle", "steady_sine_amplitude", "tf_magnitude",
-    "thermal", "tracking_error", "trajectory_satisfies", "validate_schedule",
+    "dry_model_demand_error", "electric_demand", "ensemble", "envelope",
+    "equilibrium_power", "errors", "extremal_profiles", "feasible_band", "flexset",
+    "front_loaded_profile", "humidity", "is_member", "latent_fraction",
+    "latent_sensible_split", "max_sine_amplitude", "min_loads", "mix_air", "pair_counts",
+    "plan", "planner", "qos", "receding_horizon", "sample_interior_trajectories",
+    "satisfies", "schedule_tracking", "simulate", "solve_box_qp", "solve_lp", "solver",
+    "spec_feasible", "specific_enthalpy", "square_reference", "staircase_triangle",
+    "steady_sine_amplitude", "tf_magnitude", "thermal", "tracking_error",
+    "trajectory_satisfies", "validate_schedule",
 ]
 
 
@@ -114,6 +114,64 @@ def test_each_public_name_is_its_defining_modules_attribute():
         assert obj is getattr(owner, name)
         if isinstance(obj, (type, types.FunctionType)):
             assert obj.__module__ == owner.__name__
+
+
+# public names no module of the package reads, each with why it stays
+UNREAD_EXEMPT = {
+    "solve_lp": "the dense simplex, an oracle: criterion 8d",
+    "solve_box_qp": "the dense box QP, an oracle: criterion 8d",
+    "bangbang_energy_oracle": "the closed-form energy cap: criterion 7",
+    "steady_sine_amplitude": "the simulated sine amplitude: criterion 3",
+    "amplitude_at_timescale": "the square-wave amplitude a fleet sustains: criterion 6b",
+    "extremal_profiles": "the argmax profiles the dense-LP tests compare",
+}
+
+
+def _defines(node: ast.stmt, name: str) -> bool:
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_public_name_is_read_in_the_package_or_exempt_with_a_reason():
+    """Each public name, and each public method or property of a public class,
+    is read by a Name or Attribute node of some module outside its own
+    definition; a docstring or an _EXPORTS string does not count.  Attributes
+    match by name alone, so a member is read wherever any object's attribute
+    of that name is: BoxQP.n_vars would pass on solve_lp's lp.n_vars, which
+    reads LinearProgram.n_vars.
+    """
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    reads = [  # (module, line, name) of every load of a name or an attribute
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    defined = []  # (qualified name, module, defining node)
+    for name in PUBLIC_NAMES:
+        if name in vesflex._EXPORTS:
+            continue
+        module = vesflex._OWNER[name]
+        node = next(n for n in trees[module].body if _defines(n, name))
+        defined.append((name, module, node))
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{name}.{m.name}", module, m)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+    unread = [
+        qualified
+        for qualified, module, node in defined
+        if not any(
+            read == qualified.rsplit(".", 1)[-1]
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, line, read in reads
+        )
+    ]
+    assert sorted(unread) == sorted(UNREAD_EXEMPT)
 
 
 def test_the_config_schema_fills_exactly_the_required_fields():

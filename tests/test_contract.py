@@ -363,6 +363,14 @@ SHAPE_CHECKS = {
     ),
     "min_loads(2-D)": (lambda: vf.min_loads([[1, -1]]), "non-empty 1-D"),
     "min_loads(empty)": (lambda: vf.min_loads([]), "non-empty 1-D"),
+    "Trajectory(2-D)": (lambda: vf.Trajectory(DT, [[1.0, 2.0]]), "values must be a non-empty 1-D"),
+    "Trajectory(empty)": (lambda: vf.Trajectory(DT, []), "values must be a non-empty 1-D"),
+    "EnsembleSchedule(1-D)": (
+        lambda: vf.EnsembleSchedule(np.array([1, -1], dtype=np.int8)), "actions must be a 2-D",
+    ),
+    "DisturbanceSeries.slice": (
+        lambda: _SCN.dist.slice(_SCN.n_steps - 1, 2), rf"exceeds {_SCN.n_steps} samples",
+    ),
 }
 
 
@@ -398,6 +406,8 @@ def _grid_sites(n, dt):
         "plan": lambda: vf.plan(scn, p, norm="one"),
         "receding_horizon": lambda: vf.receding_horizon(scn, p, 10, norm="one"),
         "audit": lambda: vf.flexset.audit(p, scn),
+        "is_member": lambda: vf.is_member(p, scn),
+        "require_member": lambda: vf.flexset.require_member(p, scn, 1e-9, "demand"),
     }
 
 

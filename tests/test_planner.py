@@ -141,14 +141,27 @@ def _far_reference(scn, scale):
 @pytest.mark.parametrize("window", [None, 60])
 @pytest.mark.parametrize("norm", vf.NORMS)
 def test_every_norm_plans_a_reference_just_inside_the_reach(hot_day_2h, norm, window):
+    _plan_just_inside_the_reach(hot_day_2h, norm, window)
+
+
+@pytest.mark.parametrize("window", [None, 60])
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_every_norm_plans_a_paper_day_reference_just_inside_the_reach(norm, window):
+    # the CLI's own preset, 600 one-minute steps, as plan --config paper runs it
+    from vesflex import cli
+
+    _plan_just_inside_the_reach(cli.scenario_from_config(cli.load_config("paper")), norm, window)
+
+
+def _plan_just_inside_the_reach(scn, norm, window):
     # pyproject turns every warning into an error, so an overflow fails here
-    ref = _far_reference(hot_day_2h, 0.999)
+    ref = _far_reference(scn, 0.999)
     if window is None:
-        res = vf.plan(hot_day_2h, ref, norm=norm)
+        res = vf.plan(scn, ref, norm=norm)
     else:
-        res = vf.receding_horizon(hot_day_2h, ref, window, norm=norm)
+        res = vf.receding_horizon(scn, ref, window, norm=norm)
     assert math.isfinite(res.tracking_error)
-    assert np.all((res.p.values >= 0.0) & (res.p.values <= hot_day_2h.params.p_rated))
+    assert np.all((res.p.values >= 0.0) & (res.p.values <= scn.params.p_rated))
 
 
 def test_only_the_one_norm_plan_computes_the_band(monkeypatch):

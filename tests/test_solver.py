@@ -49,6 +49,28 @@ def test_lp_unbounded():
     assert rep.x is None
 
 
+def test_lp_unbounded_along_a_ray_its_rows_do_not_block():
+    # min -x - y with x - y <= 1: the row holds all along the ray (1, 1),
+    # so phase 2 finds no blocking row and no finite bound on the entering column
+    rep = vf.solve_lp(_lp([-1.0, -1.0], [0, 0], [np.inf, np.inf], [[1.0, -1.0]], [1.0]))
+    assert rep.status == "unbounded"
+    assert rep.x is None
+    assert rep.objective is None
+
+
+def test_lp_fixed_variable_pivots_out_the_artificial_phase_one_leaves_basic():
+    # x = 0.25 is fixed and parked on its value, so its equality row starts
+    # met and phase 1 ends at once with that row's artificial basic at zero;
+    # x must replace it before phase 2, which then raises y to the <= row
+    rep = vf.solve_lp(_lp([1.0, -1.0], [0.25, 0.0], [0.25, 2.0], [[1.0, 1.0]], [1.0],
+                          a_eq=[[1.0, 0.0]], b_eq=[0.25]))
+    assert rep.status == "optimal"
+    assert rep.x == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert rep.objective == pytest.approx(-0.5, abs=1e-12)
+    assert rep.dual_bound == pytest.approx(rep.objective, abs=1e-12)
+    assert rep.max_residual == pytest.approx(0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("c", [[1.0, -2.0], [1.0, 2.0]], ids=["optimal", "unbounded"])
 def test_lp_only_redundant_rows_reports_like_no_rows(c):
     # 0.x = 0 leaves phase 1 with nothing to pivot on, so the row is dropped

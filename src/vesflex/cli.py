@@ -349,7 +349,7 @@ def _ensemble_reference(args) -> np.ndarray:
                 raise InputError(f"{args.ref}: slots must count 0, 1, 2, ...")
             return units
         try:
-            return np.array([int(tok) for tok in args.ref.split(",")], dtype=np.int64)
+            return np.array([int(tok) for tok in args.ref.split(",")])
         except ValueError:
             raise InputError(
                 f"--ref must be comma-separated integers or a CSV path, got {args.ref!r}"

@@ -29,31 +29,19 @@ from .thermal import (
     grid_steps,
 )
 
-KINDS = ("battery", "bucket", "bakery")
-
 ENERGY_ATOL_KWH = 1e-6
 
 
 @dataclass(frozen=True)
 class DeferrableSpec:
-    """(tau, E, T, P) contract.
-
-    kind is a behavioral label: "battery" and "bucket" loads may idle and
-    resume freely inside the window, a "bakery" run must be one contiguous
-    block once started (an oven batch cannot pause).  A bucket takes
-    whatever energy arrives inside the window, so trajectory_satisfies
-    grades it by power and window alone.
-    """
+    """(tau, E, T, P) contract: the load may idle and resume freely inside the window."""
 
     arrival_h: float
     energy_kwh: float
     window_h: float
     p_max: float
-    kind: str = "battery"
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InputError(f"kind must be one of {KINDS}, got {self.kind!r}")
         require_nonnegative("arrival_h", self.arrival_h)
         require_nonnegative("energy_kwh", self.energy_kwh)
         require_positive("window_h", self.window_h)
@@ -65,11 +53,7 @@ class DeferrableSpec:
 
 
 def spec_feasible(spec: DeferrableSpec) -> bool:
-    """Whether E can be delivered inside the window: E <= P * T, for every kind.
-
-    A contiguous bakery run of length E/P fits exactly when E <= P * T, the
-    same bound; a bucket's E is held to it too, though its verdict ignores E.
-    """
+    """Whether E can be delivered inside the window: E <= P * T."""
     return spec.energy_kwh <= spec.p_max * spec.window_h + ENERGY_ATOL_KWH
 
 
@@ -91,25 +75,23 @@ def _overlap_hours(k: np.ndarray, dt: float, lo: float, hi: float) -> np.ndarray
     return np.maximum(right - left, 0.0)
 
 
-def trajectory_satisfies(
-    spec: DeferrableSpec, p: Trajectory, atol: float = ENERGY_ATOL_KWH
-) -> ContractVerdict:
+def trajectory_satisfies(spec: DeferrableSpec, p: Trajectory) -> ContractVerdict:
     """Check a piecewise-constant demand profile against the contract.
 
     Samples straddling the arrival or deadline are charged for exactly the
     energy they deliver inside/outside the window, so tau and tau + T need
-    not sit on the sampling grid.
+    not sit on the sampling grid.  Power and energy are graded to within
+    ENERGY_ATOL_KWH.
     """
-    require_nonnegative("atol", atol)
-    pv = p.values
+    pv, tol = p.values, ENERGY_ATOL_KWH
     horizon = len(p) * p.dt
     if spec.deadline_h > horizon + TIME_GRID_TOL_H:
         raise InputError(
             f"profile covers {horizon:.6g} h but the window closes at "
             f"{spec.deadline_h:.6g} h"
         )
-    if np.any(pv < -atol) or np.any(pv > spec.p_max + atol):
-        bad = int(np.argmax((pv < -atol) | (pv > spec.p_max + atol)))
+    if np.any(pv < -tol) or np.any(pv > spec.p_max + tol):
+        bad = int(np.argmax((pv < -tol) | (pv > spec.p_max + tol)))
         return ContractVerdict(
             False, f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {spec.p_max}] kW"
         )
@@ -117,25 +99,20 @@ def trajectory_satisfies(
     e_before = float(pv @ _overlap_hours(k, p.dt, 0.0, spec.arrival_h))
     e_inside = float(pv @ _overlap_hours(k, p.dt, spec.arrival_h, spec.deadline_h))
     e_after = float(pv @ _overlap_hours(k, p.dt, spec.deadline_h, horizon))
-    if e_before > atol:
+    if e_before > tol:
         return ContractVerdict(
             False, f"{e_before:.6g} kWh consumed before arrival at {spec.arrival_h} h"
         )
-    if e_after > atol:
+    if e_after > tol:
         return ContractVerdict(
             False, f"{e_after:.6g} kWh consumed after deadline at {spec.deadline_h} h"
         )
-    # a bucket takes whatever energy shows up; every other kind owes exactly E
-    if spec.kind != "bucket" and abs(e_inside - spec.energy_kwh) > atol:
+    if abs(e_inside - spec.energy_kwh) > tol:
         return ContractVerdict(
             False,
             f"delivered {e_inside:.6g} kWh inside the window, "
             f"contract requires {spec.energy_kwh:.6g}",
         )
-    if spec.kind == "bakery":
-        on = np.flatnonzero(pv * p.dt > atol)
-        if on.size > 1 and np.any(np.diff(on) != 1):
-            return ContractVerdict(False, "bakery run is not contiguous")
     return ContractVerdict(True, "contract fulfilled")
 
 

@@ -39,15 +39,39 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, ShapeError, _freeze, require_count
 
+# Most slots a reference, and most load-slot cells a schedule, may span: 80 MB per
+# int64 slot array, 10 MB of int8 actions.  Past it the count that asked is refused
+# before any array is made.
+MAX_CELLS = 10_000_000
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_TOO_WIDE = ("reference leaves int64: every sample and every slot's pair count "
+             f"|S_(t-1)| + |S_t| must lie within +-{_INT64_MAX}")
+
 
 def _as_units(ref_units) -> np.ndarray:
+    """The reference in whole units as exact int64; InputError if it is not one."""
     r = np.asarray(ref_units)
     if r.ndim != 1 or r.size == 0:
         raise ShapeError("reference must be a non-empty 1-D sequence")
-    ri = np.asarray(np.rint(r), dtype=np.int64)
+    # whole numbers stay exact: rounding through float64 would move them past 2**53;
+    # numpy holds those past int64 as uint64 or Python objects
+    if r.dtype.kind == "O" or (r.dtype.kind in "iu" and r.max() > _INT64_MAX):
+        raise InputError(_TOO_WIDE)
+    if r.dtype.kind in "iu":
+        return r.astype(np.int64)
+    ri = np.rint(r)
     if not np.allclose(r, ri, rtol=0.0, atol=1e-9):
         raise InputError("reference must be integer multiples of the unit pulse")
-    return ri
+    if not np.all(np.abs(ri) < 2.0**63):
+        raise InputError(_TOO_WIDE)
+    return ri.astype(np.int64)
+
+
+def _check_cells(name: str, value: int, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise InputError(f"{name} = {value} needs {cells} slots or schedule cells, "
+                         f"more than {MAX_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +134,14 @@ def pair_counts(ref_units) -> np.ndarray:
     it is the net pair count of every schedule that tracks the reference,
     not the pair list of any particular schedule.
     """
-    return np.cumsum(_as_units(ref_units))
+    r = _as_units(ref_units)
+    s = np.cumsum(r)
+    need = np.abs(s)  # int64's least value has no absolute value and stays negative
+    # a prefix sum past int64 wraps round to the sign neither of its addends has
+    wrapped = np.any((np.append(0, s[:-1]) ^ s) & (r ^ s) < 0)
+    if wrapped or np.any(need < 0) or np.any(need[:-1] > _INT64_MAX - need[1:]):
+        raise InputError(_TOO_WIDE)
+    return s
 
 
 def min_loads(ref_units) -> int:
@@ -154,6 +185,7 @@ def schedule_tracking(ref_units, n_loads: int | None = None) -> EnsembleSchedule
     require_count("n_loads", n_loads)
     if n_loads < need:
         raise InfeasibleError(f"reference needs {need} loads, fleet has only {n_loads}")
+    _check_cells("n_loads", n_loads, n_loads * s.size)
     actions = np.zeros((n_loads, s.size), dtype=np.int8)
     busy = np.empty(0, dtype=np.int64)
     for t in range(s.size - 1):
@@ -180,7 +212,8 @@ def square_reference(amplitude_units: int, tau_slots: int) -> np.ndarray:
     """One period of the +A/-A square wave used by the trade-off analysis."""
     require_count("amplitude_units", amplitude_units)
     require_count("tau_slots", tau_slots, 1)
-    return np.repeat(np.array([amplitude_units, -amplitude_units], dtype=np.int64), tau_slots)
+    _check_cells("tau_slots", tau_slots, 2 * tau_slots)
+    return np.repeat(_as_units([amplitude_units, -amplitude_units]), tau_slots)
 
 
 def staircase_triangle(peak_units: int) -> np.ndarray:
@@ -192,6 +225,7 @@ def staircase_triangle(peak_units: int) -> np.ndarray:
     looks mild and the cost is quadratic anyway.
     """
     require_count("peak_units", peak_units, 1)
+    _check_cells("peak_units", peak_units, 4 * peak_units + 1)
     p = peak_units
     return np.concatenate(
         [

@@ -551,6 +551,16 @@ MALFORMED_INPUTS = {
         "--power", _put(d / "power.csv", "t_hours,ref_kw\n" + _OFF_GRID_ROWS),
     ],
     "ensemble-ref-not-integers": lambda d: ["ensemble", "--ref", "1,a"],
+    # these ended in an OverflowError or numpy's _ArrayMemoryError traceback
+    "ensemble-ref-past-int64": lambda d: [
+        "ensemble", "--ref", f"{10**19},{-10**19}",
+    ],
+    "ensemble-square-past-int64": lambda d: ["ensemble", "--square", f"{10**21},2"],
+    "ensemble-fleet-past-the-cap": lambda d: [
+        "ensemble", "--triangle", "1", "--n-loads", str(10**15),
+    ],
+    "ensemble-triangle-past-the-cap": lambda d: ["ensemble", "--triangle", str(10**15)],
+    "ensemble-square-past-the-cap": lambda d: ["ensemble", "--square", f"1,{10**15}"],
     "plan-ref-far-outside": lambda d: [
         "plan", "--config", _put(d / "s.toml", _SHORT), "--step-kw", "1e24",
     ],
@@ -680,7 +690,7 @@ MALFORMED_OPTIONS = {
     # removed: ensemble.csv and stdout are in whole units and slots
     "ensemble-unit-kw": (["ensemble", "--triangle", "3", "--unit-kw", "2"], "--unit-kw"),
     "ensemble-slot-h": (["ensemble", "--triangle", "3", "--slot-h", "2"], "--slot-h"),
-    # removed: the greedy profile deferrable serves meets every kind alike
+    # removed: a deferrable contract has no kind
     "deferrable-kind": (["deferrable", "--window", "4", "--kind", "bucket"], "--kind"),
 }
 

@@ -23,7 +23,6 @@ _THETA = vf.Trajectory(DT, np.full(4, 24.0))
 _ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
 _WIDE = dataclasses.replace(_SCN, bounds=vf.QoSBounds(-25.0, 25.0), theta_sp=0.0, theta0=0.0)
 _ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
-_ONE_SAMPLE = vf.Trajectory(1.0, [0.01])
 # min x0 + x1 with x0 + x1 >= 1, and min (x0 - 1)^2 + x1^2 with x0 + x1 <= 1
 _LP = vf.LinearProgram(np.ones(2), np.zeros(2), np.ones(2), a_ub=-np.ones((1, 2)), b_ub=[-1.0])
 _QP = vf.BoxQP(np.full(2, 2.0), np.array([-2.0, 0.0]), np.zeros(2), np.ones(2),
@@ -94,9 +93,6 @@ NUMBER_CHECKS = {
     "decay_factor": ("dt", True, lambda v: vf.decay_factor(_PAR, v)),
     "solve_lp": ("tol", True, lambda v: vf.solve_lp(_LP, v)),
     "solve_box_qp": ("tol", True, lambda v: vf.solve_box_qp(_QP, v)),
-    "trajectory_satisfies": (
-        "atol", False, lambda v: vf.trajectory_satisfies(_ONE_SAMPLE_JOB, _ONE_SAMPLE, atol=v)
-    ),
     "tracking_error": ("dt", True, lambda v: vf.tracking_error(np.ones(2), np.zeros(2), v, "one")),
     "baseline_trajectory": ("theta_sp", None, lambda v: vf.baseline_trajectory(_PAR, _SCN.dist, v)),
 }

@@ -19,23 +19,20 @@ def test_spec_validation():
     with pytest.raises(vf.InputError):
         vf.DeferrableSpec(arrival_h=0.0, energy_kwh=1.0, window_h=0.0, p_max=1.0)
     with pytest.raises(vf.InputError):
-        vf.DeferrableSpec(arrival_h=0.0, energy_kwh=1.0, window_h=1.0, p_max=1.0, kind="oven")
-    with pytest.raises(vf.InputError):
         vf.DeferrableSpec(arrival_h=0.0, energy_kwh=None, window_h=1.0, p_max=1.0)
 
 
-def test_spec_feasible_by_kind():
+def test_spec_feasible():
     assert vf.spec_feasible(vf.DeferrableSpec(0.0, 5.0, 10.0, 1.0))
     assert not vf.spec_feasible(vf.DeferrableSpec(0.0, 12.0, 10.0, 1.0))
-    assert vf.spec_feasible(vf.DeferrableSpec(0.0, 5.0, 10.0, 1.0, kind="bakery"))
     assert vf.spec_feasible(vf.DeferrableSpec(0.0, 10.0, 10.0, 1.0))  # exact fit
 
 
-def test_constant_profile_satisfies_battery_and_bakery():
-    for kind in ("battery", "bakery"):
-        spec = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0, kind=kind)
-        p = _traj([0.5] * 8)
-        assert vf.trajectory_satisfies(spec, p).ok
+def test_idle_and_resume_inside_the_window_satisfies():
+    spec = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0)
+    assert vf.trajectory_satisfies(spec, _traj([0.5] * 8)).ok
+    # 2 kWh in two separate runs: the load may pause inside the window
+    assert vf.trajectory_satisfies(spec, _traj([1.0, 1.0, 0, 1.0, 1.0, 0, 0, 0])).ok
 
 
 def test_front_loaded_profile_grid_aligned():
@@ -99,40 +96,8 @@ def test_window_longer_than_profile_raises():
         vf.trajectory_satisfies(spec, _traj([1.0, 1.0]))
 
 
-def test_bakery_contiguity():
-    spec = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0, kind="bakery")
-    split = _traj([1.0, 1.0, 0, 1.0, 1.0, 0, 0, 0])  # 2 kWh in two runs
-    battery_view = vf.DeferrableSpec(0.0, 2.0, 4.0, 1.0)
-    assert vf.trajectory_satisfies(battery_view, split).ok
-    v = vf.trajectory_satisfies(spec, split)
-    assert not v.ok and "contiguous" in v.reason
-    assert vf.trajectory_satisfies(spec, _traj([0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0])).ok
-
-
-def test_bakery_implies_battery_property():
-    rng = np.random.default_rng(9)
-    spec_bak = vf.DeferrableSpec(0.5, 1.5, 3.0, 1.0, kind="bakery")
-    spec_bat = vf.DeferrableSpec(0.5, 1.5, 3.0, 1.0)
-    for _ in range(50):
-        start = int(rng.integers(1, 4))
-        run = np.zeros(10)
-        run[start : start + 3] = 0.5
-        p = _traj(run)
-        if vf.trajectory_satisfies(spec_bak, p).ok:
-            assert vf.trajectory_satisfies(spec_bat, p).ok
-
-
-def test_bucket_accepts_any_in_window_energy():
-    bucket = vf.DeferrableSpec(0.0, 3.0, 4.0, 1.0, kind="bucket")
-    assert vf.trajectory_satisfies(bucket, _traj([0.2, 0, 0.7, 0, 0, 0, 0, 0])).ok
-    hot = vf.trajectory_satisfies(bucket, _traj([1.4, 0, 0, 0, 0, 0, 0, 0]))
-    assert not hot.ok  # power cap still applies
-
-
-def test_front_loaded_profile_gets_one_verdict_from_every_kind():
-    # the greedy profile is one contiguous run delivering E inside the
-    # window, so the kind cannot change the contract verdict: this is why
-    # the CLI takes no kind
+def test_every_front_loaded_profile_fulfils_its_contract():
+    # the path deferrable takes before it prints "contract: ok"
     rng = np.random.default_rng(24)
     placed = 0
     for _ in range(300):
@@ -140,17 +105,15 @@ def test_front_loaded_profile_gets_one_verdict_from_every_kind():
         arrival, window, p_max = rng.uniform(0, 3), rng.uniform(0.05, 6), rng.uniform(0.1, 5)
         energy = float(rng.choice([0.0, rng.uniform(0, 1) * p_max * window]))
         n = int(np.ceil((arrival + window) / dt)) + int(rng.integers(0, 5))
-        verdicts = set()
-        for kind in vf.deferrable.KINDS:
-            spec = vf.DeferrableSpec(arrival, energy, window, p_max, kind=kind)
-            try:
-                p = vf.front_loaded_profile(spec, dt, n)
-            except vf.InputError:
-                continue
-            verdicts.add(vf.trajectory_satisfies(spec, p).ok)
-        assert len(verdicts) <= 1
-        placed += len(verdicts)
-    assert placed > 200
+        spec = vf.DeferrableSpec(arrival, energy, window, p_max)
+        try:
+            p = vf.front_loaded_profile(spec, dt, n)
+        except vf.InputError:
+            continue
+        verdict = vf.trajectory_satisfies(spec, p)
+        assert verdict.ok, (spec, dt, n, verdict.reason)
+        placed += 1
+    assert placed >= 200
 
 
 def test_baseline_energy_hot_day(params):

@@ -63,6 +63,53 @@ def test_min_loads_requires_integers_and_zero_sum():
         vf.schedule_tracking([1, 1, -1])
 
 
+_PAST_INT64 = {
+    # 9e18 came back for 1.9e19 loads, and 2**62 for 2**64
+    "pair-count": lambda: vf.square_reference(10**18, 10),
+    "prefix-sum": lambda: [2**62, 2**62, -2**62, -2**62],
+    "float-sample": lambda: [1e19, -1e19],
+    "int-sample": lambda: [10**19, -10**19],
+    "amplitude": lambda: vf.square_reference(10**21, 2),
+}
+
+
+@pytest.mark.parametrize("case", _PAST_INT64)
+def test_a_reference_past_int64_is_refused_by_name(case):
+    with pytest.raises(vf.InputError, match="^reference leaves int64: "):
+        vf.min_loads(_PAST_INT64[case]())
+
+
+def test_whole_units_stay_exact_up_to_int64():
+    # rounding through float64 once took 2**62 + 1 to 2**62
+    assert vf.min_loads([2**62 + 1, -(2**62 + 1)]) == 2**62 + 1
+    top = np.iinfo(np.int64).max
+    assert vf.min_loads([top, -top]) == top
+    assert vf.min_loads(np.zeros(3, dtype=np.uint8)) == 0
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_loads", lambda: vf.schedule_tracking(vf.staircase_triangle(1), n_loads=10**15)),
+    ("peak_units", lambda: vf.staircase_triangle(10**15)),
+    ("tau_slots", lambda: vf.square_reference(1, 10**15)),
+])
+def test_a_table_past_the_cell_cap_is_refused_before_it_is_made(name, call):
+    # numpy used to try, and fail with _ArrayMemoryError, to allocate petabytes
+    with pytest.raises(vf.InputError, match=f"^{name} = {10**15} needs .* more than "
+                                            f"{vf.ensemble.MAX_CELLS}$"):
+        call()
+
+
+def test_the_cell_cap_admits_a_table_at_the_cap(monkeypatch):
+    monkeypatch.setattr(vf.ensemble, "MAX_CELLS", 12)
+    assert vf.square_reference(1, 6).size == 12
+    assert vf.staircase_triangle(2).size == 9  # 4 * peak + 1 slots
+    assert vf.schedule_tracking([1, -1], n_loads=6).actions.size == 12
+    for past in (lambda: vf.square_reference(1, 7), lambda: vf.staircase_triangle(3),
+                 lambda: vf.schedule_tracking([1, -1], n_loads=7)):
+        with pytest.raises(vf.InputError, match="more than 12$"):
+            past()
+
+
 def test_min_loads_matches_bruteforce_on_small_refs():
     rng = np.random.default_rng(17)
     checked = 0

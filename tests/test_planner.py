@@ -533,6 +533,37 @@ def test_two_norm_converges_where_one_shared_step_length_cycled():
     assert got.iterations < 20
 
 
+@pytest.mark.parametrize("eps", [1e-16, 1e-18, 0.0])
+def test_two_norm_returns_its_best_iterate_once_the_gap_is_rounding(monkeypatch, eps):
+    # a stop float64 cannot meet: the interior point used to keep stepping until
+    # a step length overflowed, and then gave up after 100 iterations
+    from vesflex import cli, planner
+
+    scn = cli.scenario_from_config(cli.load_config("paper"))
+    ref = _ref(scn, scn.baseline().power.values + 0.2)
+    want = vf.plan(scn, ref, norm="two")
+    monkeypatch.setattr(planner, "_IPM_EPS", eps)
+    got = vf.plan(scn, ref, norm="two")  # pyproject makes a numpy overflow fail here
+    assert np.max(np.abs(got.p.values - want.p.values)) <= 1e-9
+    assert got.bound <= got.tracking_error <= got.bound + 1e-9
+    assert got.iterations < planner._IPM_MAX_ITER
+
+
+def test_two_norm_returns_its_best_iterate_where_rounding_lifts_the_gap(monkeypatch):
+    # spikes 1000 p_rated out: in one window the gap fell to 1.8 times its stop,
+    # then rounding lifted it while s.z fell on, and the window ended in SolverError
+    from vesflex import cli, planner
+
+    monkeypatch.setattr(planner, "REF_REACH", 1e4)
+    scn = cli.scenario_from_config(cli.load_config("paper"))
+    p_rated = scn.params.p_rated
+    r = scn.baseline().power.values.copy()
+    r[300:] = 1001.0 * p_rated
+    r[::7] = -1000.0 * p_rated
+    rolled = vf.receding_horizon(scn, _ref(scn, r), 60, norm="two")
+    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+
+
 def _floor_step_case():
     # the floor steps from 23.5 to 23.7 C at sample 41; the one-norm ride
     # left a window's theta0 3.6e-15 C short of what that window can hold

@@ -25,13 +25,13 @@ _EXPORTS = {
                  "validate_schedule"),
     "errors": ("InfeasibleError", "InputError", "PowerRangeError", "ShapeError", "SolverError",
                "VesflexError"),
-    "flexset": ("ConservativenessPoint", "FlexEnvelope", "Scenario", "conservativeness_curve",
-                "envelope", "feasible_band", "is_member", "sample_interior_trajectories"),
+    "flexset": ("ConservativenessPoint", "FlexEnvelope", "QoSBounds", "Scenario", "Verdict",
+                "conservativeness_curve", "envelope", "feasible_band", "is_member",
+                "sample_interior_trajectories"),
     "humidity": ("DESIGN_RETURN_AIR", "DESIGN_SUPPLY_AIR", "MoistAirState", "coil_thermal_power",
                  "dry_model_demand_error", "electric_demand", "latent_fraction",
                  "latent_sensible_split", "mix_air", "specific_enthalpy"),
     "planner": ("NORMS", "PlanResult", "plan", "receding_horizon", "tracking_error"),
-    "qos": ("QoSBounds", "Verdict", "satisfies"),
     "solver": ("BoxQP", "LinearProgram", "SolveReport", "solve_box_qp", "solve_lp"),
     "thermal": ("BaselineResult", "DisturbanceSeries", "ThermalParams", "Trajectory",
                 "baseline_trajectory", "decay_factor", "equilibrium_power",

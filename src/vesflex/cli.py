@@ -35,8 +35,7 @@ from .errors import InfeasibleError, InputError, VesflexError, require_nonnegati
 if TYPE_CHECKING:
     import numpy as np
 
-    from .flexset import Scenario
-    from .qos import Verdict
+    from .flexset import Scenario, Verdict
     from .thermal import Trajectory
 
 # The config schema: every key a config may hold, by section, and the field
@@ -79,8 +78,7 @@ def load_config(name_or_path: str) -> dict:
 
 
 def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> Scenario:
-    from .flexset import Scenario
-    from .qos import QoSBounds
+    from .flexset import QoSBounds, Scenario
     from .thermal import DisturbanceSeries, ThermalParams, grid_steps
 
     if loose := [key for key, table in cfg.items() if not isinstance(table, dict)]:
@@ -152,7 +150,7 @@ def _verdict_line(label: str, v: Verdict) -> str:
     if v.ok:
         return f"{label}: ok"
     return (
-        f"{label}: violated channel={v.channel} index={v.first_violation_index} "
+        f"{label}: violated channel=theta index={v.first_violation_index} "
         f"value={v.value:.6g} limit={v.limit:.6g}"
     )
 
@@ -175,7 +173,7 @@ def cmd_simulate(args) -> int:
         p = Trajectory(scn.dt, np.full(scn.n_steps, args.power_const), unit="kW")
     else:
         p = base.power
-    theta, verdict = flexset.audit(p, scn, atol=args.atol)
+    theta, verdict = flexset.audit(p, scn)
     _write(
         args, "simulate.csv",
         ["t_hours", "p_kw", "theta_C"],
@@ -347,6 +345,9 @@ def _ensemble_reference(args) -> np.ndarray:
             slots, units = read_csv(args.ref, ["slot", "units"]).T
             if not np.array_equal(slots, np.arange(slots.size)):
                 raise InputError(f"{args.ref}: slots must count 0, 1, 2, ...")
+            if (past := np.abs(units) >= 2**53).any():  # float cells skip integers past 2**53
+                raise InputError(f"{args.ref}: row of slot {np.argmax(past)}: a units cell of "
+                                 "magnitude 2**53 or more does not hold whole units exactly")
             return units
         try:
             return np.array([int(tok) for tok in args.ref.split(",")])
@@ -470,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     demand = p.add_mutually_exclusive_group()
     demand.add_argument("--power", help="demand CSV t_hours,ref_kw")
     demand.add_argument("--power-const", type=finite, help="constant demand, kW")
-    p.add_argument("--atol", type=finite, default=1e-9, help="comfort audit tolerance")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("envelope", help="quasi-steady feasible power band")

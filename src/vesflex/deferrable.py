@@ -22,8 +22,7 @@ import numpy as np
 from .errors import (
     InfeasibleError, InputError, require_count, require_nonnegative, require_positive,
 )
-from .flexset import Scenario, is_member
-from .qos import Verdict
+from .flexset import Scenario, Verdict, is_member
 from .thermal import (
     TIME_GRID_TOL_H, DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory,
     grid_steps,

@@ -1,11 +1,12 @@
-"""Demand flexibility sets and their conservative power envelope.
+"""Demand flexibility sets, their comfort contract and conservative power envelope.
 
 The true flexibility set of a load is every demand trajectory that keeps
-QoS intact over the horizon; membership is decided by simulating the zone
-and checking bounds.  feasible_band gives, in O(n), the per-sample band of
-temperatures some member passes through: a forward reachable-interval pass
-and a backward viable-interval pass, exact because the state is scalar and
-monotone.  A simpler object is the quasi-steady power envelope
+the zone inside its comfort band (QoSBounds) over the horizon; audit decides
+membership by simulating the zone and judging it against the band, and its
+Verdict names the first violation.  feasible_band gives, in O(n), the
+per-sample band of temperatures some member passes through: a forward
+reachable-interval pass and a backward viable-interval pass, exact because
+the state is scalar and monotone.  A simpler object is the quasi-steady power envelope
 [p_lo(t), p_hi(t)]: p_hi holds the zone at the lower temperature bound in
 steady state, p_lo at the upper bound.  Any trajectory that stays inside
 the envelope (starting inside the comfort band) is feasible, because at a
@@ -29,8 +30,8 @@ from .errors import (
     InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, _freeze,
     require_count, require_finite, require_nonnegative, require_positive,
 )
-from .qos import QoSBounds, Verdict, satisfies
 from .thermal import (
+    MAX_GRID_STEPS,
     DisturbanceSeries,
     ThermalParams,
     Trajectory,
@@ -44,6 +45,55 @@ from .thermal import (
 
 # the farthest, in degrees C, theta0 may miss the start a plan can hold
 _SNAP_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class QoSBounds:
+    """Closed-interval comfort bounds, with optional per-sample overrides.
+
+    theta_min/theta_max are finite scalars (degC); theta_min_t/theta_max_t,
+    when given, tighten them sample-by-sample, every sample inside
+    [theta_min, theta_max], lower below upper at each sample and both of one
+    length, checked here; a Scenario of N steps checks that length is N+1.
+    """
+
+    theta_min: float
+    theta_max: float
+    theta_min_t: np.ndarray | None = None
+    theta_max_t: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        require_finite("theta_min", self.theta_min)
+        require_finite("theta_max", self.theta_max)
+        if not self.theta_min < self.theta_max:
+            raise InputError(f"theta_min {self.theta_min} must be below "
+                             f"theta_max {self.theta_max}")
+        for name in ("theta_min_t", "theta_max_t"):
+            if getattr(self, name) is not None:
+                held = _freeze(self, name, getattr(self, name))
+                if np.any(held < self.theta_min) or np.any(held > self.theta_max):
+                    raise InputError(f"{name} must lie within [theta_min, theta_max] = "
+                                     f"[{self.theta_min}, {self.theta_max}]")
+        lo = self.theta_min if self.theta_min_t is None else self.theta_min_t
+        hi = self.theta_max if self.theta_max_t is None else self.theta_max_t
+        if np.ndim(lo) == np.ndim(hi) == 1 and lo.size != hi.size:
+            raise ShapeError(f"theta_min_t has {lo.size} samples but theta_max_t has {hi.size}")
+        if np.any(lo >= hi):
+            raise InputError("per-sample bounds must satisfy lower < upper")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a comfort audit: ok, or the earliest sample outside the
+    band with its value and the limit it crossed."""
+
+    ok: bool
+    first_violation_index: int | None = None
+    value: float | None = None
+    limit: float | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclass(frozen=True)
@@ -99,7 +149,13 @@ class Scenario:
             raise InputError(f"theta_a[{k}] = {ta[k]:.6g} C and q_d[{k}] = {qd[k]:.6g} kW "
                              "overflow the one-step forcing")
         _freeze(self, "_forcing", forcing)
-        for name, limit in zip(("_lo", "_hi"), self.bounds.theta_limits(self.n_steps + 1)):
+        b, n = self.bounds, self.n_steps + 1
+        lo = np.full(n, b.theta_min) if b.theta_min_t is None else b.theta_min_t
+        hi = np.full(n, b.theta_max) if b.theta_max_t is None else b.theta_max_t
+        if lo.size != n or hi.size != n:
+            raise ShapeError(f"per-sample temperature bounds sized {lo.size}/{hi.size} "
+                             f"do not match {n} signal samples")
+        for name, limit in (("_lo", lo), ("_hi", hi)):
             _freeze(self, name, limit)
 
     @property
@@ -270,11 +326,11 @@ class FlexEnvelope:
 def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory, Verdict]:
     """Simulate p under the scenario and judge the comfort contract.
 
-    Returns the re-simulated temperature (N+1 samples) and its verdict.
-    Demand outside the physical range [0, p_rated] is not a QoS question;
-    it raises PowerRangeError instead of returning a verdict.  atol is the
-    slack granted to optimizer output on both the power range and the
-    comfort bounds; a negative or non-finite atol is an InputError.
+    Returns the re-simulated temperature (N+1 samples) and its verdict on
+    scn.theta_limits(), closed intervals.  Demand outside the physical range
+    [0, p_rated] is not a comfort question; it raises PowerRangeError.  atol
+    widens both the power range and the comfort bounds for optimizer output
+    (plans pass 1e-6); a negative or non-finite atol is an InputError.
     """
     require_nonnegative("atol", atol)
     _check_grid("demand", p, scn.n_steps, scn.dt)
@@ -285,7 +341,14 @@ def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory,
             f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW"
         )
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    return theta, satisfies(theta, scn.bounds, atol=atol)
+    th = theta.values
+    lo, hi = scn.theta_limits()
+    bad = (th < lo - atol) | (th > hi + atol)
+    if not bad.any():
+        return theta, Verdict(ok=True)
+    i = int(np.argmax(bad))
+    lim = lo[i] if th[i] < lo[i] else hi[i]
+    return theta, Verdict(False, first_violation_index=i, value=float(th[i]), limit=float(lim))
 
 
 def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:
@@ -397,9 +460,13 @@ def sample_interior_trajectories(
     Every draw is a member of the true flexibility set whenever theta0 is
     inside the comfort band, which makes this the workhorse of the property
     tests.  An envelope that is empty somewhere has no interior to draw
-    from; that is an InputError, not an infeasibility verdict.
+    from; that is an InputError, not an infeasibility verdict.  So are more
+    than MAX_GRID_STEPS samples over all draws, refused before any is drawn.
     """
     require_count("n_draws", n_draws)
+    if n_draws * len(env) > MAX_GRID_STEPS:
+        raise InputError(f"n_draws {n_draws} of {len(env)} samples each is more than "
+                         f"{MAX_GRID_STEPS} samples")
     if env.empty_mask.any():
         raise InputError("envelope is empty at some samples; nothing to draw")
     out = []

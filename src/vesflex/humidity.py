@@ -12,11 +12,14 @@ Enthalpy of moist air per kg of dry air, kJ/kg:
 
 with T in degC and W the humidity ratio in kg water per kg dry air.  The
 constants are deliberately the round engineering values (1.0, 2256, 4.184)
-rather than a high-order psychrometric fit.
+rather than a high-order psychrometric fit.  An enthalpy, coil power or
+electric demand that overflows is an InputError naming w, m_dot_kg_s or
+eta_chiller, the input whose size made it overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError, require_finite, require_nonnegative, require_positive
@@ -46,9 +49,16 @@ DESIGN_RETURN_AIR = MoistAirState(23.89, 0.009)
 DESIGN_SUPPLY_AIR = MoistAirState(12.78, 0.004)
 
 
+def _finite_result(value: float, name: str, held, what: str) -> float:
+    if not math.isfinite(value):
+        raise InputError(f"{name} {held:.6g} overflows the {what}")
+    return value
+
+
 def specific_enthalpy(state: MoistAirState) -> float:
     """kJ per kg dry air, zero reference at 0 degC dry air."""
-    return state.t_c * CP_DRY + state.w * (H_FG + CP_WATER * state.t_c)
+    h = state.t_c * CP_DRY + state.w * (H_FG + CP_WATER * state.t_c)
+    return _finite_result(h, "w", state.w, "specific enthalpy")
 
 
 def mix_air(
@@ -77,7 +87,8 @@ def coil_thermal_power(
 ) -> float:
     """Heat removed by the coil, kW, for a dry-air mass flow in kg/s."""
     require_nonnegative("m_dot_kg_s", m_dot_kg_s)
-    return m_dot_kg_s * (specific_enthalpy(state_in) - specific_enthalpy(state_out))
+    coil = m_dot_kg_s * (specific_enthalpy(state_in) - specific_enthalpy(state_out))
+    return _finite_result(coil, "m_dot_kg_s", m_dot_kg_s, "coil thermal power")
 
 
 def electric_demand(
@@ -88,7 +99,8 @@ def electric_demand(
 ) -> float:
     """Chiller electric input, kW: coil thermal power over the chiller COP."""
     require_positive("eta_chiller", eta_chiller)
-    return coil_thermal_power(m_dot_kg_s, state_in, state_out) / eta_chiller
+    demand = coil_thermal_power(m_dot_kg_s, state_in, state_out) / eta_chiller
+    return _finite_result(demand, "eta_chiller", eta_chiller, "electric demand")
 
 
 def latent_fraction(latent: float, sensible: float) -> float | None:

@@ -72,7 +72,6 @@ def test_criterion_2_sine_passes_hold_fails():
     )
     assert sine_ok
     assert not hold_v.ok
-    assert hold_v.channel == "theta"
     assert abs(t_viol - 1.51) <= 0.02
     assert hold_v.first_violation_index == 91
     assert elapsed < 1.0

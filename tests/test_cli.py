@@ -115,6 +115,17 @@ def test_simulate_reports_first_violation(tmp_path, short_config, capsys):
     assert line in capsys.readouterr().out
 
 
+def test_a_huge_slack_no_longer_switches_the_audit_off(tmp_path, capsys):
+    # --atol 1e300 once passed 100 kW on the paper unit's 2.27 kW as "qos: ok"
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", "paper", "--power-const", "100", "--out-dir", out]
+    assert _run(*argv, "--atol", "1e300") == 2
+    assert "unrecognized arguments: --atol 1e300" in capsys.readouterr().err
+    assert _run(*argv) == 2
+    assert capsys.readouterr() == ("", "error: p[0] = 100 kW outside [0, 2.2729431632276107] kW\n")
+    assert not out.exists()
+
+
 def test_simulate_paper_simulates_once(tmp_path, monkeypatch):
     # the CSV's temperature and the comfort verdict share one re-simulation;
     # count it in every vesflex namespace that imports simulate.  The cli
@@ -311,6 +322,28 @@ def test_humidity_with_outdoor_mixing(tmp_path):
     assert float(rows["t_in_C"]) == pytest.approx(26.323, rel=1e-12)
 
 
+# humidity inputs whose result overflowed: each run wrote coil_kw,inf or
+# electric_kw,inf and exited 0, or was refused under the internal name latent
+OVERFLOWING_HUMIDITY = {
+    "m-dot": (["--m-dot", "1e308"], "m_dot_kg_s 1e+308 overflows the coil thermal power"),
+    "m-dot-and-cop": (
+        ["--m-dot", "1e308", "--eta-chiller", "1e-308"],
+        "m_dot_kg_s 1e+308 overflows the coil thermal power",
+    ),
+    "cop": (["--eta-chiller", "1e-308"], "eta_chiller 1e-308 overflows the electric demand"),
+    "w-in": (["--w-in", "1e306"], "w 1e+306 overflows the specific enthalpy"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_HUMIDITY)
+def test_an_overflowing_humidity_result_is_refused_by_its_input(tmp_path, case, capsys):
+    argv, says = OVERFLOWING_HUMIDITY[case]
+    out = tmp_path / "h"
+    assert _run("humidity", *argv, "--out-dir", out) == 2
+    assert capsys.readouterr() == ("", f"error: {says}\n")
+    assert not out.exists()
+
+
 def test_deferrable_sized_from_baseline(tmp_path, short_config, capsys):
     rc = _run(
         "deferrable", "--config", short_config, "--arrival", "0", "--window", "0.5",
@@ -372,6 +405,19 @@ def test_ensemble_reference_from_csv(tmp_path, capsys):
     rc = _run("ensemble", "--ref", str(ref), "--out-dir", str(tmp_path / "e"))
     assert rc == 0
     assert "min loads: 1" in capsys.readouterr().out
+
+
+def test_a_units_cell_from_2_53_up_is_refused_by_file_and_row(tmp_path, capsys):
+    # a float cell of 9007199254740993 reads as ...992, which min loads once printed
+    ref = _put(tmp_path / "ref.csv", "slot,units\n0,1\n1,9007199254740993\n2,-9007199254740994\n")
+    assert _run("ensemble", "--ref", ref, "--out-dir", tmp_path / "e") == 2
+    says = f"error: {ref}: row of slot 1: a units cell of magnitude 2**53 or more does not hold"
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(says) and len(err.splitlines()) == 1
+    # below 2**53 a cell holds its whole units; the fleet cap then refuses the table
+    _put(ref, "slot,units\n0,9007199254740991\n1,-9007199254740991\n")
+    assert _run("ensemble", "--ref", ref, "--out-dir", tmp_path / "e") == 2
+    assert "min loads: 9007199254740991\n" in capsys.readouterr().out
 
 
 def test_capacity_csv_schema(tmp_path, short_config):
@@ -638,7 +684,7 @@ def test_a_gain_whose_square_overflows_is_refused_by_name(tmp_path, argv, capsys
 
 
 NON_FINITE_OPTIONS = {
-    "simulate-atol-nan": ["simulate", "--power-const", "9", "--atol", "nan"],
+    "simulate-power-const-nan": ["simulate", "--power-const", "nan"],
     "deferrable-window-nan": ["deferrable", "--window", "nan"],
     "humidity-m-dot-nan": ["humidity", "--m-dot", "nan"],
     "plan-step-kw-inf": ["plan", "--step-kw", "inf"],
@@ -692,6 +738,8 @@ MALFORMED_OPTIONS = {
     "ensemble-slot-h": (["ensemble", "--triangle", "3", "--slot-h", "2"], "--slot-h"),
     # removed: a deferrable contract has no kind
     "deferrable-kind": (["deferrable", "--window", "4", "--kind", "bucket"], "--kind"),
+    # removed: simulate audits at flexset.audit's default slack
+    "simulate-atol": (["simulate", "--power-const", "1", "--atol", "1e-6"], "--atol"),
 }
 
 

@@ -19,7 +19,6 @@ _PAR = make_params()
 _SCN = hot_day_scenario(horizon_h=0.5)
 _STATE = vf.MoistAirState(24.0, 0.009)
 _SUPPLY = vf.MoistAirState(13.0, 0.004)
-_THETA = vf.Trajectory(DT, np.full(4, 24.0))
 _ZERO = vf.Trajectory(DT, np.zeros(_SCN.n_steps))
 _WIDE = dataclasses.replace(_SCN, bounds=vf.QoSBounds(-25.0, 25.0), theta_sp=0.0, theta0=0.0)
 _ONE_SAMPLE_JOB = vf.DeferrableSpec(0.0, 0.01, 1.0, 1.0)
@@ -53,7 +52,6 @@ NUMBER_CHECKS = {
     "Scenario.theta0": (
         "theta0", None, lambda v: dataclasses.replace(_WIDE, theta_sp=0.0, theta0=v)
     ),
-    "satisfies": ("atol", False, lambda v: vf.satisfies(_THETA, _SCN.bounds, atol=v)),
     "flexset.audit": ("atol", False, lambda v: vf.flexset.audit(_ZERO, _SCN, atol=v)),
     "is_member": ("atol", False, lambda v: vf.is_member(_ZERO, _SCN, atol=v)),
     "flexset.require_member": (
@@ -139,7 +137,6 @@ COUNT_CHECKS = {
     "DisturbanceSeries.slice(n_steps)": (1, lambda v: _SCN.dist.slice(0, v)),
     "Scenario.window(start)": (0, lambda v: _BANDED.window(v, 1, 24.0)),
     "Scenario.window(n_steps)": (1, lambda v: _BANDED.window(0, v, 24.0)),
-    "QoSBounds.theta_limits(n)": (1, lambda v: _SCN.bounds.theta_limits(v)),
     "receding_horizon(window_steps)": (1, lambda v: vf.receding_horizon(_SCN, _REF, v, "one")),
     "receding_horizon(apply_steps)": (
         1, lambda v: vf.receding_horizon(_SCN, _REF, 1, "one", apply_steps=v)

@@ -1,4 +1,5 @@
-"""Feasible-set membership, the conservative power envelope, and its cost."""
+"""The comfort contract, feasible-set membership, the conservative power
+envelope, and its cost."""
 
 import dataclasses
 import math
@@ -8,6 +9,66 @@ import pytest
 
 import vesflex as vf
 from conftest import DT, hot_day_scenario, make_params
+
+
+def test_per_sample_bounds_are_copied_then_frozen():
+    lo, hi = np.array([23.0, 24.5, 23.0]), np.array([25.0, 25.0, 25.0])
+    band = vf.QoSBounds(23.0, 25.0, theta_min_t=lo, theta_max_t=hi)
+    lo[1] = 23.5
+    assert band.theta_min_t[1] == 24.5
+    assert lo.flags.writeable and hi.flags.writeable
+    assert not band.theta_min_t.flags.writeable
+    assert not band.theta_max_t.flags.writeable
+
+
+def test_bounds_validation():
+    with pytest.raises(vf.InputError):
+        vf.QoSBounds(25.0, 23.0)
+
+
+def _judge(monkeypatch, params, theta, bounds=vf.QoSBounds(23.0, 25.0), **atol):
+    """audit's verdict on a two-step scenario whose re-simulation returns theta."""
+    import vesflex.flexset as flexset
+
+    dist = vf.DisturbanceSeries.constant(DT, 2, 32.0, 1.5)
+    scn = vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
+    monkeypatch.setattr(flexset, "simulate", lambda *args: vf.Trajectory(DT, theta, unit="C"))
+    return flexset.audit(vf.Trajectory(DT, np.zeros(2), unit="kW"), scn, **atol)[1]
+
+
+def test_audit_passes_theta_inside_or_on_the_band(monkeypatch, params):
+    for theta in ([24.0, 23.5, 24.5], [24.0, 23.0, 25.0]):  # closed intervals
+        v = _judge(monkeypatch, params, theta, atol=0.0)
+        assert v.ok
+        assert bool(v)
+        assert v.first_violation_index is None
+
+
+def test_audit_reports_the_earliest_violation(monkeypatch, params):
+    v = _judge(monkeypatch, params, [24.0, 22.5, 22.0])
+    assert not v
+    assert v.first_violation_index == 1
+    assert v.value == 22.5
+    assert v.limit == 23.0
+    v = _judge(monkeypatch, params, [24.0, 24.0, 25.5])
+    assert (v.first_violation_index, v.value, v.limit) == (2, 25.5, 25.0)
+
+
+def test_audit_slack_is_atol_and_never_negative(monkeypatch, params):
+    nudge = [24.0, 23.0 - 1e-10, 24.0]
+    assert not _judge(monkeypatch, params, nudge, atol=0.0).ok
+    assert _judge(monkeypatch, params, nudge).ok  # the 1e-9 default
+    with pytest.raises(vf.InputError, match="^atol must be finite and non-negative"):
+        _judge(monkeypatch, params, nudge, atol=-1.0)
+
+
+def test_audit_judges_per_sample_limits(monkeypatch, params):
+    band = vf.QoSBounds(23.0, 25.0, theta_min_t=np.array([23.0, 24.5, 23.0]),
+                        theta_max_t=np.array([25.0, 25.0, 25.0]))
+    v = _judge(monkeypatch, params, [24.0, 24.0, 24.0], band)
+    assert not v.ok
+    assert v.first_violation_index == 1
+    assert v.limit == 24.5
 
 
 def test_scenario_validation(params, bounds):
@@ -54,10 +115,10 @@ def test_scenario_window(hot_day_2h):
     timed = dataclasses.replace(
         hot_day_2h, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
     )
-    lo, hi = timed.window(10, 20, 23.5).bounds.theta_limits(21)
+    lo, hi = timed.window(10, 20, 23.5).theta_limits()
     assert np.array_equal(lo, lo_t[10:31])
     assert np.array_equal(hi, hi_t[10:31])
-    lo, hi = timed.window(n - 5, 5, 24.0).bounds.theta_limits(6)
+    lo, hi = timed.window(n - 5, 5, 24.0).theta_limits()
     assert np.array_equal(lo, lo_t[-6:])
     assert np.array_equal(hi, hi_t[-6:])
     with pytest.raises(vf.ShapeError):
@@ -141,6 +202,24 @@ def test_envelope_inverts_exactly_where_no_rated_demand_holds_the_band(seed):
         vf.sample_interior_trajectories(env, 1, rng)
 
 
+def test_draws_past_the_grid_cap_are_refused_before_any_is_made(hot_day, monkeypatch):
+    # envelope --verify-samples N once built all N draws before the first audit
+    import vesflex.flexset as flexset
+
+    class NoDraws:
+        def uniform(self, size):
+            raise AssertionError("a draw was made")
+
+    env = vf.envelope(hot_day)
+    says = f"^n_draws {10**15} of {len(env)} samples each is more than {vf.thermal.MAX_GRID_STEPS}"
+    with pytest.raises(vf.InputError, match=says):
+        vf.sample_interior_trajectories(env, 10**15, NoDraws())
+    monkeypatch.setattr(flexset, "MAX_GRID_STEPS", 2 * len(env))
+    assert len(vf.sample_interior_trajectories(env, 2, np.random.default_rng(0))) == 2
+    with pytest.raises(vf.InputError, match="^n_draws 3 "):
+        vf.sample_interior_trajectories(env, 3, NoDraws())
+
+
 def test_is_member_accepts_baseline_and_edge_hold(hot_day):
     base = hot_day.baseline().power
     assert vf.is_member(base, hot_day).ok
@@ -154,7 +233,6 @@ def test_is_member_rejects_sustained_excess(hot_day):
     p = vf.Trajectory(hot_day.dt, env.p_hi + 0.05, unit="kW")
     v = vf.is_member(p, hot_day)
     assert not v.ok
-    assert v.channel == "theta"
     assert v.value < 23.0
 
 

@@ -90,3 +90,18 @@ def test_mix_air_convex_combination():
     with pytest.raises(vf.InputError):
         vf.mix_air(DESIGN_RETURN_AIR, outdoor, 1.2)
 
+
+
+# the input at fault -> a call whose result it overflows
+OVERFLOWS = {
+    "w": lambda: vf.specific_enthalpy(vf.MoistAirState(24.0, 1e306)),
+    "m_dot_kg_s": lambda: vf.coil_thermal_power(1e308, DESIGN_RETURN_AIR, DESIGN_SUPPLY_AIR),
+    "eta_chiller": lambda: vf.electric_demand(1.0, DESIGN_RETURN_AIR, DESIGN_SUPPLY_AIR, 1e-308),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_an_overflowing_result_is_refused_by_the_input_at_fault(name):
+    # each once returned inf, which the CLI wrote to humidity.csv
+    with pytest.raises(vf.InputError, match=f"^{name} \\S+ overflows the "):
+        OVERFLOWS[name]()

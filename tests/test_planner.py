@@ -292,8 +292,7 @@ def _late_warm_floor(horizon_h=0.5):
 
 def test_receding_horizon_per_sample_bounds():
     scn, ref = _late_warm_floor()
-    free = vf.simulate(scn.params, scn.dist, ref, scn.theta0)
-    assert not vf.satisfies(free, scn.bounds).ok
+    assert not vf.is_member(ref, scn).ok
     one_shot = vf.plan(scn, ref)
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
     assert rolled.solves == 1
@@ -312,13 +311,14 @@ def test_receding_horizon_full_window_is_plan_bit_for_bit():
         assert rolled.tracking_error == one_shot.tracking_error
 
 
-_GRAZE = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=22.9, limit=23.0)
+_GRAZE = vf.Verdict(ok=False, first_violation_index=3, value=22.9, limit=23.0)
 
 
 def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
-    monkeypatch.setattr(flexset, "satisfies", lambda theta, bounds, atol: _GRAZE)
+    real = flexset.audit
+    monkeypatch.setattr(flexset, "audit", lambda p, scn, atol: (real(p, scn, atol)[0], _GRAZE))
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     for norm in vf.NORMS:
         with pytest.raises(vf.SolverError, match="sample 3"):
@@ -329,13 +329,14 @@ def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
     n = hot_day_2h.n_steps
-    real = flexset.satisfies
+    real = flexset.audit
 
-    def full_horizon_fails(theta, bounds, atol):
+    def full_horizon_fails(p, scn, atol):
         # every window's plan passes; only the stitched check fails
-        return _GRAZE if len(theta) == n + 1 else real(theta, bounds, atol)
+        theta, verdict = real(p, scn, atol)
+        return theta, _GRAZE if len(p) == n else verdict
 
-    monkeypatch.setattr(flexset, "satisfies", full_horizon_fails)
+    monkeypatch.setattr(flexset, "audit", full_horizon_fails)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     with pytest.raises(vf.SolverError, match="sample 3"):
         vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20)
@@ -345,13 +346,13 @@ def test_every_plan_audit_allows_1e_6_degrees(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
     seen = []
-    real = flexset.satisfies
+    real = flexset.audit
 
-    def spy(theta, bounds, atol):
+    def spy(p, scn, atol):
         seen.append(atol)
-        return real(theta, bounds, atol=atol)
+        return real(p, scn, atol)
 
-    monkeypatch.setattr(flexset, "satisfies", spy)
+    monkeypatch.setattr(flexset, "audit", spy)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     for norm in vf.NORMS:
         vf.plan(hot_day_2h, ref, norm=norm)

@@ -25,7 +25,7 @@ def dynamics_lp(scn: vf.Scenario, c_p: np.ndarray) -> vf.LinearProgram:
     a = vf.decay_factor(par, scn.dt)
     gain = (1.0 - a) * par.r_thermal * par.eta_cop
     forcing = (1.0 - a) * (scn.dist.theta_a + par.r_thermal * scn.dist.q_d)
-    lo_t, hi_t = scn.bounds.theta_limits(n + 1)
+    lo_t, hi_t = scn.theta_limits()
     a_eq = np.zeros((n, 2 * n))
     b_eq = forcing.copy()
     b_eq[0] += a * scn.theta0
@@ -357,8 +357,9 @@ def test_band_edges_are_the_extremal_temperature_paths():
 def test_failed_profile_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
-    bad = vf.Verdict(ok=False, channel="theta", first_violation_index=3, value=26.0, limit=25.0)
-    monkeypatch.setattr(flexset, "satisfies", lambda sig, bounds, atol: bad)
+    bad = vf.Verdict(ok=False, first_violation_index=3, value=26.0, limit=25.0)
+    real = flexset.audit
+    monkeypatch.setattr(flexset, "audit", lambda p, scn, atol: (real(p, scn, atol)[0], bad))
     with pytest.raises(vf.SolverError):
         vf.extremal_profiles(hot_day_2h)
 

@@ -90,8 +90,8 @@ PUBLIC_NAMES = [
     "equilibrium_power", "errors", "extremal_profiles", "feasible_band", "flexset",
     "front_loaded_profile", "humidity", "is_member", "latent_fraction",
     "latent_sensible_split", "max_sine_amplitude", "min_loads", "mix_air", "pair_counts",
-    "plan", "planner", "qos", "receding_horizon", "sample_interior_trajectories",
-    "satisfies", "schedule_tracking", "simulate", "solve_box_qp", "solve_lp", "solver",
+    "plan", "planner", "receding_horizon", "sample_interior_trajectories",
+    "schedule_tracking", "simulate", "solve_box_qp", "solve_lp", "solver",
     "spec_feasible", "specific_enthalpy", "square_reference", "staircase_triangle",
     "steady_sine_amplitude", "tf_magnitude", "thermal", "tracking_error",
     "trajectory_satisfies", "validate_schedule",
@@ -177,7 +177,7 @@ def test_every_public_name_is_read_in_the_package_or_exempt_with_a_reason():
 def test_the_config_schema_fills_exactly_the_required_fields():
     # a config key that no constructor field takes, as the humidity and
     # lockout keys once were, is read only to be refused
-    from vesflex.qos import QoSBounds
+    from vesflex.flexset import QoSBounds
     from vesflex.thermal import ThermalParams
 
     def fields(cls, required_only):

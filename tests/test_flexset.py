@@ -71,6 +71,30 @@ def test_audit_judges_per_sample_limits(monkeypatch, params):
     assert v.limit == 24.5
 
 
+def test_audit_reports_a_per_sample_upper_limit(monkeypatch, params):
+    band = vf.QoSBounds(23.0, 25.0, theta_min_t=np.array([23.0, 23.0, 23.0]),
+                        theta_max_t=np.array([25.0, 25.0, 24.0]))
+    v = _judge(monkeypatch, params, [24.0, 24.5, 24.5], band)
+    assert (v.ok, v.first_violation_index, v.value, v.limit) == (False, 2, 24.5, 24.0)
+
+
+def test_the_comfort_contract_is_defined_in_flexset_alone():
+    import importlib
+
+    import vesflex.flexset as flexset
+
+    assert vf.QoSBounds is flexset.QoSBounds and vf.Verdict is flexset.Verdict
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("vesflex.qos")
+    for gone in ("qos", "satisfies"):
+        assert gone not in vf.__all__
+        with pytest.raises(AttributeError):
+            getattr(vf, gone)
+    assert not hasattr(vf.QoSBounds, "theta_limits")
+    fields = [f.name for f in dataclasses.fields(vf.Verdict)]
+    assert fields == ["ok", "first_violation_index", "value", "limit"]
+
+
 def test_scenario_validation(params, bounds):
     dist = vf.DisturbanceSeries.constant(DT, 10, 32.0, 1.5)
     with pytest.raises(vf.InputError):
@@ -97,6 +121,18 @@ def test_per_sample_bounds_are_checked_when_the_scenario_is_built(params):
     with pytest.raises(vf.InputError, match="lower < upper"):
         build(np.full(n + 1, 23.0), crossed)
     assert build(np.full(n + 1, 23.0), np.full(n + 1, 25.0)).n_steps == n
+
+
+@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
+def test_a_scenario_refuses_one_per_sample_side_of_the_wrong_length(params, name):
+    # the side not given is filled from the scalar band at the N+1 samples
+    n = 30
+    dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
+    side = np.full(n, 23.0 if name == "theta_min_t" else 25.0)
+    sizes = f"{n}/{n + 1}" if name == "theta_min_t" else f"{n + 1}/{n}"
+    bounds = vf.QoSBounds(23.0, 25.0, **{name: side})
+    with pytest.raises(vf.ShapeError, match=f"sized {sizes} do not match {n + 1} signal"):
+        vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
 
 
 def test_scenario_window(hot_day_2h):

@@ -49,8 +49,8 @@ def _profiles(
     out = []
     for edge, name in ((lo, "charge"), (hi, "discharge")):
         p = scn.step_demand(edge[:-1], edge[1:])
-        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
-        require_member(traj, scn, 1e-9, f"{name} profile")
+        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated))
+        require_member(traj, scn, f"{name} profile")
         out.append(traj)
     return out[0], out[1]
 

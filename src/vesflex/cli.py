@@ -140,7 +140,7 @@ def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     if t.size != n_steps:
         raise InputError(f"{path}: {t.size} rows but the scenario has {n_steps} steps")
     _check_stamps(path, t, dt)
-    return Trajectory(dt, ref, unit="kW")
+    return Trajectory(dt, ref)
 
 
 # ----------------------------------------------------------- subcommands --
@@ -170,7 +170,7 @@ def cmd_simulate(args) -> int:
     if args.power is not None:
         p = read_reference_csv(args.power, scn.dt, scn.n_steps)
     elif args.power_const is not None:
-        p = Trajectory(scn.dt, np.full(scn.n_steps, args.power_const), unit="kW")
+        p = Trajectory(scn.dt, np.full(scn.n_steps, args.power_const))
     else:
         p = base.power
     theta, verdict = flexset.audit(p, scn)
@@ -214,7 +214,7 @@ def cmd_freq(args) -> int:
     from . import flexset
 
     scn = _scenario(args)
-    omegas = (args.omega or []) + [2.0 * np.pi * f for f in args.omega_cycles or []]
+    omegas = (args.omega or []) + (args.omega_cycles or [])
     if omegas:
         omegas = np.array(sorted(omegas))
     else:
@@ -254,7 +254,7 @@ def cmd_plan(args) -> int:
         step = np.zeros(scn.n_steps)
         k0 = round(min(args.step_at / scn.dt, scn.n_steps))
         step[k0:] = args.step_kw
-        ref = Trajectory(scn.dt, base + step, unit="kW")
+        ref = Trajectory(scn.dt, base + step)
     if args.window is not None:
         result = planner.receding_horizon(scn, ref, args.window, norm=args.norm)
     else:
@@ -427,6 +427,13 @@ def finite(text: str) -> float:
     return val
 
 
+def cycles(text: str) -> float:
+    """cycles/h option type, in rad/h: negative or overflowing is a usage error."""
+    if not 0.0 <= (val := 2.0 * math.pi * float(text)) <= sys.float_info.max:
+        raise ValueError(text)
+    return val
+
+
 def count(text: str) -> int:
     """Integer option type: a negative value is a usage error ("invalid count value")."""
     val = int(text)
@@ -488,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rad/h sample (repeatable; default log sweep)",
     )
     p.add_argument(
-        "--omega-cycles", action="append", type=finite, default=None,
+        "--omega-cycles", action="append", type=cycles, default=None,
         help="cycles/h sample (repeatable), converted to rad/h",
     )
     p.set_defaults(func=cmd_freq)

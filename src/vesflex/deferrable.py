@@ -151,7 +151,7 @@ def front_loaded_profile(
     vals[start : start + full] = spec.p_max
     if rem > ENERGY_ATOL_KWH:
         vals[start + full] = rem / dt
-    return Trajectory(dt, vals, unit="kW")
+    return Trajectory(dt, vals)
 
 
 def baseline_energy(

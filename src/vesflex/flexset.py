@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleError, InputError, PowerRangeError, ShapeError, SolverError, _freeze,
-    require_count, require_finite, require_nonnegative, require_positive,
+    require_count, require_finite, require_positive,
 )
 from .thermal import (
     MAX_GRID_STEPS,
@@ -43,8 +43,12 @@ from .thermal import (
     simulate,
 )
 
-# the farthest, in degrees C, theta0 may miss the start a plan can hold
-_SNAP_TOL = 1e-9
+# the one rounding slack, degC or kW, of every comparison with a comfort or power bound
+_SLACK = 1e-9
+
+# Most steps the recursion may remember, min(n_steps, 1 / (1 - a)): simulate and
+# dynamics() round apart with it, on the paper zone by under 2e-11 C to 1e5, 3.2e-9 C at 1e7.
+MAX_MEMORY_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,10 @@ class Scenario:
     """One load, one disturbance record, one temperature comfort contract.
 
     A step so short that its decay rounds to 1, so that demand moves
-    nothing, raises InputError, as do a gain whose square overflows or
-    underflows, a rated demand that moves theta less than 1e-6 C per step
-    (demand read back from theta divides its rounding by the gain) and a
-    disturbance whose forcing overflows.
+    nothing, raises InputError, as do a memory of more than MAX_MEMORY_STEPS
+    steps, a gain whose square overflows or underflows, a rated demand that
+    moves theta less than 1e-6 C per step (demand read back from theta
+    divides its rounding by the gain) and a disturbance whose forcing overflows.
     Per-sample temperature bounds cover the N+1 temperature samples
     theta_0..theta_N; their length is checked once, here.  The scenario
     holds that one limit grid and the one-step coefficients, read-only,
@@ -130,6 +134,9 @@ class Scenario:
         if a == 1.0:
             raise InputError(f"dt {self.dt} h rounds one step's decay to 1 against "
                              f"the RC time constant {par.time_constant_h} h")
+        if (memory := min(self.n_steps, 1.0 / (1.0 - a))) > MAX_MEMORY_STEPS:
+            raise InputError(f"dt {self.dt} h over {self.n_steps} steps makes the recursion "
+                             f"remember {memory:.6g} steps, more than {MAX_MEMORY_STEPS}")
         gain = (1.0 - a) * par.r_thermal * par.eta_cop
         if not math.isfinite(gain * gain):  # the two-norm plan weighs by 1 / gain**2
             raise InputError(f"eta_cop {par.eta_cop} makes one step's gain {gain:.6g} C/kW, "
@@ -255,7 +262,7 @@ def _viable(scn: Scenario, lo: list, hi: list, p_lo: np.ndarray, p_hi: np.ndarra
 
 def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
     """The one answer to "can scn hold its comfort band?": scn and its rated forward
-    pass (lo, hi), or, when that pass fails by rounding (theta0 within _SNAP_TOL
+    pass (lo, hi), or, when that pass fails by rounding (theta0 within _SLACK
     of the viable start), scn from the nearest start 0, 1, 4, ... ulps clear of
     the viable edges that the pass holds, and that start's pass; InfeasibleError
     at the sample where scn's own pass empties when none holds."""
@@ -266,7 +273,7 @@ def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
     v_lo, v_hi = (float(v[0]) for v in _viable(scn, *limits, *box))
     for pad in [0.0] + [math.ulp(v_lo) * 4**i for i in range(8)]:
         start = min(max(scn.theta0, v_lo + pad), v_hi - pad)
-        if abs(start - scn.theta0) > _SNAP_TOL:
+        if abs(start - scn.theta0) > _SLACK:
             break
         lo, hi, miss = _forward_reach(moved := replace(scn, theta0=start), *box)
         if miss < 0:
@@ -323,27 +330,23 @@ class FlexEnvelope:
         return np.arange(len(self)) * self.dt
 
 
-def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory, Verdict]:
+def audit(p: Trajectory, scn: Scenario) -> tuple[Trajectory, Verdict]:
     """Simulate p under the scenario and judge the comfort contract.
 
     Returns the re-simulated temperature (N+1 samples) and its verdict on
-    scn.theta_limits(), closed intervals.  Demand outside the physical range
-    [0, p_rated] is not a comfort question; it raises PowerRangeError.  atol
-    widens both the power range and the comfort bounds for optimizer output
-    (plans pass 1e-6); a negative or non-finite atol is an InputError.
+    scn.theta_limits(), closed intervals, widened like the power range
+    [0, p_rated] by the one rounding slack _SLACK = 1e-9 (degC, kW) that
+    judges every answer, plans included.  Demand outside that range is not
+    a comfort question; it raises PowerRangeError.
     """
-    require_nonnegative("atol", atol)
     _check_grid("demand", p, scn.n_steps, scn.dt)
     pv = p.values
-    if np.any(pv < -atol) or np.any(pv > scn.params.p_rated + atol):
-        bad = int(np.argmax((pv < -atol) | (pv > scn.params.p_rated + atol)))
-        raise PowerRangeError(
-            f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW"
-        )
+    if (out := (pv < -_SLACK) | (pv > scn.params.p_rated + _SLACK)).any():
+        bad = int(np.argmax(out))
+        raise PowerRangeError(f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW")
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
-    th = theta.values
-    lo, hi = scn.theta_limits()
-    bad = (th < lo - atol) | (th > hi + atol)
+    th, (lo, hi) = theta.values, scn.theta_limits()
+    bad = (th < lo - _SLACK) | (th > hi + _SLACK)
     if not bad.any():
         return theta, Verdict(ok=True)
     i = int(np.argmax(bad))
@@ -351,14 +354,14 @@ def audit(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> tuple[Trajectory,
     return theta, Verdict(False, first_violation_index=i, value=float(th[i]), limit=float(lim))
 
 
-def is_member(p: Trajectory, scn: Scenario, atol: float = 1e-9) -> Verdict:
+def is_member(p: Trajectory, scn: Scenario) -> Verdict:
     """The verdict half of audit: does p keep the comfort contract?"""
-    return audit(p, scn, atol)[1]
+    return audit(p, scn)[1]
 
 
-def require_member(p: Trajectory, scn: Scenario, atol: float, what: str) -> Trajectory:
+def require_member(p: Trajectory, scn: Scenario, what: str) -> Trajectory:
     """audit for optimizer output: theta, or SolverError naming the violation."""
-    theta, verdict = audit(p, scn, atol)
+    theta, verdict = audit(p, scn)
     if not verdict.ok:
         raise SolverError(
             f"{what} leaves the comfort band at sample "
@@ -473,5 +476,5 @@ def sample_interior_trajectories(
     for _ in range(n_draws):
         u = rng.uniform(size=len(env))
         vals = env.p_lo + u * (env.p_hi - env.p_lo)
-        out.append(Trajectory(env.dt, vals, unit="kW"))
+        out.append(Trajectory(env.dt, vals))
     return out

@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError, SolverError, require_count, require_positive
 from .flexset import (
-    _SNAP_TOL, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
+    _SLACK, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
 )
 from .thermal import Trajectory, _check_grid, simulate
 
@@ -88,9 +88,6 @@ NORMS = ("two", "one", "inf")
 # at 1000.  At 1e24 p_rated it does not converge, and near 1e306 kW the one- and
 # inf-norm plans overflow.
 REF_REACH = 10.0
-
-# slack, in degrees C, of the audit on every plan's re-simulated temperature
-_AUDIT_ATOL = 1e-6
 
 # a solve's demand, its iterations and its certified lower bound on the error
 _Solved = tuple[np.ndarray, int, float]
@@ -319,7 +316,7 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     Raises InfeasibleError when no demand trajectory can keep the comfort
     contract over the window, and SolverError if the two-norm solver gives
     up on a window that reachability analysis proved feasible or any
-    plan's re-simulated temperature leaves the band by more than 1e-6 C.
+    plan's re-simulated temperature leaves the band by more than 1e-9 C.
     """
     _check_norm(norm)
     _check_reference(scn, ref)
@@ -332,17 +329,15 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
     else:
         solved = _plan_inf(run, r, target, reach) if norm == "inf" else _plan_two(run, r)
     p, iterations, bound = solved
-    p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated), unit="kW")
-    theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
+    p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated))
+    theta = require_member(p, scn, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)
     if bound is not None:  # a bound above the plan's own error is rounding
         bound = min(bound, err)
     return PlanResult(norm, p, theta, err, bound, iterations, solves=1)
 
 
-# the rolling two-norm continuation: slack, in degC and kW, of its bound and
-# sign tests, and the active sets it tries before a window falls back to plan
-_ACTIVE_TOL, _TRIES = 1e-9, 4
+_TRIES = 4  # active sets a rolling two-norm window tries before it falls back to plan
 
 
 def _hold(
@@ -406,7 +401,7 @@ def _continue(
     a, gain, forcing = scn.dynamics()
     lo_t, hi_t = scn.theta_limits()
     lo, hi = lo_t.tolist(), hi_t.tolist()
-    p_rated, n, tol = scn.params.p_rated, scn.n_steps, _ACTIVE_TOL
+    p_rated, n, tol = scn.params.p_rated, scn.n_steps, _SLACK
     r = r.tolist()
     t_side, p_side = [0] * (n + 1), [0] * n
     for k, (pk, tk) in enumerate(zip(p_tail.tolist(), theta_tail[1:].tolist())):
@@ -475,8 +470,8 @@ def receding_horizon(
     when the KKT check in the module docstring certifies it as the window's
     unique optimum.  Every other window calls plan, the interior point in
     the two-norm; solves counts those calls and iterations sums theirs, and
-    bound is None.  The stitched temperature is re-simulated on the full
-    horizon and audited like a plan's.
+    bound is None.  A window's start snaps into the band only within the
+    audit's slack, and the stitched plan is re-simulated and audited.
     """
     _check_reference(scn, ref)
     require_count("window_steps", window_steps, 1)
@@ -490,23 +485,22 @@ def receding_horizon(
     for t in range(0, n, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
-        # snap a rounding graze back inside sample t's band, where the window
-        # starts, within the one start tolerance _reachable grants
+        # snap a rounding graze into sample t's band, where the window starts
         start = min(max(th, lo_t[t]), hi_t[t])
-        if abs(start - th) > _SNAP_TOL:
+        if abs(start - th) > _SLACK:
             raise SolverError(f"window plan leaves the comfort band at sample {t}: "
                               f"{th:.9g} degC against limit {start:.9g}")
         win = scn.window(t, w, start)
         r = ref.values[t : t + w]
         found = _continue(win, r, *tail) if norm == "two" and tail else None
         if found is None:
-            step_plan = plan(win, Trajectory(scn.dt, r, unit=ref.unit), norm=norm)
+            step_plan = plan(win, Trajectory(scn.dt, r), norm=norm)
             found = step_plan.p.values, step_plan.theta.values
             solves, iterations = solves + 1, iterations + step_plan.iterations
         p, theta = found
         executed[t : t + k] = p[:k]
         th, tail = float(theta[k]), (p[k:], theta[k:])
-    p = Trajectory(scn.dt, executed, unit="kW")
-    theta = require_member(p, scn, _AUDIT_ATOL, "planned temperature")
+    p = Trajectory(scn.dt, executed)
+    theta = require_member(p, scn, "planned temperature")
     err = tracking_error(p.values, ref.values, scn.dt, norm)
     return PlanResult(norm, p, theta, err, None, iterations, solves)

@@ -101,15 +101,10 @@ class ThermalParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A uniformly sampled scalar signal.
-
-    dt is the step in hours; values[k] is the sample at t = k*dt.  The unit
-    tag is caller-supplied ("kW", "degC", ...) and only used for display.
-    """
+    """A uniformly sampled scalar signal: values[k] is the sample at t = k*dt, dt in hours."""
 
     dt: float
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
@@ -255,7 +250,7 @@ def simulate(
     for k in range(len(dist)):
         th = theta_qs[k] + (th - theta_qs[k]) * a
         out[k + 1] = th
-    return Trajectory(dist.dt, out, unit="degC")
+    return Trajectory(dist.dt, out)
 
 
 def tf_magnitude(params: ThermalParams, omega: float) -> float:
@@ -316,7 +311,7 @@ def baseline_trajectory(
     require_finite("theta_sp", theta_sp)
     raw = equilibrium_power(params, dist.theta_a, theta_sp, dist.q_d)
     return BaselineResult(
-        power=Trajectory(dist.dt, np.clip(raw, 0.0, params.p_rated), unit="kW"),
+        power=Trajectory(dist.dt, np.clip(raw, 0.0, params.p_rated)),
         clamped_low=raw < 0.0,
         clamped_high=raw > params.p_rated,
     )
@@ -343,7 +338,7 @@ def steady_sine_amplitude(params: ThermalParams, amplitude_kw: float, omega: flo
     # simulate does not restrict the sign of p)
     p_dev = amplitude_kw * np.sin(omega * t)
     dist = DisturbanceSeries.constant(dt, n, 25.0, 0.0)
-    theta = simulate(params, dist, Trajectory(dt, p_dev, unit="kW"), 25.0)
+    theta = simulate(params, dist, Trajectory(dt, p_dev), 25.0)
     tail = theta.values[1 + n_settle :] - 25.0
     tail = tail - tail.mean()
     return float(math.sqrt(2.0) * np.sqrt(np.mean(tail**2)))

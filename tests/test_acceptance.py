@@ -57,10 +57,10 @@ def test_criterion_2_sine_passes_hold_fails():
     base = scn.baseline().power.values
     t = np.arange(scn.n_steps) * scn.dt
 
-    sine = vf.Trajectory(scn.dt, base + 0.3 * np.sin(2 * math.pi * t), unit="kW")
+    sine = vf.Trajectory(scn.dt, base + 0.3 * np.sin(2 * math.pi * t))
     sine_ok = vf.is_member(sine, scn).ok
 
-    hold = vf.Trajectory(scn.dt, base + 0.3, unit="kW")
+    hold = vf.Trajectory(scn.dt, base + 0.3)
     hold_v = vf.is_member(hold, scn)
     t_viol = None if hold_v.ok else hold_v.first_violation_index * scn.dt
     elapsed = time.perf_counter() - t0
@@ -276,7 +276,7 @@ def test_criterion_8b_planner_idempotence_and_lattice():
     base = scn.baseline().power.values
     ref_vals = base.copy()
     ref_vals[:30] += 0.2
-    ref = vf.Trajectory(scn.dt, ref_vals, unit="kW")
+    ref = vf.Trajectory(scn.dt, ref_vals)
 
     first = vf.plan(scn, ref, norm="two")
     second = vf.plan(scn, ref, norm="two")
@@ -294,7 +294,7 @@ def test_criterion_8b_planner_idempotence_and_lattice():
         theta0=24.0,
     )
     small_ref = small.baseline().power.values + 0.08
-    res = vf.plan(small, vf.Trajectory(0.5, small_ref, unit="kW"), norm="two")
+    res = vf.plan(small, vf.Trajectory(0.5, small_ref), norm="two")
 
     from vesflex.planner import input_to_state_map
 

@@ -83,8 +83,8 @@ def test_extremal_profiles_are_members_and_attain_capacity(hot_day_2h):
     charge, discharge = vf.extremal_profiles(hot_day_2h)
     base = hot_day_2h.baseline().power
     caps = vf.characterize(hot_day_2h)
-    assert vf.is_member(charge, hot_day_2h, atol=1e-6).ok
-    assert vf.is_member(discharge, hot_day_2h, atol=1e-6).ok
+    assert vf.is_member(charge, hot_day_2h).ok
+    assert vf.is_member(discharge, hot_day_2h).ok
     # left-Riemann integral of the deviation from baseline over the horizon
     e_c = float(np.sum(charge.values - base.values)) * charge.dt
     e_dc = float(np.sum(discharge.values - base.values)) * discharge.dt

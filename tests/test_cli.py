@@ -190,6 +190,32 @@ def test_envelope_verification_computes_envelope_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_envelope_exits_1_when_an_interior_draw_breaks_comfort(tmp_path, monkeypatch, capsys):
+    from vesflex import flexset
+
+    broken = vf.Verdict(False, first_violation_index=1, value=25.5, limit=25.0)
+    monkeypatch.setattr(flexset, "is_member", lambda p, scn: broken)
+    rc = _run("envelope", "--config", "paper", "--out-dir", tmp_path / "env",
+              "--verify-samples", "3")
+    assert rc == 1
+    assert "interior draws violating comfort: 3/3\n" in capsys.readouterr().out
+
+
+def test_a_solver_failure_is_one_failed_line_exit_1_and_no_csv(tmp_path, monkeypatch, capsys):
+    from vesflex import battery
+
+    says = "charge profile leaves the comfort band at sample 7"
+
+    def fails(scn):
+        raise vf.SolverError(says)
+
+    monkeypatch.setattr(battery, "characterize", fails)
+    out = tmp_path / "cap"
+    assert _run("capacity", "--config", "paper", "--out-dir", out) == 1
+    assert capsys.readouterr() == ("", f"failed: {says}\n")
+    assert not out.exists()
+
+
 def test_freq_omega_units_agree(tmp_path, short_config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -254,7 +280,7 @@ def test_plan_window_writes_the_receding_horizon_plan(tmp_path, short_config, ca
     assert rc == 0
     data = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1)
     scn = cli.scenario_from_config(cli.load_config(short_config))
-    result = vf.receding_horizon(scn, vf.Trajectory(scn.dt, data[:, 1], unit="kW"), 10)
+    result = vf.receding_horizon(scn, vf.Trajectory(scn.dt, data[:, 1]), 10)
     assert np.array_equal(data[:, 2], result.p.values)
     assert f"norm: two  solves: {result.solves}\n" in capsys.readouterr().out
     # the step is feasible, so most windows keep the last plan unsolved
@@ -740,6 +766,10 @@ MALFORMED_OPTIONS = {
     "deferrable-kind": (["deferrable", "--window", "4", "--kind", "bucket"], "--kind"),
     # removed: simulate audits at flexset.audit's default slack
     "simulate-atol": (["simulate", "--power-const", "1", "--atol", "1e-6"], "--atol"),
+    # 2 pi times the value overflowed, or was negative, and was refused as "omega"
+    **{f"freq-omega-cycles-{v}": (["freq", "--omega-cycles", v],
+                                  f"argument --omega-cycles: invalid cycles value: '{v}'")
+       for v in ("1e308", "-1", "nan")},
 }
 
 

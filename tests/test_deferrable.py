@@ -8,7 +8,7 @@ from conftest import DT, hot_day_scenario, make_params
 
 
 def _traj(vals, dt=0.5):
-    return vf.Trajectory(dt, np.asarray(vals, dtype=float), unit="kW")
+    return vf.Trajectory(dt, np.asarray(vals, dtype=float))
 
 
 def test_spec_validation():

@@ -13,7 +13,7 @@ from conftest import DT, box_qp_plan, discrete_ride_energy, hot_day_scenario, ma
 
 
 def _ref(scn, values):
-    return vf.Trajectory(scn.dt, values, unit="kW")
+    return vf.Trajectory(scn.dt, values)
 
 
 def test_input_to_state_map_matches_simulation(hot_day_2h):
@@ -63,7 +63,7 @@ def test_plan_two_norm_saturates_then_holds(hot_day):
     assert ptil[300] == pytest.approx(0.10554646683202273, abs=1e-4)
     assert res.theta.values[300] == pytest.approx(23.0, abs=1e-6)
     assert res.theta.values.min() > 23.0 - 1e-6
-    assert vf.is_member(res.p, hot_day, atol=1e-6).ok
+    assert vf.is_member(res.p, hot_day).ok
 
 
 def test_plan_one_norm_matches_ride_energy(hot_day_2h):
@@ -105,7 +105,7 @@ def test_plan_norm_validation(hot_day_2h):
     with pytest.raises(vf.InputError):
         vf.plan(hot_day_2h, ref, norm="three")
     with pytest.raises(vf.ShapeError):
-        vf.plan(hot_day_2h, vf.Trajectory(DT, np.zeros(7), unit="kW"))
+        vf.plan(hot_day_2h, vf.Trajectory(DT, np.zeros(7)))
 
 
 def test_plan_infeasible_window_raises():
@@ -267,7 +267,7 @@ def test_receding_horizon_one_step_matches_one_shot_on_feasible_ref(hot_day_2h):
     assert rolled.solves == 1
     assert np.max(np.abs(rolled.p.values - one_shot.p.values)) < 1e-6
     assert rolled.tracking_error == pytest.approx(0.0, abs=1e-6)
-    assert vf.is_member(rolled.p, hot_day_2h, atol=1e-6).ok
+    assert vf.is_member(rolled.p, hot_day_2h).ok
 
 
 def test_receding_horizon_validation(hot_day_2h):
@@ -296,7 +296,7 @@ def test_receding_horizon_per_sample_bounds():
     one_shot = vf.plan(scn, ref)
     rolled = vf.receding_horizon(scn, ref, window_steps=10)
     assert rolled.solves == 1
-    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert vf.is_member(rolled.p, scn).ok
     assert rolled.tracking_error >= one_shot.tracking_error - 1e-9
 
 
@@ -318,7 +318,7 @@ def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 
     real = flexset.audit
-    monkeypatch.setattr(flexset, "audit", lambda p, scn, atol: (real(p, scn, atol)[0], _GRAZE))
+    monkeypatch.setattr(flexset, "audit", lambda p, scn: (real(p, scn)[0], _GRAZE))
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     for norm in vf.NORMS:
         with pytest.raises(vf.SolverError, match="sample 3"):
@@ -331,9 +331,9 @@ def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
     n = hot_day_2h.n_steps
     real = flexset.audit
 
-    def full_horizon_fails(p, scn, atol):
+    def full_horizon_fails(p, scn):
         # every window's plan passes; only the stitched check fails
-        theta, verdict = real(p, scn, atol)
+        theta, verdict = real(p, scn)
         return theta, _GRAZE if len(p) == n else verdict
 
     monkeypatch.setattr(flexset, "audit", full_horizon_fails)
@@ -342,30 +342,42 @@ def test_failed_rolling_audit_raises(monkeypatch, hot_day_2h):
         vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20)
 
 
-def test_every_plan_audit_allows_1e_6_degrees(monkeypatch, hot_day_2h):
+@pytest.mark.parametrize("miss", [0.5, 2.0, 100.0])
+def test_every_plan_audit_judges_at_the_one_slack(monkeypatch, hot_day_2h, miss):
+    # plans were once audited at 1e-6 C, where everything else is judged at
+    # 1e-9: a plan 1e-7 C past the band passed
     import vesflex.flexset as flexset
 
-    seen = []
-    real = flexset.audit
+    real, audits = flexset.simulate, []
 
-    def spy(p, scn, atol):
-        seen.append(atol)
-        return real(p, scn, atol)
+    def past_ceiling(params, dist, p, theta0):  # theta[3] re-simulates miss slacks high
+        theta = real(params, dist, p, theta0).values.copy()
+        theta[3] = 25.0 + miss * flexset._SLACK
+        audits.append(len(p))
+        return vf.Trajectory(dist.dt, theta)
 
-    monkeypatch.setattr(flexset, "audit", spy)
+    monkeypatch.setattr(flexset, "simulate", past_ceiling)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
-    for norm in vf.NORMS:
-        vf.plan(hot_day_2h, ref, norm=norm)
-    # six windows' plans, then the stitched horizon
-    vf.receding_horizon(hot_day_2h, ref, window_steps=40, apply_steps=20, norm="one")
-    assert seen == [1e-6] * (3 + 6 + 1)
+    plans = [lambda norm=norm: vf.plan(hot_day_2h, ref, norm=norm) for norm in vf.NORMS]
+    plans.append(lambda: vf.receding_horizon(hot_day_2h, ref, 40, norm="one", apply_steps=20))
+    for make in plans:
+        if miss < 1.0:
+            make()
+        else:
+            with pytest.raises(vf.SolverError, match="planned temperature .* sample 3: "):
+                make()
+    # three plans, then six windows' plans and the stitched horizon
+    assert len(audits) == (3 + 6 + 1 if miss < 1.0 else 4)
 
 
-@pytest.mark.parametrize("miss", [1e-7, 1e-12])
+@pytest.mark.parametrize("miss", [1e-7, 1e-12, 5e-10, 2e-9])
 def test_rolling_plan_snaps_a_window_start_only_by_rounding(monkeypatch, hot_day_2h, miss):
     # each window's start was once snapped into its band by any amount, so a
-    # plan that left the band by 1e-7 C was silently moved back into it
-    from vesflex import planner
+    # plan that left the band by 1e-7 C was silently moved back into it; the
+    # start takes the audit's one slack, so half of it passes and twice fails
+    from vesflex import flexset, planner
+
+    assert 2 * 5e-10 == flexset._SLACK == 2e-9 / 2
 
     real = planner.plan
 
@@ -378,7 +390,7 @@ def test_rolling_plan_snaps_a_window_start_only_by_rounding(monkeypatch, hot_day
     monkeypatch.setattr(planner, "plan", off_band)
     ref = _ref(hot_day_2h, hot_day_2h.baseline().power.values)
     rolled = lambda: vf.receding_horizon(hot_day_2h, ref, 40, norm="one", apply_steps=20)
-    if miss > vf.flexset._SNAP_TOL:
+    if miss > flexset._SLACK:
         with pytest.raises(vf.SolverError, match="at sample 20: "):
             rolled()
     else:
@@ -395,7 +407,7 @@ def _replan_every_window(scn, ref, window_steps, norm, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
         th = min(max(th, lo_t[t]), hi_t[t])
-        sub_ref = vf.Trajectory(scn.dt, ref.values[t : t + w], unit=ref.unit)
+        sub_ref = vf.Trajectory(scn.dt, ref.values[t : t + w])
         step_plan = vf.plan(scn.window(t, w, th), sub_ref, norm=norm)
         executed[t : t + k] = step_plan.p.values[:k]
         th = float(step_plan.theta.values[k])
@@ -562,7 +574,7 @@ def test_two_norm_returns_its_best_iterate_where_rounding_lifts_the_gap(monkeypa
     r[300:] = 1001.0 * p_rated
     r[::7] = -1000.0 * p_rated
     rolled = vf.receding_horizon(scn, _ref(scn, r), 60, norm="two")
-    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert vf.is_member(rolled.p, scn).ok
 
 
 def _floor_step_case():
@@ -579,7 +591,7 @@ def _floor_step_case():
 def test_rolling_plan_starts_a_window_missed_by_rounding(norm):
     scn, ref = _floor_step_case()
     rolled = vf.receding_horizon(scn, ref, 11, norm=norm, apply_steps=1)
-    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert vf.is_member(rolled.p, scn).ok
     oracle = _replan_every_window(scn, ref, 11, norm, 1)
     assert np.max(np.abs(rolled.p.values - oracle)) <= (1e-7 if norm == "two" else 0.0)
 
@@ -628,7 +640,7 @@ def test_rolling_plan_starts_every_window_its_one_shot_plan_passes(norm):
     ref = _ref(scn, scn.baseline().power.values + 1.0)
     assert vf.plan(scn, ref, norm=norm).theta.values.min() < 23.0
     rolled = vf.receding_horizon(scn, ref, 30, norm=norm)
-    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert vf.is_member(rolled.p, scn).ok
     assert rolled.theta.values.min() < 23.0
 
 

@@ -179,7 +179,7 @@ def test_one_and_inf_norm_plans_match_epigraph_lp(seed):
     rng = np.random.default_rng(3000 + seed)
     scn = random_scenario(300 + seed, int(rng.integers(20, 61)))
     kind = ("noise", "bang-bang", "ramp")[seed % 3]
-    ref = vf.Trajectory(scn.dt, _hard_reference(scn, kind, rng), unit="kW")
+    ref = vf.Trajectory(scn.dt, _hard_reference(scn, kind, rng))
     for norm in ("one", "inf"):
         want = tracking_lp(scn, ref.values, norm)
         assert want.status == "optimal"
@@ -205,7 +205,7 @@ def box_qp_objective(scn: vf.Scenario, ref: np.ndarray) -> float:
 
 
 def assert_two_norm_matches_box_qp(scn: vf.Scenario, ref: np.ndarray) -> None:
-    traj = vf.Trajectory(scn.dt, ref, unit="kW")
+    traj = vf.Trajectory(scn.dt, ref)
     got = vf.plan(scn, traj, norm="two")
     want = box_qp_objective(scn, ref)
     assert got.tracking_error**2 == pytest.approx(want, rel=1e-7, abs=1e-12)
@@ -359,7 +359,7 @@ def test_failed_profile_audit_raises(monkeypatch, hot_day_2h):
 
     bad = vf.Verdict(ok=False, first_violation_index=3, value=26.0, limit=25.0)
     real = flexset.audit
-    monkeypatch.setattr(flexset, "audit", lambda p, scn, atol: (real(p, scn, atol)[0], bad))
+    monkeypatch.setattr(flexset, "audit", lambda p, scn: (real(p, scn)[0], bad))
     with pytest.raises(vf.SolverError):
         vf.extremal_profiles(hot_day_2h)
 
@@ -397,6 +397,6 @@ def test_one_per_sample_scenario_serves_every_analysis():
     assert caps.charge_energy_kwh > 0.0 and caps.discharge_energy_kwh > 0.0
     ref = scn.baseline().power
     for norm in vf.NORMS:
-        assert vf.is_member(vf.plan(scn, ref, norm=norm).p, scn, atol=1e-6).ok
+        assert vf.is_member(vf.plan(scn, ref, norm=norm).p, scn).ok
     rolled = vf.receding_horizon(scn, ref, window_steps=20, apply_steps=5)
-    assert vf.is_member(rolled.p, scn, atol=1e-6).ok
+    assert vf.is_member(rolled.p, scn).ok

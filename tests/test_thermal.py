@@ -46,7 +46,7 @@ def test_simulate_fixed_point(params):
     n = 600
     dist = vf.DisturbanceSeries.constant(DT, n, theta_a=32.0, q_d=1.5)
     p_eq = vf.equilibrium_power(params, 32.0, 24.0, 1.5)
-    p = vf.Trajectory(DT, np.full(n, p_eq), unit="kW")
+    p = vf.Trajectory(DT, np.full(n, p_eq))
     theta = vf.simulate(params, dist, p, theta0=24.0)
     assert len(theta) == n + 1
     assert theta.values[0] == 24.0
@@ -57,7 +57,7 @@ def test_simulate_step_response_closed_form(params):
     n = 300
     dist = vf.DisturbanceSeries.constant(DT, n, theta_a=32.0, q_d=1.5)
     p_eq = vf.equilibrium_power(params, 32.0, 24.0, 1.5)
-    p = vf.Trajectory(DT, np.full(n, p_eq + 0.3), unit="kW")
+    p = vf.Trajectory(DT, np.full(n, p_eq + 0.3))
     theta = vf.simulate(params, dist, p, theta0=24.0)
     rc = params.time_constant_h
     t = np.arange(n + 1) * DT
@@ -71,8 +71,8 @@ def test_simulate_zoh_exact_under_refinement(params):
     n = 8
     coarse = vf.DisturbanceSeries.constant(0.5, n, theta_a=30.0, q_d=1.0)
     fine = vf.DisturbanceSeries.constant(0.25, 2 * n, theta_a=30.0, q_d=1.0)
-    pc = vf.Trajectory(0.5, np.linspace(0.2, 1.1, n), unit="kW")
-    pf = vf.Trajectory(0.25, np.repeat(pc.values, 2), unit="kW")
+    pc = vf.Trajectory(0.5, np.linspace(0.2, 1.1, n))
+    pf = vf.Trajectory(0.25, np.repeat(pc.values, 2))
     tc = vf.simulate(params, coarse, pc, theta0=24.0)
     tf = vf.simulate(params, fine, pf, theta0=24.0)
     assert np.max(np.abs(tc.values - tf.values[::2])) < 1e-12
@@ -80,10 +80,10 @@ def test_simulate_zoh_exact_under_refinement(params):
 
 def test_simulate_shape_mismatch(params):
     dist = vf.DisturbanceSeries.constant(DT, 10, theta_a=30.0, q_d=1.0)
-    p = vf.Trajectory(DT, np.zeros(9), unit="kW")
+    p = vf.Trajectory(DT, np.zeros(9))
     with pytest.raises(vf.ShapeError):
         vf.simulate(params, dist, p, theta0=24.0)
-    p_wrong_dt = vf.Trajectory(0.25, np.zeros(10), unit="kW")
+    p_wrong_dt = vf.Trajectory(0.25, np.zeros(10))
     with pytest.raises(vf.ShapeError):
         vf.simulate(params, dist, p_wrong_dt, theta0=24.0)
 
@@ -161,11 +161,13 @@ def test_disturbance_series_helpers(tmp_path):
 
 def test_trajectory_validation():
     with pytest.raises(vf.InputError):
-        vf.Trajectory(0.0, np.zeros(3), unit="kW")
+        vf.Trajectory(0.0, np.zeros(3))
     with pytest.raises(vf.InputError):
-        vf.Trajectory(0.5, np.zeros((2, 2)), unit="kW")
-    tr = vf.Trajectory(0.5, np.arange(4, dtype=float), unit="kW")
+        vf.Trajectory(0.5, np.zeros((2, 2)))
+    tr = vf.Trajectory(0.5, np.arange(4, dtype=float))
     assert np.allclose(tr.times(), [0.0, 0.5, 1.0, 1.5])
+    with pytest.raises(TypeError):  # the unit tag nothing read is gone
+        vf.Trajectory(0.5, np.zeros(3), unit="kW")
 
 
 def test_grid_steps_refuses_a_horizon_past_the_cap():

@@ -465,6 +465,23 @@ def test_capacity_reruns_byte_identical(tmp_path, short_config):
     assert (out_a / "capacity.csv").read_bytes() == (out_b / "capacity.csv").read_bytes()
 
 
+@pytest.mark.parametrize("window", [None, "10"])
+@pytest.mark.parametrize("norm", ["two", "one", "inf"])
+def test_plan_reruns_byte_identical(tmp_path, short_config, capsys, norm, window):
+    # the 0.2 kW step rides the band's edge in every norm, one-shot and rolling
+    argv = ["plan", "--config", short_config, "--norm", norm, "--step-kw", "0.2",
+            "--step-at", "0.25"] + (["--window", window] if window else [])
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert _run(*argv, "--out-dir", out) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        runs.append(((out / "plan.csv").read_bytes(), printed.out.replace(str(out), "OUT")))
+    assert runs[0] == runs[1]
+    assert f"norm: {norm}  solves: " in runs[0][1]
+
+
 @pytest.mark.parametrize(
     "command", ["simulate", "capacity", "plan", "envelope", "freq", "deferrable"]
 )
@@ -769,7 +786,7 @@ MALFORMED_OPTIONS = {
     # 2 pi times the value overflowed, or was negative, and was refused as "omega"
     **{f"freq-omega-cycles-{v}": (["freq", "--omega-cycles", v],
                                   f"argument --omega-cycles: invalid cycles value: '{v}'")
-       for v in ("1e308", "-1", "nan")},
+       for v in ("1e308", "-1", "nan", "inf")},
 }
 
 

@@ -71,6 +71,17 @@ def test_audit_slack_is_the_one_slack(monkeypatch, params, hot_day):
         assert (v.first_violation_index, v.limit) == (1, edge)
 
 
+@pytest.mark.parametrize("judge", ["audit", "is_member", "require_member"])
+def test_the_retired_atol_is_a_type_error(hot_day, judge):
+    # each judge once took its own slack; a caller's atol is now refused
+    # rather than silently ignored
+    p = hot_day.baseline().power
+    args = (p, hot_day, "baseline") if judge == "require_member" else (p, hot_day)
+    with pytest.raises(TypeError, match="atol"):
+        getattr(vf.flexset, judge)(*args, atol=1e-6)
+    getattr(vf.flexset, judge)(*args)
+
+
 def test_audit_judges_per_sample_limits(monkeypatch, params):
     band = vf.QoSBounds(23.0, 25.0, theta_min_t=np.array([23.0, 24.5, 23.0]),
                         theta_max_t=np.array([25.0, 25.0, 25.0]))
@@ -387,6 +398,21 @@ def test_a_recursion_remembering_more_than_the_cap_is_refused_naming_dt():
     # that dt and a long one that forgets faster are accepted
     assert _long_memory(5e-8, 100).n_steps == 100
     assert _long_memory(1e-4, cap + 1).n_steps == cap + 1
+
+
+@pytest.mark.parametrize("one_minus_a, extra, refused", [
+    (5e-8, 0, False),     # n at the cap, decay far past it
+    (1e-6, 1, True),      # n and decay both past the cap
+    (0.9e-5, 1, True),    # decay 111,111 steps, n one past the cap
+    (1.1e-5, 1, False),   # decay 90,909 steps, n one past the cap
+])
+def test_the_memory_is_the_shorter_of_the_horizon_and_the_decay(one_minus_a, extra, refused):
+    n = vf.flexset.MAX_MEMORY_STEPS + extra
+    if refused:
+        with pytest.raises(vf.InputError, match=r"^dt .* more than 100000$"):
+            _long_memory(one_minus_a, n)
+    else:
+        assert _long_memory(one_minus_a, n).n_steps == n
 
 
 def test_a_recursion_just_inside_the_cap_is_judged_at_the_one_slack():

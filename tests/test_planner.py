@@ -314,6 +314,28 @@ def test_receding_horizon_full_window_is_plan_bit_for_bit():
 _GRAZE = vf.Verdict(ok=False, first_violation_index=3, value=22.9, limit=23.0)
 
 
+@pytest.mark.parametrize("rolling", [False, True])
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_every_norm_plans_inside_the_band_by_the_one_slack(hot_day_2h, norm, rolling):
+    # a +2 kW step drives each plan onto the comfort floor; re-simulated, it
+    # stays within the one slack of the band and of the power range
+    from vesflex.flexset import _SLACK
+
+    scn = hot_day_2h
+    step = np.where(np.arange(scn.n_steps) >= scn.n_steps // 2, 2.0, 0.0)
+    ref = _ref(scn, scn.baseline().power.values + step)
+    if rolling:
+        got = vf.receding_horizon(scn, ref, 40, norm=norm, apply_steps=20)
+    else:
+        got = vf.plan(scn, ref, norm=norm)
+    theta = vf.simulate(scn.params, scn.dist, got.p, scn.theta0).values
+    lo, hi = scn.theta_limits()
+    assert np.all(theta >= lo - _SLACK) and np.all(theta <= hi + _SLACK)
+    assert np.all(got.p.values >= -_SLACK)
+    assert np.all(got.p.values <= scn.params.p_rated + _SLACK)
+    assert np.min(theta - lo) < 1e-6  # the plan reaches the floor
+
+
 def test_failed_plan_audit_raises(monkeypatch, hot_day_2h):
     import vesflex.flexset as flexset
 

@@ -23,6 +23,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -564,6 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Run as the program (argv None), main freezes the garbage collector's
+    objects before it returns, so the collections of the interpreter's exit
+    skip everything the run imported and made; an in-process caller that
+    passes argv keeps normal collection.
+    """
+    code = _run(argv)
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(argv: "list[str] | None") -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error argparse has printed

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (
     InfeasibleError, InputError, require_count, require_nonnegative, require_positive,
 )
-from .flexset import Scenario, Verdict, is_member
+from .flexset import _SLACK, Scenario, Verdict, _power_range, is_member
 from .thermal import (
     TIME_GRID_TOL_H, DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory,
     grid_steps,
@@ -79,8 +79,9 @@ def trajectory_satisfies(spec: DeferrableSpec, p: Trajectory) -> ContractVerdict
 
     Samples straddling the arrival or deadline are charged for exactly the
     energy they deliver inside/outside the window, so tau and tau + T need
-    not sit on the sampling grid.  Power and energy are graded to within
-    ENERGY_ATOL_KWH.
+    not sit on the sampling grid.  Power is graded against [0, p_max] to
+    within flexset's rounding slack, as audit grades [0, p_rated], and
+    energy to within ENERGY_ATOL_KWH.
     """
     pv, tol = p.values, ENERGY_ATOL_KWH
     horizon = len(p) * p.dt
@@ -89,11 +90,8 @@ def trajectory_satisfies(spec: DeferrableSpec, p: Trajectory) -> ContractVerdict
             f"profile covers {horizon:.6g} h but the window closes at "
             f"{spec.deadline_h:.6g} h"
         )
-    if np.any(pv < -tol) or np.any(pv > spec.p_max + tol):
-        bad = int(np.argmax((pv < -tol) | (pv > spec.p_max + tol)))
-        return ContractVerdict(
-            False, f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {spec.p_max}] kW"
-        )
+    if (out := (pv < -_SLACK) | (pv > spec.p_max + _SLACK)).any():
+        return ContractVerdict(False, _power_range(pv, spec.p_max, int(np.argmax(out))))
     k = np.arange(len(p))
     e_before = float(pv @ _overlap_hours(k, p.dt, 0.0, spec.arrival_h))
     e_inside = float(pv @ _overlap_hours(k, p.dt, spec.arrival_h, spec.deadline_h))

@@ -342,8 +342,7 @@ def audit(p: Trajectory, scn: Scenario) -> tuple[Trajectory, Verdict]:
     _check_grid("demand", p, scn.n_steps, scn.dt)
     pv = p.values
     if (out := (pv < -_SLACK) | (pv > scn.params.p_rated + _SLACK)).any():
-        bad = int(np.argmax(out))
-        raise PowerRangeError(f"p[{bad}] = {pv[bad]:.6g} kW outside [0, {scn.params.p_rated}] kW")
+        raise PowerRangeError(_power_range(pv, scn.params.p_rated, int(np.argmax(out))))
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
     th, (lo, hi) = theta.values, scn.theta_limits()
     bad = (th < lo - _SLACK) | (th > hi + _SLACK)
@@ -352,6 +351,12 @@ def audit(p: Trajectory, scn: Scenario) -> tuple[Trajectory, Verdict]:
     i = int(np.argmax(bad))
     lim = lo[i] if th[i] < lo[i] else hi[i]
     return theta, Verdict(False, first_violation_index=i, value=float(th[i]), limit=float(lim))
+
+
+def _power_range(p: np.ndarray, p_max: float, k: int) -> str:
+    """What is wrong with demand sample k outside [0, p_max]: every digit, and by how much."""
+    excess = -p[k] if p[k] < 0.0 else p[k] - p_max
+    return f"p[{k}] = {p[k]:.17g} kW outside [0, {p_max}] kW by {excess:.3g} kW"
 
 
 def is_member(p: Trajectory, scn: Scenario) -> Verdict:

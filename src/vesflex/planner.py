@@ -28,17 +28,14 @@ worst residual e*, the one closest to the reference in the one-norm.
 A plan reports a lower bound on the optimal error (the interior point's
 Lagrangian bound, or the bisection's largest infeasible e) and its
 solves, the windows that ran plan, which a rolling two-norm plan keeps
-below its window count by continuing each window from the last plan's
-active set.
+below its window count by continuing each window from the last plan.
 
-That set holds the samples the last plan left on a temperature bound and
-the steps it left at 0 or p_rated.  The window's candidate set shifts it
-by the executed steps; over the samples the window appends it rides
-clip(r, 0, p_rated) forward and holds the band edge wherever that ride
-would leave the band.  Held as equalities, a held theta cuts the path and
-a held p ties theta_{k+1} affinely to theta_k, so the free states form a
-chain and one _riccati sweep solves the equality-constrained QP in O(w).
-One backward costate pass, mu = gain * lambda in kW, gives the multipliers:
+A continued plan is held by its active set: the samples it leaves on a
+temperature bound and the steps it leaves at 0 or p_rated.  Held as
+equalities, a held theta cuts the path and a held p ties theta_{k+1}
+affinely to theta_k, so the free states form a chain and one _riccati
+sweep solves the equality-constrained QP in O(w).  One backward costate
+pass, mu = gain * lambda in kW, gives the multipliers:
 
     free p_k:      mu_{k+1} = 2 (r_k - p_k)
     held p_k:      mu_{k+1} = a mu_{k+2},  pi_k = 2 (r_k - p_k) - mu_{k+1}
@@ -46,19 +43,34 @@ One backward costate pass, mu = gain * lambda in kW, gives the multipliers:
 
 with pi_k >= 0 at p_rated and <= 0 at 0, eta_j >= 0 on the upper bound
 and <= 0 on the lower.  The objective is strictly convex in p, so a
-candidate whose re-simulation (thermal.simulate, the one the audits use)
-keeps every bound and whose multipliers all have their signs meets the
-KKT conditions: it is the window's unique optimum, whatever set produced
-it.  Otherwise one constraint is exchanged, holding the worst violation or
-freeing the worst wrong-signed multiplier, and the QP is solved again.  No
+candidate whose re-simulation (thermal.simulate's arithmetic, the one the
+audits use) keeps every bound and whose multipliers all have their signs
+meets the KKT conditions: it is the window's unique optimum, whatever set
+produced it.
+
+The held thetas cut the window into segments, and each segment's values
+and multipliers read only its own samples, save the eta of the held theta
+that starts it, which reads the mu of the step after it.  A window keeps
+the last window's plan, active set and certificate from its start on; it
+appends samples by riding clip(r) forward and holding the band edge
+wherever that ride would leave the band.  Where it leaves the band
+nowhere, the appended steps have zero costate, so nothing kept changes:
+Bellman's case, the ride itself is the candidate and no _riccati runs.
+Otherwise only the last segment, from the kept plan's last held theta
+(the anchor) on, can change; it alone is solved, re-simulated from the
+kept temperature at the anchor and checked, together with the anchor's
+eta.  A window that appends nothing keeps its tail as it stands.  A
+candidate that fails the check exchanges one constraint, holding the
+worst violation or freeing the worst wrong-signed multiplier, and is
+solved again; freeing the anchor joins its segment to the one before.  No
 step holds both p_k and theta_{k+1}, which would over-determine theta_k:
-holding one frees the other.  A degenerate window whose optimum needs both
-therefore cycles, and after _TRIES sets falls back to plan, the interior
-point, as does any window the exchanges do not settle.  A still-optimal
-tail whose appended samples land strictly inside the band, Bellman's
-case, needs no exchange.  One- and inf-norm windows are planned afresh:
-their argmin is not unique, so a continued plan could differ from a fresh
-one.
+holding one frees the other.  A degenerate window whose optimum needs
+both therefore cycles, and after _TRIES sets falls back to plan, the
+interior point, as does any window the exchanges do not settle.  The
+window after a plan from the interior point, or after a start moved into
+the band by rounding, reads its active set off the plan's values and is
+solved whole.  One- and inf-norm windows are planned afresh: their argmin
+is not unique, so a continued plan could differ from a fresh one.
 
 An infeasible planning window is a hard error, not a best-effort answer:
 the caller must know the comfort contract cannot be met.  Every norm first
@@ -77,7 +89,7 @@ from .errors import InputError, ShapeError, SolverError, require_count, require_
 from .flexset import (
     _SLACK, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
 )
-from .thermal import Trajectory, _check_grid, simulate
+from .thermal import Trajectory, _check_grid
 
 NORMS = ("two", "one", "inf")
 
@@ -177,8 +189,8 @@ def tracking_error(
 _IPM_EPS, _IPM_FLOOR, _IPM_NEAR, _IPM_MAX_ITER = 1e-13, 1e-15, 1e-12, 100
 
 
-def _riccati(a: np.ndarray, rho: np.ndarray, w: np.ndarray):
-    """Solver for diag(w) + sum_k rho_k v_k v_k^T, v_k = a_k e_{k-1} - e_k.
+def _riccati(a: list, rho: list, w: list):
+    """Solver for diag(w) + sum_k rho_k v_k v_k^T, v_k = a_k e_{k-1} - e_k, over lists.
 
     The matrix is tridiagonal; a_k is step k's decay, and a_0 is unused.
     The two-norm Newton matrix diag(w) + D^T diag(rho gain^2) D has a_k = a
@@ -188,21 +200,23 @@ def _riccati(a: np.ndarray, rho: np.ndarray, w: np.ndarray):
     zero as barrier weights grow.
     """
     decay, inv, tail = [], [], 0.0
-    for ak, rk, wk in zip(reversed(a.tolist()), reversed(rho.tolist()), reversed(w.tolist())):
-        inv.append(1.0 / (rk + wk + tail))
-        decay.append(ak * rk * inv[-1])
-        tail = ak * decay[-1] * (wk + tail)
+    for ak, rk, wk in zip(reversed(a), reversed(rho), reversed(w)):
+        ik = 1.0 / (rk + wk + tail)
+        dk = ak * rk * ik
+        tail = ak * dk * (wk + tail)
+        inv.append(ik)
+        decay.append(dk)
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solve(b: list) -> list:
         q, acc = [], 0.0
-        for dk, bk in zip([0.0] + decay, reversed(b.tolist())):  # costs-to-go
+        for dk, bk in zip([0.0] + decay, reversed(b)):  # costs-to-go
             acc = bk + dk * acc
             q.append(acc)
         y, acc = [], 0.0
         for dk, ik, qk in zip(reversed(decay), reversed(inv), reversed(q)):  # states
             acc = dk * acc + ik * qk
             y.append(acc)
-        return np.array(y)
+        return y
 
     return solve
 
@@ -226,7 +240,7 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
     scale = 1.0 + float(np.abs(h).max())
     best = ()  # the best candidate's gap, x and dual
     x = 0.5 * (lo_t[1:] + hi_t[1:])
-    decays = np.full(x.size, a)
+    decays = [a] * x.size
     s = np.maximum(h - gmul(x), 1.0)
     z = np.ones_like(s)
     for it in range(_IPM_MAX_ITER + 1):
@@ -256,11 +270,12 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
         if it == _IPM_MAX_ITER:
             raise SolverError(f"two-norm plan: no convergence in {it} iterations")
         w = z / s
-        solve = _riccati(decays, (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1])
+        rho, wts = (2.0 + w[2] + w[3]) / gain**2, w[0] + w[1]
+        solve = _riccati(decays, rho.tolist(), wts.tolist())
 
         def newton(rc, frac):  # the step, and frac of how far s and z each stay >= 0
             v = w * rp - rc / s
-            dx = solve(v[1] - v[0] - dtmul(v[2] - v[3]) - rd)
+            dx = np.array(solve((v[1] - v[0] - dtmul(v[2] - v[3]) - rd).tolist()))
             ds = -rp - gmul(dx)
             dz = -(rc + z * ds) / s
             ls, lz = (min(1.0, frac * float(np.min(-u[du < 0] / du[du < 0], initial=np.inf)))
@@ -340,35 +355,57 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
 _TRIES = 4  # active sets a rolling two-norm window tries before it falls back to plan
 
 
-def _hold(
-    scn: Scenario, r: list, lo: list, hi: list, t_side: list, p_side: list
-) -> np.ndarray:
-    """Demand minimizing sum((p - r)^2) with an active set held as equalities.
+class _Chain:
+    """A rolling two-norm plan on the horizon's grid, and what its windows read.
 
-    t_side[j] holds theta_j (j = 1..N) on lo[j] (-1) or hi[j] (+1),
-    p_side[k] holds p_k at 0 (-1) or p_rated (+1), and 0 frees it; no step
-    holds both p_k and theta_{k+1}.  Every state is al*y + beta in the last
-    free state y, and a free step's residual couples one free state to the
-    next, or loads one alone where it lands on a held theta: the normal
-    equations are one _riccati chain.
+    The scenario's coefficients, limit grid, disturbance and the reference,
+    as lists indexed by the horizon's own samples, so a continued window
+    slices nothing.  Up to step end, p[k] is the last window's demand (as
+    its chain solve left it, before the clip into [0, p_rated]), theta[j]
+    its re-simulated temperature and t_side[j], p_side[k] its active set
+    (the sides _hold reads).  certified says a chain solve's KKT check
+    covers that plan; a plan from the interior point has no active set.
     """
-    a, gain, forcing = scn.dynamics()
-    f = forcing.tolist()
-    p_held = [scn.params.p_rated if side > 0 else 0.0 for side in p_side]
-    edge = [up if side > 0 else down for down, up, side in zip(lo, hi, t_side)]
+
+    def __init__(self, scn: Scenario, ref: Trajectory) -> None:
+        self.a, self.gain, forcing = scn.dynamics()
+        self.f, self.r = forcing.tolist(), ref.values.tolist()
+        self.lo, self.hi = (b.tolist() for b in scn.theta_limits())
+        self.params, self.p_rated = scn.params, scn.params.p_rated
+        self.theta_a, self.q_d = scn.dist.theta_a.tolist(), scn.dist.q_d.tolist()
+        n = scn.n_steps
+        self.p, self.theta = [0.0] * n, [0.0] * (n + 1)
+        self.t_side, self.p_side = [0] * (n + 1), [0] * n
+        self.end, self.certified = 0, False
+
+
+def _hold(chain: _Chain, j0: int, end: int, theta0: float) -> list:
+    """Demand minimizing sum((p - r)^2) over steps j0..end-1 from theta_j0 = theta0,
+    with the chain's active set held as equalities.
+
+    t_side[j] holds theta_j on lo[j] (-1) or hi[j] (+1), p_side[k] holds
+    p_k at 0 (-1) or p_rated (+1), and 0 frees it; no step holds both p_k
+    and theta_{k+1}.  Every state is al*y + beta in the last free state y,
+    and a free step's residual couples one free state to the next, or loads
+    one alone where it lands on a held theta: the normal equations are one
+    _riccati chain.  Returns p_j0..p_{end-1}.
+    """
+    a, gain, f, r, lo, hi = chain.a, chain.gain, chain.f, chain.r, chain.lo, chain.hi
+    t_side, p_side, p_rated = chain.t_side, chain.p_side, chain.p_rated
     decay, load, rhs = [], [], []  # per free state
-    al, beta = 0.0, scn.theta0  # theta_k = al * y + beta, y the last free state
-    for k, rk in enumerate(r):
+    al, beta = 0.0, theta0  # theta_k = al * y + beta, y the last free state
+    for k in range(j0, end):
         c = a * beta + f[k]
-        if p_side[k]:
-            al, beta = a * al, c - gain * p_held[k]
+        if side := p_side[k]:
+            al, beta = a * al, c - gain * (p_rated if side > 0 else 0.0)
             continue
-        c -= gain * rk
-        if t_side[k + 1]:
+        c -= gain * r[k]
+        if side := t_side[k + 1]:
+            edge = hi[k + 1] if side > 0 else lo[k + 1]
             if al:
                 load[-1] += a * al * a * al
-                rhs[-1] -= a * al * (c - edge[k + 1])
-            al, beta = 0.0, edge[k + 1]
+                rhs[-1] -= a * al * (c - edge)
+            al, beta = 0.0, edge
             continue
         if al:
             rhs[-1] -= a * al * c
@@ -376,80 +413,103 @@ def _hold(
         load.append(0.0)
         rhs.append(c)
         al, beta = 1.0, 0.0
-    solve = _riccati(np.array(decay), np.ones(len(decay)), np.array(load))
-    y = iter(solve(np.array(rhs)).tolist())
-    theta = [scn.theta0]
-    for k in range(len(r)):
-        if p_side[k]:
-            theta.append(a * theta[k] + f[k] - gain * p_held[k])
+    y = iter(_riccati(decay, [1.0] * len(decay), load)(rhs))
+    p, th = [], theta0
+    for k in range(j0, end):
+        if side := p_side[k]:
+            p.append(p_rated if side > 0 else 0.0)
+            th = a * th + f[k] - gain * p[-1]
         else:
-            theta.append(edge[k + 1] if t_side[k + 1] else next(y))
-    p = scn.step_demand(np.array(theta[:-1]), np.array(theta[1:]))
-    return np.where(np.array(p_side) != 0, p_held, p)
+            side = t_side[k + 1]
+            nxt = (hi[k + 1] if side > 0 else lo[k + 1]) if side else next(y)
+            p.append((a * th + f[k] - nxt) / gain)
+            th = nxt
+    return p
 
 
-def _continue(
-    scn: Scenario, r: np.ndarray, p_tail: np.ndarray, theta_tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The window's two-norm optimum from the last plan's active set, or None.
+def _continue(chain: _Chain, t: int, end: int) -> bool:
+    """Continue the chain's plan over the window of steps t..end-1; True once certified.
 
-    p_tail and theta_tail are the last plan's unexecuted demand and its
-    temperature from the window's start on.  Returns the demand and its
-    re-simulated temperature once an active set passes the KKT check of
-    the module docstring, or None after _TRIES sets.
+    chain.theta[t] is the window's start.  On True the chain holds the
+    window's two-norm optimum, which the KKT check of the module docstring
+    certifies; on False no active set passed it in _TRIES tries.
     """
-    a, gain, forcing = scn.dynamics()
-    lo_t, hi_t = scn.theta_limits()
-    lo, hi = lo_t.tolist(), hi_t.tolist()
-    p_rated, n, tol = scn.params.p_rated, scn.n_steps, _SLACK
-    r = r.tolist()
-    t_side, p_side = [0] * (n + 1), [0] * n
-    for k, (pk, tk) in enumerate(zip(p_tail.tolist(), theta_tail[1:].tolist())):
-        if tk <= lo[k + 1] + tol or tk >= hi[k + 1] - tol:
-            t_side[k + 1] = 1 if tk >= hi[k + 1] - tol else -1
-        elif pk <= tol or pk >= p_rated - tol:
-            p_side[k] = 1 if pk >= p_rated - tol else -1
-    x, f = float(theta_tail[-1]), forcing.tolist()
-    for k in range(p_tail.size, n):  # ride clip(r), holding the edges it leaves by
+    a, gain, f, r, lo, hi = chain.a, chain.gain, chain.f, chain.r, chain.lo, chain.hi
+    t_side, p_side, p_rated, tol = chain.t_side, chain.p_side, chain.p_rated, _SLACK
+    ta, qd, r_th, eta = chain.theta_a, chain.q_d, chain.params.r_thermal, chain.params.eta_cop
+    last, kept = chain.end, chain.certified
+    # only the chain after the tail's last held theta, its anchor, can change
+    anchor = last if kept else t
+    if not kept:  # an interior-point plan: read its active set off its values
+        for k in range(t, last):
+            pk, tk = chain.p[k], chain.theta[k + 1]
+            t_side[k + 1] = p_side[k] = 0
+            if tk <= lo[k + 1] + tol or tk >= hi[k + 1] - tol:
+                t_side[k + 1] = 1 if tk >= hi[k + 1] - tol else -1
+            elif pk <= tol or pk >= p_rated - tol:
+                p_side[k] = 1 if pk >= p_rated - tol else -1
+    x = chain.theta[last]
+    for k in range(last, end):  # ride clip(r), holding the edges it leaves by
         u = min(max(r[k], 0.0), p_rated)
         x = a * x + f[k] - gain * u
+        t_side[k + 1] = p_side[k] = 0
         if not lo[k + 1] <= x <= hi[k + 1]:
-            t_side[k + 1] = 1 if x > hi[k + 1] else -1
+            t_side[k + 1], kept = 1 if x > hi[k + 1] else -1, False
             x = min(max(x, lo[k + 1]), hi[k + 1])
         elif u != r[k]:
             p_side[k] = 1 if u > 0.0 else -1
     for _ in range(_TRIES):
-        p = _hold(scn, r, lo, hi, t_side, p_side)
-        p_in = np.clip(p, 0.0, p_rated)
-        theta = simulate(scn.params, scn.dist, Trajectory(scn.dt, p_in), scn.theta0).values
-        # primal excess in degC: a demand's scaled by the gain of one step
-        excess = np.concatenate(
-            [np.maximum(theta[1:] - hi_t[1:], lo_t[1:] - theta[1:]),
-             gain * np.maximum(p - p_rated, -p)]
-        )
-        j = int(np.argmax(excess))
-        if excess[j] > tol:  # hold the worst violation, freeing its partner
-            if j < n:
-                t_side[j + 1], p_side[j] = 1 if theta[j + 1] > hi[j + 1] else -1, 0
-            else:
-                p_side[j - n], t_side[j - n + 1] = 1 if p[j - n] > p_rated else -1, 0
+        if kept:  # Bellman's case: the ride stays in the band, so the tail stays optimal
+            j0, p, kept = last, [min(max(rk, 0.0), p_rated) for rk in r[last:end]], False
+        else:
+            while anchor > t and not t_side[anchor]:  # a freed anchor joins the segment before
+                anchor -= 1
+            j0, side = anchor, t_side[anchor] if anchor > t else 0
+            start = (hi[j0] if side > 0 else lo[j0]) if side else chain.theta[j0]
+            p = _hold(chain, j0, end, start)
+        # re-simulated from the temperature the plan so far reaches at j0 in
+        # thermal.simulate's arithmetic, so the audit meets the same bits; the
+        # primal excess in degC, a demand's scaled by the gain of one step
+        th = chain.theta[j0]
+        theta, t_worst, t_at, p_worst, p_at = [th], tol, 0, tol, 0
+        for k, pk in enumerate(p, j0):
+            u = pk if 0.0 <= pk <= p_rated else 0.0 if pk < 0.0 else p_rated
+            qs = ta[k] + r_th * (qd[k] - eta * u)
+            th = qs + (th - qs) * a
+            theta.append(th)
+            if th - hi[k + 1] > t_worst or lo[k + 1] - th > t_worst:
+                t_worst, t_at = max(th - hi[k + 1], lo[k + 1] - th), k + 1
+            if u != pk and (excess := gain * max(pk - p_rated, -pk)) > p_worst:
+                p_worst, p_at = excess, k
+        # hold the worst violation, a sample's before a step's on a tie, freeing its partner
+        if t_at and t_worst >= p_worst:
+            t_side[t_at], p_side[t_at - 1] = 1 if theta[t_at - j0] > hi[t_at] else -1, 0
+            continue
+        if p_worst > tol:
+            p_side[p_at], t_side[p_at + 1] = 1 if p[p_at - j0] > p_rated else -1, 0
             continue
         # costate mu = gain * lambda, backward: every multiplier in kW
         mu, worst, drop = 0.0, tol, None
-        for k in range(n - 1, -1, -1):
-            if p_side[k]:
+        for k in range(end - 1, j0 - 1, -1):
+            pk = p[k - j0]
+            if side := p_side[k]:
                 mu *= a
-                wrong, sides, i = -p_side[k] * (2.0 * (r[k] - p[k]) - mu), p_side, k
+                if (wrong := -side * (2.0 * (r[k] - pk) - mu)) > worst:
+                    worst, drop = wrong, (p_side, k)
             else:
-                mu, nxt = 2.0 * (r[k] - p[k]), a * mu
-                wrong, sides, i = -t_side[k + 1] * (nxt - mu), t_side, k + 1
-            if wrong > worst:
-                worst, drop = wrong, (sides, i)
+                mu, nxt = 2.0 * (r[k] - pk), a * mu
+                if (side := t_side[k + 1]) and (wrong := -side * (nxt - mu)) > worst:
+                    worst, drop = wrong, (t_side, k + 1)
+        if j0 > t and (side := t_side[j0]):  # eta of the held theta at j0, mu_j0 kept
+            if -side * (a * mu - 2.0 * (r[j0 - 1] - chain.p[j0 - 1])) > worst:
+                drop = t_side, j0
         if drop is None:
-            return p_in, theta
+            chain.p[j0:end], chain.theta[j0 : end + 1] = p, theta
+            chain.end, chain.certified = end, True
+            return True
         sides, i = drop
         sides[i] = 0
-    return None
+    return False
 
 
 def receding_horizon(
@@ -461,17 +521,18 @@ def receding_horizon(
 ) -> PlanResult:
     """Re-plan over a sliding window, executing apply_steps samples per window.
 
-    Each window is scn.window(t, w, theta_t) at the current temperature,
-    so model and plan cannot drift apart.  The window shrinks near the end
+    Each window starts at the temperature the executed plan reaches, so
+    model and plan cannot drift apart.  The window shrinks near the end
     of the horizon rather than padding the disturbance record.  With
     apply_steps == window_steps == scn.n_steps this is exactly one plan.
-    In the two-norm every window after the first is continued from the
-    previous plan's active set, shifted by the executed samples, and kept
-    when the KKT check in the module docstring certifies it as the window's
-    unique optimum.  Every other window calls plan, the interior point in
-    the two-norm; solves counts those calls and iterations sums theirs, and
-    bound is None.  A window's start snaps into the band only within the
-    audit's slack, and the stitched plan is re-simulated and audited.
+    In the two-norm every window after the first continues the last plan
+    (module docstring), reading the scenario's coefficients, limits and
+    disturbance at the window's offset, and is kept once the KKT check
+    certifies it as the window's unique optimum.  Every other window calls
+    plan on scn.window(t, w, theta_t), the interior point in the two-norm;
+    solves counts those calls and iterations sums theirs, and bound is
+    None.  A window's start snaps into the band only within the audit's
+    slack, and the stitched plan is re-simulated and audited.
     """
     _check_reference(scn, ref)
     require_count("window_steps", window_steps, 1)
@@ -480,8 +541,10 @@ def receding_horizon(
         raise InputError("apply_steps must be in [1, window_steps]")
     n = scn.n_steps
     lo_t, hi_t = (b.tolist() for b in scn.theta_limits())
+    p_rated = scn.params.p_rated
     executed = np.empty(n)
-    th, tail, solves, iterations = scn.theta0, None, 0, 0
+    chain = _Chain(scn, ref) if norm == "two" else None
+    th, solves, iterations = scn.theta0, 0, 0
     for t in range(0, n, apply_steps):
         w = min(window_steps, n - t)
         k = min(apply_steps, w)
@@ -490,16 +553,21 @@ def receding_horizon(
         if abs(start - th) > _SLACK:
             raise SolverError(f"window plan leaves the comfort band at sample {t}: "
                               f"{th:.9g} degC against limit {start:.9g}")
-        win = scn.window(t, w, start)
-        r = ref.values[t : t + w]
-        found = _continue(win, r, *tail) if norm == "two" and tail else None
-        if found is None:
-            step_plan = plan(win, Trajectory(scn.dt, r), norm=norm)
-            found = step_plan.p.values, step_plan.theta.values
-            solves, iterations = solves + 1, iterations + step_plan.iterations
-        p, theta = found
+        if chain is not None and t:
+            if start != th:  # the kept plan starts elsewhere: solve the window whole
+                chain.theta[t], chain.certified = start, False
+            if _continue(chain, t, t + w):
+                executed[t : t + k] = [min(max(pk, 0.0), p_rated) for pk in chain.p[t : t + k]]
+                th = chain.theta[t + k]
+                continue
+        step_plan = plan(scn.window(t, w, start), Trajectory(scn.dt, ref.values[t : t + w]), norm)
+        solves, iterations = solves + 1, iterations + step_plan.iterations
+        p, theta = step_plan.p.values, step_plan.theta.values
         executed[t : t + k] = p[:k]
-        th, tail = float(theta[k]), (p[k:], theta[k:])
+        th = float(theta[k])
+        if chain is not None:
+            chain.p[t : t + w], chain.theta[t : t + w + 1] = p.tolist(), theta.tolist()
+            chain.end, chain.certified = t + w, False
     p = Trajectory(scn.dt, executed)
     theta = require_member(p, scn, "planned temperature")
     err = tracking_error(p.values, ref.values, scn.dt, norm)

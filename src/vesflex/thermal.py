@@ -244,12 +244,10 @@ def simulate(
     theta_qs = dist.theta_a + params.r_thermal * (
         dist.q_d - params.eta_cop * p.values
     )
-    out = np.empty(len(dist) + 1)
-    out[0] = theta0
-    th = theta0
-    for k in range(len(dist)):
-        th = theta_qs[k] + (th - theta_qs[k]) * a
-        out[k + 1] = th
+    out, th = [theta0], theta0
+    for qs in theta_qs.tolist():  # Python floats step as numpy's scalars do, only faster
+        th = qs + (th - qs) * a
+        out.append(th)
     return Trajectory(dist.dt, out)
 
 

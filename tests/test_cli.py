@@ -122,7 +122,9 @@ def test_a_huge_slack_no_longer_switches_the_audit_off(tmp_path, capsys):
     assert _run(*argv, "--atol", "1e300") == 2
     assert "unrecognized arguments: --atol 1e300" in capsys.readouterr().err
     assert _run(*argv) == 2
-    assert capsys.readouterr() == ("", "error: p[0] = 100 kW outside [0, 2.2729431632276107] kW\n")
+    assert capsys.readouterr() == (
+        "", "error: p[0] = 100 kW outside [0, 2.2729431632276107] kW by 97.7 kW\n"
+    )
     assert not out.exists()
 
 
@@ -832,3 +834,23 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_main_freezes_the_collector_only_when_run_as_the_program(tmp_path):
+    # in process, the caller keeps normal collection
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert _run("humidity", "--out-dir", str(tmp_path / "in")) == 0
+    assert gc.get_freeze_count() == frozen
+    # the console entry: the exit's collections skip what the run made
+    src = os.path.dirname(os.path.dirname(vf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    entry = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count()));"
+             " from vesflex.cli import main; sys.exit(main())")
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "--out-dir", str(tmp_path / "out"), "humidity"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert int(proc.stdout.splitlines()[-1]) > 0

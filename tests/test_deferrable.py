@@ -80,6 +80,16 @@ def test_trajectory_rejections():
     assert not short.ok and "contract requires" in short.reason
 
 
+def test_the_power_range_is_judged_by_the_audits_slack():
+    # the energy tolerance, 1e-6 kWh, once judged the power range as if in kW
+    spec = vf.DeferrableSpec(0.0, 1.0, 1.0, 1.0)
+    over = vf.trajectory_satisfies(spec, _traj([1 + 5e-7, 1 - 5e-7, 0, 0]))
+    assert (over.ok, over.reason) == (
+        False, "p[0] = 1.0000005000000001 kW outside [0, 1.0] kW by 5e-07 kW"
+    )
+    assert vf.trajectory_satisfies(spec, _traj([1 + 5e-10, 1 - 5e-10, 0, 0])).ok
+
+
 def test_window_not_on_grid():
     # arrival 0.1 h, deadline 0.6 h, dt 0.2 h: straddling samples are charged
     # only for their in-window overlap

@@ -303,6 +303,17 @@ def test_is_member_power_range(hot_day):
         )
 
 
+def test_a_power_range_error_shows_every_digit_and_the_excess():
+    # at .6g, p_rated + 2e-9 kW printed as p_rated itself
+    scn = hot_day_scenario(horizon_h=0.5)
+    p_rated = scn.params.p_rated
+    with pytest.raises(vf.PowerRangeError) as err:
+        vf.is_member(vf.Trajectory(scn.dt, np.full(scn.n_steps, p_rated + 2e-9)), scn)
+    shown = float(str(err.value).split(" = ")[1].split(" kW")[0])
+    assert shown == p_rated + 2e-9 != p_rated
+    assert str(err.value).endswith(f"outside [0, {p_rated}] kW by 2e-09 kW")
+
+
 def test_envelope_width_tracks_band(params):
     wide = vf.QoSBounds(theta_min=22.0, theta_max=26.0)
     dist = vf.DisturbanceSeries.constant(DT, 60, 32.0, 1.5)

@@ -488,16 +488,24 @@ def test_receding_horizon_matches_replanning_every_window(case, monkeypatch):
     apply_steps = (1, 3, window)[case % 3]
     kept, real = [], planner._continue
 
-    def spy(win, r, *tail):
-        kept.append((win, r, real(win, r, *tail)))
-        return kept[-1][2]
+    def spy(chain, t, end):
+        # the window plan would solve: steps t..end-1 from the chain's start
+        win = scn.window(t, end - t, chain.theta[t])
+        found = real(chain, t, end)
+        p = np.clip(chain.p[t:end], 0.0, scn.params.p_rated)
+        kept.append((win, ref.values[t:end], found and (p, chain.theta[t : end + 1])))
+        return found
 
     monkeypatch.setattr(planner, "_continue", spy)
     rolled = vf.receding_horizon(scn, ref, window, norm="two", apply_steps=apply_steps)
-    # every kept candidate is its window's optimum by the dense box QP too
+    # every kept candidate is its window's optimum by the dense box QP too, and
+    # its temperature is the window's re-simulation bit for bit
     for win, r, found in kept:
-        if found is not None:
-            assert np.max(np.abs(found[0] - box_qp_plan(win, r, tol=1e-11))) <= 1e-7
+        if found:
+            p, theta = found
+            assert np.max(np.abs(p - box_qp_plan(win, r, tol=1e-11))) <= 1e-7
+            again = vf.simulate(win.params, win.dist, _ref(win, p), win.theta0)
+            assert again.values.tolist() == theta
     windows = len(range(0, scn.n_steps, apply_steps))
     assert 1 <= rolled.solves <= windows
     oracle = _replan_every_window(scn, ref, window, "two", apply_steps)
@@ -537,7 +545,7 @@ def test_refused_candidates_fall_back_to_the_interior_point(monkeypatch):
 
     def spy(*args):
         found = real_continue(*args)
-        refused.append(found is None)
+        refused.append(not found)
         return found
 
     monkeypatch.setattr(planner, "_continue", spy)
@@ -548,6 +556,82 @@ def test_refused_candidates_fall_back_to_the_interior_point(monkeypatch):
     assert len(solves) == rolled.solves == 1 + sum(refused) > 2
     oracle = _replan_every_window(scn, ref, window, "two", 1)
     assert np.max(np.abs(rolled.p.values - oracle)) <= 1e-7
+
+
+def _spy_on_windows(monkeypatch):
+    """Record each continued window: (t, end, the chain before, its _hold calls'
+    starts with the held thetas they saw, _riccati calls, found, the chain after)."""
+    from vesflex import planner
+
+    windows, holds, solves = [], [], []
+    real_continue, real_hold, real_riccati = planner._continue, planner._hold, planner._riccati
+
+    def state(chain):
+        return (chain.certified, chain.end, *map(list, (chain.p, chain.theta, chain.t_side)))
+
+    def hold(chain, j0, end, theta0):
+        holds.append((j0, list(chain.t_side)))
+        return real_hold(chain, j0, end, theta0)
+
+    def riccati(*args):
+        solves.append(1)
+        return real_riccati(*args)
+
+    def cont(chain, t, end):
+        before, holds[:], solves[:] = state(chain), [], []
+        found = real_continue(chain, t, end)
+        windows.append((t, end, before, list(holds), len(solves), found, state(chain)))
+        return found
+
+    monkeypatch.setattr(planner, "_hold", hold)
+    monkeypatch.setattr(planner, "_riccati", riccati)
+    monkeypatch.setattr(planner, "_continue", cont)
+    return windows
+
+
+def test_a_window_that_appends_nothing_keeps_its_tail_bit_for_bit(monkeypatch):
+    windows, last = _spy_on_windows(monkeypatch), 0
+    for case in range(6):
+        scn, ref, window = _random_rolling_case(np.random.default_rng([2024, case]))
+        vf.receding_horizon(scn, ref, window, norm="two")
+        last += window - 1
+    # the last window - 1 windows of each horizon append nothing; a few start
+    # moved into the band by rounding, and are solved whole
+    idle = [w for w in windows if w[2][:2] == (True, w[1])]
+    assert len(idle) >= 0.8 * last
+    for t, end, before, holds, n_riccati, found, after in idle:
+        assert found and holds == [] and n_riccati == 0
+        assert after == before
+
+
+@pytest.mark.parametrize("apply_steps", [1, 3, None])
+def test_a_continued_window_solves_only_after_the_tails_last_held_theta(apply_steps, monkeypatch):
+    windows = _spy_on_windows(monkeypatch)
+    for case in range(36):
+        make = _random_rolling_case if case < 24 else _edge_riding_case
+        scn, ref, window = make(np.random.default_rng([2024, case]))
+        vf.receding_horizon(scn, ref, window, norm="two", apply_steps=apply_steps or window)
+    anchored = bellman = 0
+    for t, end, before, holds, n_riccati, found, after in windows:
+        certified, last, p, theta, t_side = before
+        if not certified or last == end:
+            continue
+        # the last held theta the window starts with, or the window start
+        anchor = max((j for j in range(t + 1, last + 1) if t_side[j]), default=t)
+        anchored += anchor > t
+        bellman += found and not holds
+        assert n_riccati == len(holds)
+        start = anchor
+        for j0, sides in holds:
+            if j0 != start:  # an exchange freed the start: back to the held theta before it
+                assert j0 < start and not sides[start] and not any(sides[j0 + 1 : start])
+                assert j0 == t or sides[j0]
+                start = j0
+        # nothing before the first sample any solve started from moved
+        first = min([j0 for j0, _ in holds] + [anchor])
+        assert after[2][:first] == p[:first] and after[3][: first + 1] == theta[: first + 1]
+    if apply_steps:  # a window of fresh steps has no tail to keep
+        assert anchored > 0 and bellman > 0
 
 
 def test_two_norm_converges_where_one_shared_step_length_cycled():

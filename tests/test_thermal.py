@@ -78,6 +78,34 @@ def test_simulate_zoh_exact_under_refinement(params):
     assert np.max(np.abs(tc.values - tf.values[::2])) < 1e-12
 
 
+def _simulate_over_numpy_scalars(params, dist, p, theta0):
+    """The loop simulate ran before it stepped over Python floats: the oracle."""
+    a = vf.decay_factor(params, dist.dt)
+    theta_qs = dist.theta_a + params.r_thermal * (dist.q_d - params.eta_cop * p.values)
+    out = np.empty(len(dist) + 1)
+    out[0] = th = theta0
+    for k in range(len(dist)):
+        th = theta_qs[k] + (th - theta_qs[k]) * a
+        out[k + 1] = th
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_simulate_is_the_numpy_scalar_loop_bit_for_bit(seed):
+    # seed 0 is a week of one-minute steps under daily weather; the rest are
+    # short random grids, every input varying sample by sample
+    rng = np.random.default_rng(seed)
+    n, dt = (10080, DT) if seed == 0 else (int(rng.integers(1, 400)), rng.uniform(0.01, 0.5))
+    t = np.arange(n) * dt
+    theta_a = 31.0 + 2.0 * np.sin(2.0 * math.pi * t / 24.0) + rng.normal(0.0, 0.3, n)
+    dist = vf.DisturbanceSeries(dt, theta_a, rng.uniform(0.5, 2.5, n))
+    params = vf.ThermalParams(*rng.uniform([1.0, 0.5, 2.0], [4.0, 3.0, 5.0]), 3.0)
+    p = vf.Trajectory(dt, rng.uniform(-1.0, 4.0, n))
+    theta0 = rng.uniform(20.0, 28.0)
+    got = vf.simulate(params, dist, p, theta0).values
+    assert np.array_equal(got, _simulate_over_numpy_scalars(params, dist, p, theta0))
+
+
 def test_simulate_shape_mismatch(params):
     dist = vf.DisturbanceSeries.constant(DT, 10, theta_a=30.0, q_d=1.0)
     p = vf.Trajectory(DT, np.zeros(9))

@@ -21,8 +21,9 @@ and still respect comfort.  conservativeness_curve() quantifies that gap.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,35 +54,28 @@ MAX_MEMORY_STEPS = 100_000
 
 @dataclass(frozen=True)
 class QoSBounds:
-    """Closed-interval comfort bounds, with optional per-sample overrides.
+    """Closed-interval comfort band, degC.
 
-    theta_min/theta_max are finite scalars (degC); theta_min_t/theta_max_t,
-    when given, tighten them sample-by-sample, every sample inside
-    [theta_min, theta_max], lower below upper at each sample and both of one
-    length, checked here; a Scenario of N steps checks that length is N+1.
+    Each side is a finite float, the limit at every sample, or a 1-D array
+    of per-sample limits, held as a read-only copy; lower below upper at
+    every sample and two arrays of one length are checked here, and a
+    Scenario of N steps checks that an array covers its N+1 samples.
     """
 
-    theta_min: float
-    theta_max: float
-    theta_min_t: np.ndarray | None = None
-    theta_max_t: np.ndarray | None = None
+    theta_min: float | np.ndarray
+    theta_max: float | np.ndarray
 
     def __post_init__(self) -> None:
-        require_finite("theta_min", self.theta_min)
-        require_finite("theta_max", self.theta_max)
-        if not self.theta_min < self.theta_max:
-            raise InputError(f"theta_min {self.theta_min} must be below "
-                             f"theta_max {self.theta_max}")
-        for name in ("theta_min_t", "theta_max_t"):
-            if getattr(self, name) is not None:
-                held = _freeze(self, name, getattr(self, name))
-                if np.any(held < self.theta_min) or np.any(held > self.theta_max):
-                    raise InputError(f"{name} must lie within [theta_min, theta_max] = "
-                                     f"[{self.theta_min}, {self.theta_max}]")
-        lo = self.theta_min if self.theta_min_t is None else self.theta_min_t
-        hi = self.theta_max if self.theta_max_t is None else self.theta_max_t
+        for name in ("theta_min", "theta_max"):
+            if np.ndim(side := getattr(self, name)) == 0:
+                require_finite(name, side)
+            else:
+                _freeze(self, name, side)
+        lo, hi = self.theta_min, self.theta_max
         if np.ndim(lo) == np.ndim(hi) == 1 and lo.size != hi.size:
-            raise ShapeError(f"theta_min_t has {lo.size} samples but theta_max_t has {hi.size}")
+            raise ShapeError(f"theta_min has {lo.size} samples but theta_max has {hi.size}")
+        if np.ndim(lo) == np.ndim(hi) == 0 and not lo < hi:
+            raise InputError(f"theta_min {lo} must be below theta_max {hi}")
         if np.any(lo >= hi):
             raise InputError("per-sample bounds must satisfy lower < upper")
 
@@ -109,10 +103,11 @@ class Scenario:
     steps, a gain whose square overflows or underflows, a rated demand that
     moves theta less than 1e-6 C per step (demand read back from theta
     divides its rounding by the gain) and a disturbance whose forcing overflows.
-    Per-sample temperature bounds cover the N+1 temperature samples
-    theta_0..theta_N; their length is checked once, here.  The scenario
-    holds that one limit grid and the one-step coefficients, read-only,
-    and every analysis reads them off theta_limits() and dynamics().
+    theta_sp and theta0 must lie in the band's hull [min theta_min, max
+    theta_max].  A per-sample side covers the N+1 temperature samples
+    theta_0..theta_N; its length is checked once, here.  The scenario holds
+    that one limit grid and the one-step coefficients, read-only, and every
+    analysis reads them off theta_limits() and dynamics().
     """
 
     params: ThermalParams
@@ -122,13 +117,13 @@ class Scenario:
     theta0: float
 
     def __post_init__(self) -> None:
-        lo, hi = self.bounds.theta_min, self.bounds.theta_max
-        for name in ("theta_sp", "theta0"):
-            require_finite(name, getattr(self, name))
-            if not lo <= getattr(self, name) <= hi:
-                raise InputError(
-                    f"{name} {getattr(self, name)} outside comfort band [{lo}, {hi}]"
-                )
+        b, n = self.bounds, self.n_steps + 1
+        lo, hi = (np.full(np.shape(side) or n, side) for side in (b.theta_min, b.theta_max))
+        if lo.size != n or hi.size != n:
+            raise ShapeError(f"per-sample temperature bounds sized {lo.size}/{hi.size} "
+                             f"do not match {n} signal samples")
+        lo, hi = _freeze(self, "_lo", lo), _freeze(self, "_hi", hi)
+        _require_in_hull(lo, hi, theta_sp=self.theta_sp, theta0=self.theta0)
         par = self.params
         a = decay_factor(par, self.dt)
         if a == 1.0:
@@ -156,14 +151,6 @@ class Scenario:
             raise InputError(f"theta_a[{k}] = {ta[k]:.6g} C and q_d[{k}] = {qd[k]:.6g} kW "
                              "overflow the one-step forcing")
         _freeze(self, "_forcing", forcing)
-        b, n = self.bounds, self.n_steps + 1
-        lo = np.full(n, b.theta_min) if b.theta_min_t is None else b.theta_min_t
-        hi = np.full(n, b.theta_max) if b.theta_max_t is None else b.theta_max_t
-        if lo.size != n or hi.size != n:
-            raise ShapeError(f"per-sample temperature bounds sized {lo.size}/{hi.size} "
-                             f"do not match {n} signal samples")
-        for name, limit in (("_lo", lo), ("_hi", hi)):
-            _freeze(self, name, limit)
 
     @property
     def n_steps(self) -> int:
@@ -183,20 +170,21 @@ class Scenario:
     def window(self, start: int, n_steps: int, theta0: float) -> "Scenario":
         """Steps [start, start + n_steps) as a scenario starting at theta0.
 
-        Per-sample temperature bounds keep their n_steps + 1 samples.
+        The window slices this scenario's checked limit grid (n_steps + 1
+        samples), forcing and disturbance, keeps its theta_sp, and judges
+        only theta0, against the hull of its own band.
         """
         require_count("start", start)
         require_count("n_steps", n_steps, 1)
-        b = self.bounds
+        dist = self.dist.slice(start, n_steps)
         keep = slice(start, start + n_steps + 1)
-        bounds = replace(
-            b,
-            theta_min_t=None if b.theta_min_t is None else b.theta_min_t[keep],
-            theta_max_t=None if b.theta_max_t is None else b.theta_max_t[keep],
-        )
-        return replace(
-            self, bounds=bounds, dist=self.dist.slice(start, n_steps), theta0=theta0
-        )
+        _require_in_hull(lo := self._lo[keep], hi := self._hi[keep], theta0=theta0)
+        b = self.bounds
+        sides = (side if np.ndim(side) == 0 else side[keep] for side in (b.theta_min, b.theta_max))
+        win = copy.copy(self)  # no second __post_init__: every part below is checked
+        vars(win).update(bounds=QoSBounds(*sides), dist=dist, theta0=theta0, _lo=lo, _hi=hi,
+                         _forcing=self._forcing[start : start + n_steps])
+        return win
 
     def dynamics(self) -> tuple[float, float, np.ndarray]:
         """(a, gain, forcing) of the exact one-step recursion.
@@ -210,6 +198,15 @@ class Scenario:
         """Demand per step moving theta_k to theta_next: dynamics() inverted."""
         a, gain, forcing = self.dynamics()
         return (a * theta_k + forcing - theta_next) / gain
+
+
+def _require_in_hull(lo: np.ndarray, hi: np.ndarray, **values) -> None:
+    """InputError naming the field unless each value is finite and in [min lo, max hi]."""
+    low, high = lo.min(), hi.max()
+    for name, value in values.items():
+        require_finite(name, value)
+        if not low <= value <= high:
+            raise InputError(f"{name} {value} outside comfort band [{low}, {high}]")
 
 
 def _forward_reach(
@@ -275,7 +272,7 @@ def _reachable(scn: Scenario) -> tuple[Scenario, tuple[list, list]]:
         start = min(max(scn.theta0, v_lo + pad), v_hi - pad)
         if abs(start - scn.theta0) > _SLACK:
             break
-        lo, hi, miss = _forward_reach(moved := replace(scn, theta0=start), *box)
+        lo, hi, miss = _forward_reach(moved := scn.window(0, scn.n_steps, start), *box)
         if miss < 0:
             return moved, (lo, hi)
     raise InfeasibleError(

@@ -1,5 +1,7 @@
 """Virtual-battery characterization: rate and energy capacities via LP."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,36 @@ def test_rate_capacities_sweep_path_agrees(params, bounds):
     n = 30
     dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
     fast = vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
-    pinned = vf.QoSBounds(
-        theta_min=23.0, theta_max=25.0,
-        theta_min_t=np.full(n + 1, 23.0), theta_max_t=np.full(n + 1, 25.0),
-    )
+    pinned = vf.QoSBounds(np.full(n + 1, 23.0), np.full(n + 1, 25.0))
     slow = vf.Scenario(params=params, bounds=pinned, dist=dist, theta_sp=24.0, theta0=24.0)
     fast_caps, slow_caps = vf.characterize(fast), vf.characterize(slow)
     assert fast_caps.charge_rate_kw == pytest.approx(slow_caps.charge_rate_kw, abs=1e-8)
     assert fast_caps.discharge_rate_kw == pytest.approx(slow_caps.discharge_rate_kw, abs=1e-8)
+
+
+def test_a_constant_band_as_floats_or_as_grids_gives_the_same_bits(hot_day_2h):
+    # one band, two spellings: every analysis reads the one limit grid
+    n = hot_day_2h.n_steps
+    assert hot_day_2h.bounds == vf.QoSBounds(23.0, 25.0)
+    grid = dataclasses.replace(
+        hot_day_2h, bounds=vf.QoSBounds(np.full(n + 1, 23.0), np.full(n + 1, 25.0))
+    )
+    for a, b in zip(vf.feasible_band(hot_day_2h), vf.feasible_band(grid)):
+        assert np.array_equal(a, b)
+    assert vf.characterize(hot_day_2h) == vf.characterize(grid)
+    env, env_grid = vf.envelope(hot_day_2h), vf.envelope(grid)
+    assert np.array_equal(env.p_lo, env_grid.p_lo) and np.array_equal(env.p_hi, env_grid.p_hi)
+    base = hot_day_2h.baseline().power.values
+    ref = vf.Trajectory(DT, base + np.where(np.arange(n) < n // 2, 0.8, -0.8))
+    for norm in vf.NORMS:
+        one_shot = lambda s: vf.plan(s, ref, norm)
+        rolling = lambda s: vf.receding_horizon(s, ref, 60, norm)
+        for run in (one_shot, rolling):
+            got, want = run(grid), run(hot_day_2h)
+            assert np.array_equal(got.p.values, want.p.values)
+            assert np.array_equal(got.theta.values, want.theta.values)
+            fields = ("tracking_error", "bound", "iterations", "solves")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 def test_rate_capacities_headroom_split():

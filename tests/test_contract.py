@@ -115,8 +115,7 @@ def test_every_number_check_takes_a_finite_number_and_zero_only_when_non_negativ
 
 _SHORT = vf.Trajectory(DT, [1.0, 1.0, 1.0])
 _BANDED = dataclasses.replace(_SCN, bounds=vf.QoSBounds(
-    23.0, 25.0, theta_min_t=np.full(_SCN.n_steps + 1, 23.0),
-    theta_max_t=np.full(_SCN.n_steps + 1, 25.0),
+    np.full(_SCN.n_steps + 1, 23.0), np.full(_SCN.n_steps + 1, 25.0),
 ))
 _REF = _SCN.baseline().power
 _ENV = vf.envelope(_SCN)
@@ -188,8 +187,8 @@ HOLDERS = {
     ),
     "QoSBounds": (
         [23.0, 23.5, 23.0], [25.0, 24.5, 25.0],
-        lambda x, y: vf.QoSBounds(23.0, 25.0, theta_min_t=x, theta_max_t=y),
-        ["theta_min_t", "theta_max_t"], _NOT_NUMBERS,
+        lambda x, y: vf.QoSBounds(x, y),
+        ["theta_min", "theta_max"], _NOT_NUMBERS,
     ),
     "FlexEnvelope": (
         [0.5, 0.6, 0.7], [1.5, 1.6, 1.7],
@@ -252,39 +251,38 @@ def test_a_held_array_refuses_what_its_field_cannot_hold_exactly(kind):
                 build(*args)
 
 
-@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
+@pytest.mark.parametrize("name", ["theta_min", "theta_max"])
 def test_per_sample_bounds_refuse_nan(name):
     # a NaN floor from sample 5 of a 60-step paper day once read as no floor:
     # characterize gave 1.000 kWh of charge energy and an hour at p_rated passed
-    bounds = {"theta_min_t": np.full(61, 23.0), "theta_max_t": np.full(61, 25.0)}
+    bounds = {"theta_min": np.full(61, 23.0), "theta_max": np.full(61, 25.0)}
     bounds[name][5:] = math.nan
     with pytest.raises(vf.InputError, match=name):
-        vf.QoSBounds(23.0, 25.0, **bounds)
+        vf.QoSBounds(**bounds)
 
 
-@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
-@pytest.mark.parametrize("value", [22.0, 25.5])
-def test_per_sample_bounds_only_tighten_the_scalar_band(name, value):
-    # Scenario checks theta0 against the scalar band, so a per-sample band
-    # reaching past it let a rolling plan's own window start be refused
-    bounds = {"theta_min_t": np.full(61, 23.0), "theta_max_t": np.full(61, 25.0)}
-    bounds[name][7] = value
-    with pytest.raises(vf.InputError, match=f"{name} must lie within"):
-        vf.QoSBounds(23.0, 25.0, **bounds)
-    bounds[name][7] = 23.0 if name == "theta_min_t" else 25.0
-    vf.QoSBounds(23.0, 25.0, **bounds)
+@pytest.mark.parametrize("field", ["theta0", "theta_sp"])
+def test_a_scenario_takes_its_start_and_setpoint_anywhere_in_the_bands_hull(field):
+    # a per-sample floor may dip below its other samples: the start and the
+    # setpoint are judged against the hull [min theta_min, max theta_max]
+    lo = np.full(_SCN.n_steps + 1, 23.0)
+    lo[7] = 22.0
+    band = vf.QoSBounds(lo, 25.0)
+    assert getattr(dataclasses.replace(_SCN, bounds=band, **{field: 22.0}), field) == 22.0
+    with pytest.raises(vf.InputError, match=rf"{field} 21.9 outside comfort band \[22.0, 25.0\]"):
+        dataclasses.replace(_SCN, bounds=band, **{field: 21.9})
 
 
 @pytest.mark.parametrize("lo, hi, error, says", [
-    (np.full(61, 23.0), np.full(60, 25.0), vf.ShapeError, "theta_min_t has 61 samples"),
+    (np.full(61, 23.0), np.full(60, 25.0), vf.ShapeError, "theta_min has 61 samples"),
     (np.full(61, 24.0), np.full(61, 24.0), vf.InputError, "lower < upper"),
-    (np.full(61, 25.0), None, vf.InputError, "lower < upper"),
-    (None, np.full(61, 23.0), vf.InputError, "lower < upper"),
+    (np.full(61, 25.0), 25.0, vf.InputError, "lower < upper"),
+    (23.0, np.full(61, 23.0), vf.InputError, "lower < upper"),
 ])
 def test_per_sample_bounds_are_ordered_and_of_one_length_when_built(lo, hi, error, says):
     # once checked on every theta_limits call, 31,643 times in one rolling plan
     with pytest.raises(error, match=says):
-        vf.QoSBounds(23.0, 25.0, theta_min_t=lo, theta_max_t=hi)
+        vf.QoSBounds(lo, hi)
 
 
 def test_a_scenario_holds_its_limits_and_dynamics_read_only():

@@ -14,12 +14,12 @@ from conftest import DT, hot_day_scenario, make_params
 
 def test_per_sample_bounds_are_copied_then_frozen():
     lo, hi = np.array([23.0, 24.5, 23.0]), np.array([25.0, 25.0, 25.0])
-    band = vf.QoSBounds(23.0, 25.0, theta_min_t=lo, theta_max_t=hi)
+    band = vf.QoSBounds(lo, hi)
     lo[1] = 23.5
-    assert band.theta_min_t[1] == 24.5
+    assert band.theta_min[1] == 24.5
     assert lo.flags.writeable and hi.flags.writeable
-    assert not band.theta_min_t.flags.writeable
-    assert not band.theta_max_t.flags.writeable
+    assert not band.theta_min.flags.writeable
+    assert not band.theta_max.flags.writeable
 
 
 def test_bounds_validation():
@@ -83,8 +83,7 @@ def test_the_retired_atol_is_a_type_error(hot_day, judge):
 
 
 def test_audit_judges_per_sample_limits(monkeypatch, params):
-    band = vf.QoSBounds(23.0, 25.0, theta_min_t=np.array([23.0, 24.5, 23.0]),
-                        theta_max_t=np.array([25.0, 25.0, 25.0]))
+    band = vf.QoSBounds(np.array([23.0, 24.5, 23.0]), np.array([25.0, 25.0, 25.0]))
     v = _judge(monkeypatch, params, [24.0, 24.0, 24.0], band)
     assert not v.ok
     assert v.first_violation_index == 1
@@ -92,8 +91,7 @@ def test_audit_judges_per_sample_limits(monkeypatch, params):
 
 
 def test_audit_reports_a_per_sample_upper_limit(monkeypatch, params):
-    band = vf.QoSBounds(23.0, 25.0, theta_min_t=np.array([23.0, 23.0, 23.0]),
-                        theta_max_t=np.array([25.0, 25.0, 24.0]))
+    band = vf.QoSBounds(np.array([23.0, 23.0, 23.0]), np.array([25.0, 25.0, 24.0]))
     v = _judge(monkeypatch, params, [24.0, 24.5, 24.5], band)
     assert (v.ok, v.first_violation_index, v.value, v.limit) == (False, 2, 24.5, 24.0)
 
@@ -113,6 +111,11 @@ def test_the_comfort_contract_is_defined_in_flexset_alone():
     assert not hasattr(vf.QoSBounds, "theta_limits")
     fields = [f.name for f in dataclasses.fields(vf.Verdict)]
     assert fields == ["ok", "first_violation_index", "value", "limit"]
+    # one band: each side a constant or a per-sample array, no second copy
+    assert [f.name for f in dataclasses.fields(vf.QoSBounds)] == ["theta_min", "theta_max"]
+    for gone in ("theta_min_t", "theta_max_t"):
+        with pytest.raises(TypeError, match=gone):
+            vf.QoSBounds(23.0, 25.0, **{gone: np.full(3, 24.0)})
 
 
 def test_scenario_validation(params, bounds):
@@ -130,7 +133,7 @@ def test_per_sample_bounds_are_checked_when_the_scenario_is_built(params):
     dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
 
     def build(lo_t, hi_t):
-        bounds = vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
+        bounds = vf.QoSBounds(lo_t, hi_t)
         return vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
 
     for size in (n, n + 2):
@@ -143,14 +146,14 @@ def test_per_sample_bounds_are_checked_when_the_scenario_is_built(params):
     assert build(np.full(n + 1, 23.0), np.full(n + 1, 25.0)).n_steps == n
 
 
-@pytest.mark.parametrize("name", ["theta_min_t", "theta_max_t"])
+@pytest.mark.parametrize("name", ["theta_min", "theta_max"])
 def test_a_scenario_refuses_one_per_sample_side_of_the_wrong_length(params, name):
-    # the side not given is filled from the scalar band at the N+1 samples
+    # the constant side is filled at the N+1 samples
     n = 30
     dist = vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5)
-    side = np.full(n, 23.0 if name == "theta_min_t" else 25.0)
-    sizes = f"{n}/{n + 1}" if name == "theta_min_t" else f"{n + 1}/{n}"
-    bounds = vf.QoSBounds(23.0, 25.0, **{name: side})
+    side = np.full(n, 23.0 if name == "theta_min" else 25.0)
+    sizes = f"{n}/{n + 1}" if name == "theta_min" else f"{n + 1}/{n}"
+    bounds = vf.QoSBounds(**{"theta_min": 23.0, "theta_max": 25.0, name: side})
     with pytest.raises(vf.ShapeError, match=f"sized {sizes} do not match {n + 1} signal"):
         vf.Scenario(params=params, bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
 
@@ -168,9 +171,7 @@ def test_scenario_window(hot_day_2h):
     n = hot_day_2h.n_steps
     lo_t = np.linspace(23.0, 23.5, n + 1)
     hi_t = np.linspace(25.0, 24.6, n + 1)
-    timed = dataclasses.replace(
-        hot_day_2h, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
-    )
+    timed = dataclasses.replace(hot_day_2h, bounds=vf.QoSBounds(lo_t, hi_t))
     lo, hi = timed.window(10, 20, 23.5).theta_limits()
     assert np.array_equal(lo, lo_t[10:31])
     assert np.array_equal(hi, hi_t[10:31])
@@ -228,7 +229,7 @@ def test_envelope_inverts_exactly_where_no_rated_demand_holds_the_band(seed):
     par = make_params(p_rated=rng.uniform(1.0, 2.0))
     scn = vf.Scenario(
         params=par,
-        bounds=vf.QoSBounds(23.0, 26.0, theta_min_t=lo_all, theta_max_t=hi_all),
+        bounds=vf.QoSBounds(lo_all, hi_all),
         dist=vf.DisturbanceSeries(DT, theta_a, q_d),
         theta_sp=24.0,
         theta0=24.0,
@@ -347,13 +348,11 @@ def test_conservativeness_curve_requires_constant_weather(params, bounds):
 
 
 def test_conservativeness_curve_reads_per_sample_bounds(hot_day):
-    # constant per-sample bounds inside the scalar band: the curve is the one
-    # of the equal scalar band, and a_max(0) is the envelope's half width
+    # a constant band given as per-sample arrays: the curve is the one of the
+    # same band given as floats, and a_max(0) is the envelope's half width
     n = hot_day.n_steps + 1
     narrow = vf.QoSBounds(23.5, 24.5)
-    per_sample = vf.QoSBounds(
-        23.0, 25.0, theta_min_t=np.full(n, 23.5), theta_max_t=np.full(n, 24.5)
-    )
+    per_sample = vf.QoSBounds(np.full(n, 23.5), np.full(n, 24.5))
     omegas = [0.0, 0.5, 2.0 * math.pi]
     got = vf.conservativeness_curve(dataclasses.replace(hot_day, bounds=per_sample), omegas)
     assert got == vf.conservativeness_curve(dataclasses.replace(hot_day, bounds=narrow), omegas)
@@ -366,7 +365,7 @@ def test_conservativeness_curve_refuses_varying_bounds(hot_day):
     n = hot_day.n_steps + 1
     lo_t = np.full(n, 23.0)
     lo_t[n // 2 :] = 23.5
-    scn = dataclasses.replace(hot_day, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t))
+    scn = dataclasses.replace(hot_day, bounds=vf.QoSBounds(lo_t, 25.0))
     with pytest.raises(vf.InputError, match="constant"):
         vf.conservativeness_curve(scn, [0.0])
 

@@ -285,7 +285,7 @@ def _late_warm_floor(horizon_h=0.5):
     n = scn.n_steps
     lo_t = np.full(n + 1, 23.0)
     lo_t[2 * n // 3 :] = 23.6
-    bounds = vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 25.0))
+    bounds = vf.QoSBounds(lo_t, np.full(n + 1, 25.0))
     scn = dataclasses.replace(scn, bounds=bounds)
     return scn, _ref(scn, scn.baseline().power.values + 0.6)
 
@@ -450,7 +450,7 @@ def _random_rolling_case(rng):
     if rng.uniform() < 0.5:
         lo_t[int(rng.integers(n // 3, n)) :] = 23.7
         hi_t[int(rng.integers(0, n // 2)) : int(rng.integers(n // 2, n + 1))] = 24.3
-    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=hi_t)
+    bounds = vf.QoSBounds(lo_t, hi_t)
     scn = vf.Scenario(params=make_params(), bounds=bounds, dist=dist, theta_sp=24.0, theta0=24.0)
     ref = scn.baseline().power.values.copy()
     edges = np.sort(rng.choice(np.arange(1, n), size=4, replace=False))
@@ -471,7 +471,7 @@ def _edge_riding_case(rng):
         return np.clip((k - rng.integers(n // 2)) / rng.integers(n // 3, n // 2), 0.0, 1.0)
 
     lo_t, hi_t = 23.5 + 0.2 * ramp(), 24.5 - 0.2 * ramp()
-    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=hi_t)
+    bounds = vf.QoSBounds(lo_t, hi_t)
     scn = dataclasses.replace(scn, bounds=bounds)
     ref = scn.baseline().power.values.copy()
     ref[int(rng.integers(1, n // 4)) :] += rng.choice([-0.8, 0.8])
@@ -689,7 +689,7 @@ def _floor_step_case():
     scn, ref, _ = _random_rolling_case(np.random.default_rng([2024, 1]))
     n = scn.n_steps
     lo_t = np.where(np.arange(n + 1) <= 40, 23.5, 23.7)
-    bounds = vf.QoSBounds(23.5, 24.5, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 24.5))
+    bounds = vf.QoSBounds(lo_t, np.full(n + 1, 24.5))
     return dataclasses.replace(scn, bounds=bounds), ref
 
 
@@ -708,7 +708,7 @@ def test_plan_moves_only_a_rounding_miss_into_the_viable_start(norm, hot_day_2h)
     scn = dataclasses.replace(hot_day_2h, dist=hot_day_2h.dist.slice(0, 1))
     a, _, forcing = scn.dynamics()
     floor = np.array([23.0, a * 24.0 + forcing[0]])
-    scn = dataclasses.replace(scn, bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=floor))
+    scn = dataclasses.replace(scn, bounds=vf.QoSBounds(floor, 25.0))
     ref = _ref(scn, [0.5])
     for miss in (0.0, 1e-15, 1e-14, 1e-12, 9e-10):
         start = dataclasses.replace(scn, theta0=24.0 - miss)
@@ -731,15 +731,13 @@ def test_plan_moves_only_a_rounding_miss_into_the_viable_start(norm, hot_day_2h)
 
 @pytest.mark.parametrize("norm", vf.NORMS)
 def test_rolling_plan_starts_every_window_its_one_shot_plan_passes(norm):
-    # a per-sample floor of 22 C under a scalar band of [23, 25] was accepted,
-    # then the rolling plan's first window start below 23 C was refused
+    # a per-sample floor of 22 C was once accepted under a scalar band of
+    # [23, 25] C, then the rolling plan's first window start below 23 C was refused
     n = 120
     lo_t, hi_t = np.full(n + 1, 22.0), np.full(n + 1, 25.0)
-    with pytest.raises(vf.InputError, match="theta_min_t"):
-        vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t)
     scn = vf.Scenario(
         params=make_params(),
-        bounds=vf.QoSBounds(22.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        bounds=vf.QoSBounds(lo_t, hi_t),
         dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
         theta_sp=24.0, theta0=24.0,
     )
@@ -748,6 +746,22 @@ def test_rolling_plan_starts_every_window_its_one_shot_plan_passes(norm):
     rolled = vf.receding_horizon(scn, ref, 30, norm=norm)
     assert vf.is_member(rolled.p, scn).ok
     assert rolled.theta.values.min() < 23.0
+
+
+@pytest.mark.parametrize("norm", vf.NORMS)
+def test_a_window_inside_a_pre_cool_band_keeps_its_parents_setpoint(norm):
+    # the band narrows to [22.5, 23.5] C on samples 90-199 around a 24 C
+    # setpoint; a window there holds its parent's checked theta_sp, which a
+    # window rebuilt as a new Scenario would judge against its narrower hull
+    scn = hot_day_scenario(horizon_h=4.0)
+    n = scn.n_steps
+    lo_t, hi_t = np.full(n + 1, 23.0), np.full(n + 1, 25.0)
+    lo_t[90:200], hi_t[90:200] = 22.5, 23.5
+    scn = dataclasses.replace(scn, bounds=vf.QoSBounds(lo_t, hi_t))
+    assert scn.theta_sp == 24.0
+    rolled = vf.receding_horizon(scn, scn.baseline().power, 60, norm=norm)
+    assert vf.is_member(rolled.p, scn).ok
+    assert rolled.theta.values[90:200].max() <= 23.5 + 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))

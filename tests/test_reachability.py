@@ -122,7 +122,7 @@ def random_scenario(seed: int, n: int) -> vf.Scenario:
         edge[k1 : k1 + rng.integers(1, n // 2 + 2)] += sign * rng.uniform(0.2, 0.45)
     return vf.Scenario(
         params=par,
-        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        bounds=vf.QoSBounds(lo_t, hi_t),
         dist=vf.DisturbanceSeries(dt, theta_a, q_d),
         theta_sp=24.0,
         theta0=24.0,
@@ -242,7 +242,7 @@ def _edge_scenarios():
     lo_t[12], hi_t[12] = 23.8, 23.8 + 1e-6
     pinched = vf.Scenario(
         params=par,
-        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        bounds=vf.QoSBounds(lo_t, hi_t),
         dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5), theta_sp=24.0, theta0=24.0,
     )
     # dt / RC = 1000: the decay underflows to exactly zero
@@ -264,14 +264,14 @@ def test_edge_cases_match_dense_lp(name):
 
 
 def _pinched_to_one_float() -> vf.Scenario:
-    # QoSBounds refuses theta_min_t == theta_max_t; adjacent doubles are
+    # QoSBounds refuses theta_min == theta_max; adjacent doubles are
     # the narrowest window it admits
     n = 30
     lo_t, hi_t = np.full(n + 1, 23.0), np.full(n + 1, 25.0)
     lo_t[12], hi_t[12] = 23.8, np.nextafter(23.8, 25.0)
     return vf.Scenario(
         params=make_params(),
-        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+        bounds=vf.QoSBounds(lo_t, hi_t),
         dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5), theta_sp=24.0, theta0=24.0,
     )
 
@@ -316,7 +316,7 @@ def test_infeasible_window_raises_in_kernel_and_lp(how):
         lo_t[3], hi_t[3] = 23.0, 23.0 + 1e-6
         scn = vf.Scenario(
             params=make_params(),
-            bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=hi_t),
+            bounds=vf.QoSBounds(lo_t, hi_t),
             dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
             theta_sp=24.0, theta0=24.0,
         )
@@ -333,7 +333,7 @@ def test_theta0_outside_its_own_sample_band_is_infeasible():
     lo_t[0] = 24.5
     scn = vf.Scenario(
         params=make_params(),
-        bounds=vf.QoSBounds(23.0, 25.0, theta_min_t=lo_t, theta_max_t=np.full(n + 1, 25.0)),
+        bounds=vf.QoSBounds(lo_t, np.full(n + 1, 25.0)),
         dist=vf.DisturbanceSeries.constant(DT, n, 32.0, 1.5),
         theta_sp=24.0, theta0=24.0,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_nonnegative, require_positive
-from .flexset import Scenario, feasible_band, require_member
+from .flexset import Scenario, feasible_band, require_path
 from .thermal import ThermalParams, Trajectory
 
 
@@ -43,16 +43,9 @@ class VirtualBatteryCaps:
     discharge_energy_kwh: float
 
 
-def _profiles(
-    scn: Scenario, lo: np.ndarray, hi: np.ndarray
-) -> tuple[Trajectory, Trajectory]:
-    out = []
-    for edge, name in ((lo, "charge"), (hi, "discharge")):
-        p = scn.step_demand(edge[:-1], edge[1:])
-        traj = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated))
-        require_member(traj, scn, f"{name} profile")
-        out.append(traj)
-    return out[0], out[1]
+def _profiles(scn: Scenario, lo: np.ndarray, hi: np.ndarray) -> tuple[Trajectory, Trajectory]:
+    return (require_path(lo, scn, "charge profile")[0],
+            require_path(hi, scn, "discharge profile")[0])
 
 
 def characterize(scn: Scenario) -> VirtualBatteryCaps:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (
     InfeasibleError, InputError, require_count, require_nonnegative, require_positive,
 )
-from .flexset import _SLACK, Scenario, Verdict, _power_range, is_member
+from .flexset import Scenario, Verdict, _power_range, is_member
 from .thermal import (
     TIME_GRID_TOL_H, DisturbanceSeries, ThermalParams, Trajectory, baseline_trajectory,
     grid_steps,
@@ -90,8 +90,8 @@ def trajectory_satisfies(spec: DeferrableSpec, p: Trajectory) -> ContractVerdict
             f"profile covers {horizon:.6g} h but the window closes at "
             f"{spec.deadline_h:.6g} h"
         )
-    if (out := (pv < -_SLACK) | (pv > spec.p_max + _SLACK)).any():
-        return ContractVerdict(False, _power_range(pv, spec.p_max, int(np.argmax(out))))
+    if wrong := _power_range(pv, spec.p_max):
+        return ContractVerdict(False, wrong)
     k = np.arange(len(p))
     e_before = float(pv @ _overlap_hours(k, p.dt, 0.0, spec.arrival_h))
     e_inside = float(pv @ _overlap_hours(k, p.dt, spec.arrival_h, spec.deadline_h))
@@ -170,7 +170,7 @@ def baseline_energy(
     return float(base.power.values.sum()) * dt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterexampleResult:
     """Contract-vs-comfort verdict pair for one profile on one scenario."""
 

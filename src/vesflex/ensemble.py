@@ -74,7 +74,7 @@ def _check_cells(name: str, value: int, cells: int) -> None:
                          f"more than {MAX_CELLS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSchedule:
     """Per-load slot actions, rows in {-1, 0, +1} units of the pulse height."""
 

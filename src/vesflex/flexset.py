@@ -52,7 +52,7 @@ _SLACK = 1e-9
 MAX_MEMORY_STEPS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QoSBounds:
     """Closed-interval comfort band, degC.
 
@@ -94,7 +94,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One load, one disturbance record, one temperature comfort contract.
 
@@ -294,7 +294,7 @@ def feasible_band(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return _viable(run, *reach, *_rated_box(run))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlexEnvelope:
     """Per-sample demand band [p_lo, p_hi], kW, on the disturbance grid.
 
@@ -337,9 +337,8 @@ def audit(p: Trajectory, scn: Scenario) -> tuple[Trajectory, Verdict]:
     a comfort question; it raises PowerRangeError.
     """
     _check_grid("demand", p, scn.n_steps, scn.dt)
-    pv = p.values
-    if (out := (pv < -_SLACK) | (pv > scn.params.p_rated + _SLACK)).any():
-        raise PowerRangeError(_power_range(pv, scn.params.p_rated, int(np.argmax(out))))
+    if wrong := _power_range(p.values, scn.params.p_rated):
+        raise PowerRangeError(wrong)
     theta = simulate(scn.params, scn.dist, p, scn.theta0)
     th, (lo, hi) = theta.values, scn.theta_limits()
     bad = (th < lo - _SLACK) | (th > hi + _SLACK)
@@ -350,8 +349,11 @@ def audit(p: Trajectory, scn: Scenario) -> tuple[Trajectory, Verdict]:
     return theta, Verdict(False, first_violation_index=i, value=float(th[i]), limit=float(lim))
 
 
-def _power_range(p: np.ndarray, p_max: float, k: int) -> str:
-    """What is wrong with demand sample k outside [0, p_max]: every digit, and by how much."""
+def _power_range(p: np.ndarray, p_max: float) -> str:
+    """Empty when p is in [0, p_max] within _SLACK, else its first sample out and by how much."""
+    if not (out := (p < -_SLACK) | (p > p_max + _SLACK)).any():
+        return ""
+    k = int(np.argmax(out))
     excess = -p[k] if p[k] < 0.0 else p[k] - p_max
     return f"p[{k}] = {p[k]:.17g} kW outside [0, {p_max}] kW by {excess:.3g} kW"
 
@@ -371,6 +373,12 @@ def require_member(p: Trajectory, scn: Scenario, what: str) -> Trajectory:
             f"against limit {verdict.limit:.9g}"
         )
     return theta
+
+
+def require_path(path: np.ndarray, scn: Scenario, what: str) -> tuple[Trajectory, Trajectory]:
+    """Demand along path's N+1 temperatures, clipped into [0, p_rated], and its audited theta."""
+    p = Trajectory(scn.dt, np.clip(scn.step_demand(path[:-1], path[1:]), 0.0, scn.params.p_rated))
+    return p, require_member(p, scn, what)
 
 
 def envelope(scn: Scenario) -> FlexEnvelope:

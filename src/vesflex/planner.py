@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError, SolverError, require_count, require_positive
 from .flexset import (
-    _SLACK, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member,
+    _SLACK, Scenario, _forward_reach, _rated_box, _reachable, _viable, require_member, require_path
 )
 from .thermal import Trajectory, _check_grid
 
@@ -101,7 +101,7 @@ NORMS = ("two", "one", "inf")
 # inf-norm plans overflow.
 REF_REACH = 10.0
 
-# a solve's demand, its iterations and its certified lower bound on the error
+# a solve's temperature path theta_0..N, its iterations and its certified lower bound on the error
 _Solved = tuple[np.ndarray, int, float]
 
 
@@ -138,7 +138,7 @@ def input_to_state_map(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return gain * apow, free
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanResult:
     """Feasible demand plan, the temperature it produces, and its certificate.
 
@@ -287,19 +287,17 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
         # primal and dual lengths apart: one shared length can cycle
         dx, ds, dz, ls, lz = newton(s * z + ds * dz - sigma * gap / s.size, 0.99)
         x, s, z = x + ls * dx, s + ls * ds, z + lz * dz
-    p = scn.step_demand(np.append(scn.theta0, x[:-1]), x)
-    return p, it, math.sqrt(max(dual * scn.dt, 0.0))
+    return np.append(scn.theta0, x), it, math.sqrt(max(dual * scn.dt, 0.0))
 
 
 def _ride(scn: Scenario, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Demand of the ride through the band [lo, hi] steering at target."""
+    """Temperature path of the ride through the band [lo, hi] steering at target."""
     a, gain, forcing = scn.dynamics()
     push = (forcing - gain * target).tolist()
     theta = [scn.theta0]
     for k, (d, l, h) in enumerate(zip(push, lo[1:].tolist(), hi[1:].tolist())):
         theta.append(min(max(a * theta[k] + d, l), h))
-    th = np.array(theta)
-    return scn.step_demand(th[:-1], th[1:])
+    return np.array(theta)
 
 
 def _plan_inf(scn: Scenario, r: np.ndarray, target: np.ndarray, reach: tuple) -> _Solved:
@@ -343,9 +341,8 @@ def plan(scn: Scenario, ref: Trajectory, norm: str = "two") -> PlanResult:
         solved = _ride(run, target, *_viable(run, *reach, *_rated_box(run))), 0, None
     else:
         solved = _plan_inf(run, r, target, reach) if norm == "inf" else _plan_two(run, r)
-    p, iterations, bound = solved
-    p = Trajectory(scn.dt, np.clip(p, 0.0, scn.params.p_rated))
-    theta = require_member(p, scn, "planned temperature")
+    path, iterations, bound = solved
+    p, theta = require_path(path, scn, "planned temperature")
     err = tracking_error(p.values, r, scn.dt, norm)
     if bound is not None:  # a bound above the plan's own error is rounding
         bound = min(bound, err)

@@ -40,7 +40,7 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 _BASIC, _AT_LO, _AT_HI = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one solve.  x is present exactly when status is optimal."""
 
@@ -78,7 +78,7 @@ def _hold_problem(p, vectors: tuple[str, ...], blocks: tuple[str, ...], box_inf:
                 raise InputError(f"{a_name} must be (m, {n}) over {b_name} of length m")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  lo <= x <= hi.
 
@@ -329,7 +329,7 @@ def _bound_minimum(lp, c, lo, hi, x, iters) -> SolveReport:
     return SolveReport(STATUS_OPTIMAL, obj, xs, iters, obj, _residual(lp, xs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxQP:
     """min 0.5*sum(h_i x_i^2) + g.x  s.t.  a_ub x <= b_ub,  lo <= x <= hi.
 

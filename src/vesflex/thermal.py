@@ -99,7 +99,7 @@ class ThermalParams:
         return self.r_thermal * self.eta_cop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A uniformly sampled scalar signal: values[k] is the sample at t = k*dt, dt in hours."""
 
@@ -134,7 +134,7 @@ def grid_steps(horizon_h: float, dt: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisturbanceSeries:
     """Ambient temperature and internal heat gain on a shared grid.
 
@@ -274,7 +274,7 @@ def max_sine_amplitude(
     return delta_theta / tf_magnitude(params, omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaselineResult:
     """Baseline demand with clamp bookkeeping.
 

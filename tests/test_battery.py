@@ -32,7 +32,7 @@ def test_rate_capacities_sweep_path_agrees(params, bounds):
 def test_a_constant_band_as_floats_or_as_grids_gives_the_same_bits(hot_day_2h):
     # one band, two spellings: every analysis reads the one limit grid
     n = hot_day_2h.n_steps
-    assert hot_day_2h.bounds == vf.QoSBounds(23.0, 25.0)
+    assert (hot_day_2h.bounds.theta_min, hot_day_2h.bounds.theta_max) == (23.0, 25.0)
     grid = dataclasses.replace(
         hot_day_2h, bounds=vf.QoSBounds(np.full(n + 1, 23.0), np.full(n + 1, 25.0))
     )

@@ -251,6 +251,27 @@ def test_a_held_array_refuses_what_its_field_cannot_hold_exactly(kind):
                 build(*args)
 
 
+# every value holding an array, directly or through a field -> a call that builds one afresh
+_ARRAY_VALUES = {
+    **{kind: lambda kind=kind: HOLDERS[kind][2](*HOLDERS[kind][:2]) for kind in HOLDERS},
+    "Scenario": lambda: hot_day_scenario(horizon_h=0.5),
+    "PlanResult": lambda: vf.plan(_SCN, _SCN.baseline().power, "one"),
+    "CounterexampleResult": lambda: vf.counterexample_check(
+        vf.DeferrableSpec(0.0, 0.01, 0.5, 1.0), _SCN
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _ARRAY_VALUES)
+def test_a_value_holding_an_array_compares_and_hashes_by_identity(kind):
+    # == once raised "truth value of an array is ambiguous" and hash raised
+    # TypeError on every Scenario and every value of two samples or more
+    value, twin = _ARRAY_VALUES[kind](), _ARRAY_VALUES[kind]()
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert {value: kind}[value] == kind and hash(value) == hash(value)
+
+
 @pytest.mark.parametrize("name", ["theta_min", "theta_max"])
 def test_per_sample_bounds_refuse_nan(name):
     # a NaN floor from sample 5 of a 60-step paper day once read as no floor:

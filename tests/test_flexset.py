@@ -164,7 +164,8 @@ def test_scenario_window(hot_day_2h):
     assert rolled.n_steps == 20
     assert rolled.theta_sp == hot_day_2h.theta_sp
     assert np.array_equal(rolled.dist.theta_a, hot_day_2h.dist.theta_a[10:30])
-    assert rolled.bounds == hot_day_2h.bounds
+    assert (rolled.bounds.theta_min, rolled.bounds.theta_max) == (
+        hot_day_2h.bounds.theta_min, hot_day_2h.bounds.theta_max)
 
     # per-sample bounds cover the N+1 temperature samples, so a window of
     # n steps keeps n+1 of them, the last window ending on the final one

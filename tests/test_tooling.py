@@ -435,3 +435,21 @@ def test_one_function_answers_whether_the_band_can_be_held():
                     rated.add(where)
     assert raisers == {"flexset._reachable"}
     assert rated == {"flexset._reachable"}
+
+
+def test_one_function_reads_an_answers_demand_off_its_temperature_path():
+    # flexset.require_path inverts the dynamics, clips into [0, p_rated] and
+    # audits every plan and battery profile; a second copy could clip or
+    # audit one answer another way.  battery's rates read one step each.
+    steps, audits = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, nodes in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.stem}.{name}"
+            steps += [
+                where for n in nodes
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "step_demand"
+            ]
+            audits += [where] * len(_calls(nodes, "require_member"))
+    assert sorted(steps) == ["battery.characterize"] * 2 + ["flexset.require_path"]
+    assert sorted(audits) == ["flexset.require_path", "planner.receding_horizon"]

@@ -7,11 +7,11 @@ csvio.read_csv and csvio.write_csv, and print a short summary to stdout.
 Numeric CSV fields use repr-faithful %.17g so outputs are byte-identical
 across runs and round-trip through float exactly.
 
-At load time this module imports only the standard library and the
-numpy-free modules errors, csvio and humidity; each subcommand imports the
-analysis modules it runs.  So --help, a usage error and `humidity` never
-import numpy, and `plan` never loads solver, battery, deferrable or
-ensemble.
+At load time this module imports only the standard library and errors;
+each subcommand imports the modules it runs, and csvio is loaded where a
+CSV is read or written.  So --help and a usage error load no other vesflex
+module, `humidity` never imports numpy, and `plan` never loads solver,
+battery, deferrable or ensemble.
 
 Exit codes:
     0  success
@@ -27,12 +27,12 @@ import gc
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
-from . import humidity
-from .csvio import read_csv, write_csv
 from .errors import InfeasibleError, InputError, VesflexError, require_nonnegative
 
+# typing.TYPE_CHECKING without importing typing, which --help and a usage
+# error need for nothing else; type checkers take any TYPE_CHECKING as true
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -61,19 +61,18 @@ CONFIG_KEYS = {
 
 def load_config(name_or_path: str) -> dict:
     """A config is either a TOML file path or the name of a bundled preset."""
-    import pathlib
     import tomllib
-    from importlib import resources
 
-    preset = resources.files(__package__) / "presets" / f"{name_or_path}.toml"
+    preset = os.path.join(os.path.dirname(__file__), "presets", name_or_path + ".toml")
     if os.path.exists(name_or_path):
-        origin, source = name_or_path, pathlib.Path(name_or_path)
-    elif preset.is_file():
+        origin, source = name_or_path, name_or_path
+    elif os.path.isfile(preset):
         origin, source = f"preset:{name_or_path}", preset
     else:
         raise InputError(f"config {name_or_path!r} is neither a file nor a bundled preset")
     try:
-        return tomllib.loads(source.read_text(encoding="utf-8"))
+        with open(source, encoding="utf-8") as fh:
+            return tomllib.loads(fh.read())
     except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{origin}: {exc}") from None
 
@@ -127,6 +126,8 @@ def scenario_from_config(cfg: dict, dist_csv: str | None = None) -> Scenario:
 
 
 def _write(args, name: str, header: list[str], columns: list) -> None:
+    from .csvio import write_csv
+
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, name)
     write_csv(path, header, columns)
@@ -135,6 +136,7 @@ def _write(args, name: str, header: list[str], columns: list) -> None:
 
 def read_reference_csv(path: str, dt: float, n_steps: int) -> Trajectory:
     """Two columns t_hours,ref_kw on exactly the scenario grid."""
+    from .csvio import read_csv
     from .thermal import Trajectory, _check_stamps
 
     t, ref = read_csv(path, ["t_hours", "ref_kw"]).T
@@ -271,8 +273,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_humidity(args) -> int:
-    state_in = humidity.MoistAirState(args.t_in, args.w_in)
-    state_out = humidity.MoistAirState(args.t_out, args.w_out)
+    from . import humidity
+
+    ret, sup = humidity.DESIGN_RETURN_AIR, humidity.DESIGN_SUPPLY_AIR
+    state_in = humidity.MoistAirState(
+        ret.t_c if args.t_in is None else args.t_in, ret.w if args.w_in is None else args.w_in
+    )
+    state_out = humidity.MoistAirState(
+        sup.t_c if args.t_out is None else args.t_out, sup.w if args.w_out is None else args.w_out
+    )
     if args.outdoor is not None:
         t_oa, w_oa, frac = args.outdoor
         state_in = humidity.mix_air(
@@ -340,6 +349,7 @@ def _ensemble_reference(args) -> np.ndarray:
     import numpy as np
 
     from . import ensemble
+    from .csvio import read_csv
 
     if args.ref is not None:
         if os.path.exists(args.ref):
@@ -511,10 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("humidity", help="moist-air coil demand accounting")
-    p.add_argument("--t-in", type=finite, default=humidity.DESIGN_RETURN_AIR.t_c)
-    p.add_argument("--w-in", type=finite, default=humidity.DESIGN_RETURN_AIR.w)
-    p.add_argument("--t-out", type=finite, default=humidity.DESIGN_SUPPLY_AIR.t_c)
-    p.add_argument("--w-out", type=finite, default=humidity.DESIGN_SUPPLY_AIR.w)
+    # None means humidity's design state, read in cmd_humidity
+    for opt in ("--t-in", "--w-in", "--t-out", "--w-out"):
+        p.add_argument(opt, type=finite, default=None)
     p.add_argument("--m-dot", type=finite, default=1.0, help="dry-air flow, kg/s")
     p.add_argument("--eta-chiller", type=finite, default=3.5)
     p.add_argument(
@@ -567,11 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     """Run one subcommand and return its exit code.
 
-    Run as the program (argv None), main freezes the garbage collector's
-    objects before it returns, so the collections of the interpreter's exit
-    skip everything the run imported and made; an in-process caller that
-    passes argv keeps normal collection.
+    Run as the program (argv None), main switches the cyclic garbage
+    collector off for the run, which is short and makes few cycles, and
+    freezes its objects before it returns, so the collections of the
+    interpreter's exit skip everything the run imported and made; an
+    in-process caller that passes argv keeps normal collection.
     """
+    if argv is None:
+        gc.disable()
     code = _run(argv)
     if argv is None:
         gc.freeze()

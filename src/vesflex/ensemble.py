@@ -187,10 +187,12 @@ def schedule_tracking(ref_units, n_loads: int | None = None) -> EnsembleSchedule
         raise InfeasibleError(f"reference needs {need} loads, fleet has only {n_loads}")
     _check_cells("n_loads", n_loads, n_loads * s.size)
     actions = np.zeros((n_loads, s.size), dtype=np.int8)
-    busy = np.empty(0, dtype=np.int64)
+    free = np.ones(n_loads, dtype=bool)
     for t in range(s.size - 1):
         # every pair holds its load for two slots: all but boundary t-1's are free
-        busy = np.setdiff1d(np.arange(n_loads), busy)[: abs(int(s[t]))]
+        busy = np.flatnonzero(free)[: abs(int(s[t]))]
+        free[:] = True
+        free[busy] = False
         sign = 1 if s[t] > 0 else -1
         actions[busy, t] = sign
         actions[busy, t + 1] = -sign

@@ -350,6 +350,51 @@ def test_humidity_with_outdoor_mixing(tmp_path):
     assert float(rows["t_in_C"]) == pytest.approx(26.323, rel=1e-12)
 
 
+# `humidity --help` at 80 columns: the design states that --t-in, --w-in,
+# --t-out and --w-out default to are filled in by cmd_humidity, not shown
+HUMIDITY_HELP = """\
+usage: vesflex humidity [-h] [--t-in T_IN] [--w-in W_IN] [--t-out T_OUT]
+                        [--w-out W_OUT] [--m-dot M_DOT]
+                        [--eta-chiller ETA_CHILLER] [--outdoor T,W,FRACTION]
+
+options:
+  -h, --help            show this help message and exit
+  --t-in T_IN
+  --w-in W_IN
+  --t-out T_OUT
+  --w-out W_OUT
+  --m-dot M_DOT         dry-air flow, kg/s
+  --eta-chiller ETA_CHILLER
+  --outdoor T,W,FRACTION
+                        mix outdoor air into the inlet before the coil
+"""
+
+
+def test_humidity_help_text_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run("humidity", "--help") == 0
+    assert capsys.readouterr().out == HUMIDITY_HELP
+
+
+def test_humidity_defaults_are_the_design_states(tmp_path):
+    design = {
+        "--t-in": vf.DESIGN_RETURN_AIR.t_c, "--w-in": vf.DESIGN_RETURN_AIR.w,
+        "--t-out": vf.DESIGN_SUPPLY_AIR.t_c, "--w-out": vf.DESIGN_SUPPLY_AIR.w,
+    }
+
+    def csv(name, *argv):
+        assert _run("humidity", *argv, "--out-dir", tmp_path / name) == 0
+        return (tmp_path / name / "humidity.csv").read_bytes()
+
+    default = csv("default")
+    every = [arg for opt, value in design.items() for arg in (opt, repr(value))]
+    assert csv("all", *every) == default
+    for opt, value in design.items():
+        assert csv(f"{opt}-design", opt, repr(value)) == default, opt
+        # and the option is read: another value changes the answer
+        assert csv(f"{opt}-other", opt, repr(value + 0.001)) != default, opt
+
+
 # humidity inputs whose result overflowed: each run wrote coil_kw,inf or
 # electric_kw,inf and exited 0, or was refused under the internal name latent
 OVERFLOWING_HUMIDITY = {
@@ -836,21 +881,33 @@ def test_console_script_help():
     assert "simulate" in proc.stdout
 
 
-def test_main_freezes_the_collector_only_when_run_as_the_program(tmp_path):
-    # in process, the caller keeps normal collection
+def test_main_freezes_the_collector_only_when_run_as_the_program(tmp_path, monkeypatch):
+    # in process, the caller keeps normal collection, during the run and after
     import gc
 
     frozen = gc.get_freeze_count()
+    during = []
+    run = cli.cmd_humidity
+    monkeypatch.setattr(
+        cli, "cmd_humidity", lambda args: during.append(gc.isenabled()) or run(args)
+    )
     assert _run("humidity", "--out-dir", str(tmp_path / "in")) == 0
+    assert during == [True]
+    assert gc.isenabled()
     assert gc.get_freeze_count() == frozen
-    # the console entry: the exit's collections skip what the run made
+    # the console entry: the subcommand runs with the collector off, and the
+    # exit's collections skip what the run made
     src = os.path.dirname(os.path.dirname(vf.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     entry = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count()));"
-             " from vesflex.cli import main; sys.exit(main())")
+             " from vesflex import cli; run = cli.cmd_humidity;"
+             " cli.cmd_humidity = lambda args: print(gc.isenabled()) or run(args);"
+             " sys.exit(cli.main())")
     proc = subprocess.run(
         [sys.executable, "-c", entry, "--out-dir", str(tmp_path / "out"), "humidity"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
-    assert int(proc.stdout.splitlines()[-1]) > 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert int(lines[-1]) > 0

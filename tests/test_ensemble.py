@@ -144,6 +144,35 @@ def test_greedy_schedule_achieves_min_loads():
         assert sched.n_loads == need
 
 
+def _setdiff_schedule(ref, n_loads):
+    # the first-fit pick as once written with np.setdiff1d: the lowest loads
+    # outside the last boundary's pairs
+    s = vf.pair_counts(ref)
+    actions = np.zeros((n_loads, s.size), dtype=np.int8)
+    busy = np.empty(0, dtype=np.int64)
+    for t in range(s.size - 1):
+        busy = np.setdiff1d(np.arange(n_loads), busy)[: abs(int(s[t]))]
+        sign = 1 if s[t] > 0 else -1
+        actions[busy, t] = sign
+        actions[busy, t + 1] = -sign
+    return actions
+
+
+def test_schedule_tracking_picks_the_loads_the_setdiff_oracle_picks():
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(1, 16))
+        ref = rng.integers(-4, 5, size=n)
+        ref[-1] -= ref.sum()
+        if abs(ref[-1]) > 4:
+            continue
+        n_loads = vf.min_loads(ref) + int(rng.integers(0, 4))
+        sched = vf.schedule_tracking(ref, n_loads=n_loads)
+        assert np.array_equal(sched.actions, _setdiff_schedule(ref, n_loads)), ref
+        checked += 1
+
+
 def test_schedule_tracking_respects_fleet_cap():
     ref = [2, -2]
     sched = vf.schedule_tracking(ref, n_loads=5)

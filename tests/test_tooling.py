@@ -202,38 +202,55 @@ def test_parser_choices_are_the_analysis_modules_values():
     assert _choices("plan", "norm") == planner.NORMS
 
 
-# runs cli.main in a fresh interpreter and reports what each job loaded
+# runs cli.main in a fresh interpreter and reports, after each job in turn,
+# its exit code and every module loaded since the interpreter started
 _STARTUP_CHILD = """
 import contextlib, io, json, sys
+start = set(sys.modules)
+loaded = lambda: sorted(set(sys.modules) - start)
 import vesflex
-loaded = lambda: sorted(m for m in sys.modules if m.startswith("vesflex."))
-seen = {"import vesflex": [0, "numpy" in sys.modules, loaded()]}
+seen = {"import vesflex": [0, loaded()]}
 from vesflex import cli
-for argv in (["--help"], ["plan", "--norm", "bogus"], ["humidity"], ["plan"]):
+for argv in (["--help"], ["plan", "--norm", "bogus"], ["humidity"], ["plan"],
+             ["ensemble", "--triangle", "5"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["--out-dir", sys.argv[1], *argv])
-    seen[" ".join(argv)] = [code, "numpy" in sys.modules, loaded()]
+    seen[" ".join(argv)] = [code, loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_each_job_imports_only_what_it_runs(tmp_path):
-    src = str(PACKAGE.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # -S with this process's import path: no .pth file imports modules
+    # (pathlib, importlib.resources, ...) before the child's snapshot
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), *sys.path]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHILD, str(tmp_path)],
+        [sys.executable, "-S", "-c", _STARTUP_CHILD, str(tmp_path)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    seen = json.loads(proc.stdout)
-    assert seen["import vesflex"] == [0, False, []]
-    for job, code in (("--help", 0), ("plan --norm bogus", 2), ("humidity", 0)):
-        assert seen[job][:2] == [code, False], job
-    code, _, modules = seen["plan"]
+    seen = {job: (code, set(modules)) for job, (code, modules) in json.loads(proc.stdout).items()}
+    ours = lambda modules: {m for m in modules if m.split(".")[0] == "vesflex"}
+    assert ours(seen["import vesflex"][1]) == {"vesflex"}
+    for job, code in (("import vesflex", 0), ("--help", 0), ("plan --norm bogus", 2),
+                      ("humidity", 0)):
+        assert seen[job][0] == code, job
+        assert "numpy" not in seen[job][1], job
+    # the front end alone: no analysis module, no dataclasses (humidity's)
+    # and no typing
+    for job in ("--help", "plan --norm bogus"):
+        assert ours(seen[job][1]) == {"vesflex", "vesflex.cli", "vesflex.errors"}, job
+        assert {"dataclasses", "typing"}.isdisjoint(seen[job][1]), job
+    code, modules = seen["plan"]
     assert code == 0
-    assert {"vesflex.planner", "vesflex.flexset"} <= set(modules)
+    assert {"vesflex.planner", "vesflex.flexset"} <= modules
     unused = {f"vesflex.{m}" for m in ("solver", "battery", "deferrable", "ensemble")}
     assert unused.isdisjoint(modules)
+    # the paper preset is found without importlib.resources or pathlib
+    assert {"importlib.resources", "pathlib"}.isdisjoint(modules)
+    code, modules = seen["ensemble --triangle 5"]
+    assert code == 0
+    assert "vesflex.ensemble" in modules and "numpy.ma" not in modules
 
 
 def test_readme_python_example_runs_as_printed():

@@ -217,9 +217,8 @@ def cmd_freq(args) -> int:
     from . import flexset
 
     scn = _scenario(args)
-    omegas = (args.omega or []) + (args.omega_cycles or [])
-    if omegas:
-        omegas = np.array(sorted(omegas))
+    if args.omega:
+        omegas = np.array(sorted(args.omega))
     else:
         omegas = np.concatenate([[0.0], np.logspace(-2, 3, num=51)])
     pts = flexset.conservativeness_curve(scn, omegas)
@@ -315,6 +314,11 @@ def cmd_humidity(args) -> int:
     return 0
 
 
+# the design sizing day: without --energy, a deferrable contract needs the
+# energy the baseline uses over its window at this constant weather
+SIZING_DAY_THETA_A_C, SIZING_DAY_Q_D_KW = 32.0, 1.5
+
+
 def cmd_deferrable(args) -> int:
     from . import deferrable
 
@@ -324,9 +328,9 @@ def cmd_deferrable(args) -> int:
     else:
         energy = deferrable.baseline_energy(
             scn.params,
-            theta_a=args.sizing_theta_a,
+            theta_a=SIZING_DAY_THETA_A_C,
             theta_sp=scn.theta_sp,
-            q_d=args.sizing_q_d,
+            q_d=SIZING_DAY_Q_D_KW,
             horizon_h=args.window,
             dt=scn.dt,
         )
@@ -438,13 +442,6 @@ def finite(text: str) -> float:
     return val
 
 
-def cycles(text: str) -> float:
-    """cycles/h option type, in rad/h: negative or overflowing is a usage error."""
-    if not 0.0 <= (val := 2.0 * math.pi * float(text)) <= sys.float_info.max:
-        raise ValueError(text)
-    return val
-
-
 def count(text: str) -> int:
     """Integer option type: a negative value is a usage error ("invalid count value")."""
     val = int(text)
@@ -505,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega", action="append", type=finite, default=None,
         help="rad/h sample (repeatable; default log sweep)",
     )
-    p.add_argument(
-        "--omega-cycles", action="append", type=cycles, default=None,
-        help="cycles/h sample (repeatable), converted to rad/h",
-    )
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("plan", help="track a reference demand inside comfort")
@@ -539,18 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_args(p)
     p.add_argument("--arrival", type=finite, default=0.0, help="contract arrival, h")
     p.add_argument("--window", type=finite, required=True, help="completion window, h")
-    p.add_argument("--energy", type=finite, default=None, help="required energy, kWh")
     p.add_argument(
-        "--sizing-theta-a",
-        type=finite,
-        default=32.0,
-        help="outdoor temperature of the sizing day when --energy is absent",
-    )
-    p.add_argument(
-        "--sizing-q-d",
-        type=finite,
-        default=1.5,
-        help="internal gains of the sizing day when --energy is absent",
+        "--energy", type=finite, default=None,
+        help=f"required energy, kWh (default: what the baseline uses over the window on the "
+             f"design sizing day, {SIZING_DAY_THETA_A_C:g} C outdoors and {SIZING_DAY_Q_D_KW:g} kW "
+             "gains)",
     )
     p.add_argument("--p-max", type=finite, default=None, help="contract power ceiling, kW")
     p.set_defaults(func=cmd_deferrable)
@@ -579,10 +565,15 @@ def main(argv: "list[str] | None" = None) -> int:
     Run as the program (argv None), main switches the cyclic garbage
     collector off for the run, which is short and makes few cycles, and
     freezes its objects before it returns, so the collections of the
-    interpreter's exit skip everything the run imported and made; an
-    in-process caller that passes argv keeps normal collection.
+    interpreter's exit skip everything the run imported and made.  It also
+    gives numpy's BLAS one thread, unless the environment already sets a
+    count, since no subcommand does BLAS work worth a thread pool's start-up.
+    An in-process caller that passes argv keeps normal collection and its
+    environment.
     """
     if argv is None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")  # read when numpy is first imported
         gc.disable()
     code = _run(argv)
     if argv is None:

@@ -97,8 +97,7 @@ NORMS = ("two", "one", "inf")
 # two-norm interior point stops on a gap relative to its objective, which grows
 # with the square of the reach, so its plan drifts from the optimum as the reach
 # grows: on 60-step paper windows, by up to 5e-13 kW at 10 p_rated out and 5e-8 kW
-# at 1000.  At 1e24 p_rated it does not converge, and near 1e306 kW the one- and
-# inf-norm plans overflow.
+# at 1000.  Near 1e306 kW the one- and inf-norm plans overflow.
 REF_REACH = 10.0
 
 # a solve's temperature path theta_0..N, its iterations and its certified lower bound on the error
@@ -242,7 +241,11 @@ def _plan_two(scn: Scenario, r: np.ndarray) -> _Solved:
     x = 0.5 * (lo_t[1:] + hi_t[1:])
     decays = [a] * x.size
     s = np.maximum(h - gmul(x), 1.0)
+    # the power rows start at the clip(r) plan's multipliers, floored at 1, so
+    # the start grows with a reference's reach outside [0, p_rated]
+    over = 2.0 * (r - np.clip(r, 0.0, scn.params.p_rated))
     z = np.ones_like(s)
+    z[2], z[3] = np.maximum(over, 1.0), np.maximum(-over, 1.0)
     for it in range(_IPM_MAX_ITER + 1):
         slack = gmul(x) - h
         rp = slack + s

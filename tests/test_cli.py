@@ -218,18 +218,6 @@ def test_a_solver_failure_is_one_failed_line_exit_1_and_no_csv(tmp_path, monkeyp
     assert not out.exists()
 
 
-def test_freq_omega_units_agree(tmp_path, short_config):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert _run("freq", "--config", short_config, "--omega", "6.283185307179586",
-                "--out-dir", str(out_a)) == 0
-    assert _run("freq", "--config", short_config, "--omega-cycles", "1",
-                "--out-dir", str(out_b)) == 0
-    a = np.loadtxt(out_a / "freq.csv", delimiter=",", skiprows=1)
-    b = np.loadtxt(out_b / "freq.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(a, b)
-
-
 def test_freq_reports_static_limit(tmp_path, short_config, capsys):
     assert _run("freq", "--config", short_config, "--out-dir", str(tmp_path / "f")) == 0
     out = capsys.readouterr().out
@@ -830,10 +818,13 @@ MALFORMED_OPTIONS = {
     "deferrable-kind": (["deferrable", "--window", "4", "--kind", "bucket"], "--kind"),
     # removed: simulate audits at flexset.audit's default slack
     "simulate-atol": (["simulate", "--power-const", "1", "--atol", "1e-6"], "--atol"),
-    # 2 pi times the value overflowed, or was negative, and was refused as "omega"
-    **{f"freq-omega-cycles-{v}": (["freq", "--omega-cycles", v],
-                                  f"argument --omega-cycles: invalid cycles value: '{v}'")
-       for v in ("1e308", "-1", "nan", "inf")},
+    # removed: freq takes its frequencies in rad/h only
+    "freq-omega-cycles": (["freq", "--omega-cycles", "1"], "--omega-cycles"),
+    # removed: without --energy, the contract is sized on the one design day
+    "deferrable-sizing-theta-a": (
+        ["deferrable", "--window", "4", "--sizing-theta-a", "30"], "--sizing-theta-a"
+    ),
+    "deferrable-sizing-q-d": (["deferrable", "--window", "4", "--sizing-q-d", "1"], "--sizing-q-d"),
 }
 
 
@@ -911,3 +902,28 @@ def test_main_freezes_the_collector_only_when_run_as_the_program(tmp_path, monke
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
     assert int(lines[-1]) > 0
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_main_gives_blas_one_thread_only_when_run_as_the_program(tmp_path, monkeypatch):
+    # in process, the caller's environment is left as it is
+    for var in BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    assert _run("humidity", "--out-dir", str(tmp_path / "in")) == 0
+    assert not any(var in os.environ for var in BLAS_THREADS)
+    # the console entry: an unset count is 1 by the time the subcommand runs,
+    # and a count the environment sets is kept
+    src = os.path.dirname(os.path.dirname(vf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    entry = (f"import os, sys; from vesflex import cli; run = cli.cmd_humidity;"
+             f" cli.cmd_humidity = lambda args: print(*map(os.environ.get, {BLAS_THREADS}))"
+             f" or run(args); sys.exit(cli.main())")
+    for given, seen in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "4"}, "4 1 1")):
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, "--out-dir", str(tmp_path / "out"), "humidity"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **given},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == seen

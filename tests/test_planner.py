@@ -683,6 +683,24 @@ def test_two_norm_returns_its_best_iterate_where_rounding_lifts_the_gap(monkeypa
     assert vf.is_member(rolled.p, scn).ok
 
 
+@pytest.mark.parametrize("reach", [1e6, 1e12, 1e24])
+def test_two_norm_converges_on_a_reference_far_outside_the_rated_range(monkeypatch, reach):
+    # from multipliers of 1 this took 28 and 56 iterations, and stalled at 1e24;
+    # the power rows now start at the clip(r) plan's multipliers
+    from vesflex import cli, planner
+
+    monkeypatch.setattr(planner, "REF_REACH", 1e308)
+    scn = cli.scenario_from_config(cli.load_config("paper"))
+    p_rated = scn.params.p_rated
+    r = scn.baseline().power.values.copy()
+    r[300:] = (1.0 + reach) * p_rated
+    r[::7] = -reach * p_rated
+    res = vf.plan(scn, _ref(scn, r), norm="two")
+    assert res.iterations < 20
+    assert vf.is_member(res.p, scn).ok
+    assert res.bound <= res.tracking_error <= res.bound * (1.0 + 1e-12)
+
+
 def _floor_step_case():
     # the floor steps from 23.5 to 23.7 C at sample 41; the one-norm ride
     # left a window's theta0 3.6e-15 C short of what that window can hold
